@@ -42,11 +42,21 @@ fn bench_codec(c: &mut Criterion) {
         g.bench_function(format!("decode_data_{payload}B"), |b| {
             b.iter(|| Packet::decode(&bytes).unwrap());
         });
+        // The receive path's entry: payloads slice the datagram the
+        // transport already owns instead of being copied out of it.
+        let owned = Bytes::from(bytes);
+        g.bench_function(format!("decode_data_shared_{payload}B"), |b| {
+            b.iter(|| Packet::decode_shared(&owned).unwrap());
+        });
     }
     let tok = Packet::Token(token_packet(3, 500));
     let tok_bytes = tok.encode();
     g.bench_function("encode_token", |b| b.iter(|| tok.encode()));
     g.bench_function("decode_token", |b| b.iter(|| Packet::decode(&tok_bytes).unwrap()));
+    let tok_owned = Bytes::from(tok_bytes);
+    g.bench_function("decode_token_shared", |b| {
+        b.iter(|| Packet::decode_shared(&tok_owned).unwrap());
+    });
     g.finish();
 }
 

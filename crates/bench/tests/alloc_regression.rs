@@ -4,50 +4,20 @@
 //! the frame (cached in its [`totem_wire::SharedPacket`]) plus O(1)
 //! buffer allocations, *independent of cluster size* — fanning a
 //! frame out to more receivers is refcount bumps, never payload
-//! copies. These tests pin that with a counting global allocator:
-//! if a per-receiver deep clone or a per-send re-encode sneaks back
-//! in, the per-frame numbers scale with the node count and the
-//! assertions below fail.
+//! copies. These tests pin that with a counting global allocator
+//! (scoped to the test's own thread, see `common`): if a per-receiver
+//! deep clone or a per-send re-encode sneaks back in, the per-frame
+//! numbers scale with the node count and the assertions below fail.
+//! The receive side has the matching contract: decoding a datagram
+//! the transport owns copies no payload bytes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::snapshot;
 use totem_cluster::{ClusterConfig, SimCluster};
 use totem_rrp::ReplicationStyle;
 use totem_sim::{SimDuration, SimTime};
-use totem_wire::{Chunk, DataPacket, NodeId, RingId, Seq, SharedPacket};
-
-/// Counts allocations and requested bytes; frees are not tracked (the
-/// gate cares about allocation *pressure*, not live bytes).
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counters are plain
-// relaxed atomics with no other side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn snapshot() -> (u64, u64) {
-    (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
-}
+use totem_wire::{Chunk, DataPacket, NodeId, Packet, RingId, Seq, SharedPacket};
 
 /// Steady-state allocation cost of a saturated cluster: (allocations
 /// per wire frame, allocated bytes per wire frame).
@@ -92,6 +62,40 @@ fn second_encode_of_a_shared_frame_allocates_nothing() {
     }
     let (a1, _) = snapshot();
     assert_eq!(a1 - a0, 0, "re-reading the cached encoding must not allocate");
+}
+
+/// Decoding a data frame out of an owning buffer allocates the chunk
+/// vector and the shared handle — never a buffer per chunk: payloads
+/// are slices of the datagram, whatever the chunk count.
+#[test]
+fn decoding_an_owned_data_frame_allocates_at_most_twice() {
+    for chunks in [1usize, 12, 60] {
+        let wire = Packet::Data(DataPacket {
+            ring: RingId::new(NodeId::new(0), 1),
+            seq: Seq::new(9),
+            sender: NodeId::new(1),
+            chunks: (0..chunks)
+                .map(|i| {
+                    Chunk::complete(i as u32, bytes::Bytes::from(vec![i as u8; 1200 / chunks]))
+                })
+                .collect(),
+        })
+        .encode_shared();
+
+        let (a0, b0) = snapshot();
+        let decoded = SharedPacket::from_datagram(wire.clone()).expect("valid frame");
+        let (a1, b1) = snapshot();
+        assert!(a1 - a0 <= 2, "{chunks} chunks: decode allocated {} times", a1 - a0);
+        // The chunk vector and the handle, but none of the 1200
+        // payload bytes.
+        let bookkeeping = (chunks * size_of::<Chunk>() + 256) as u64;
+        assert!(
+            b1 - b0 <= bookkeeping,
+            "{chunks} chunks: decode allocated {} bytes, bookkeeping is {bookkeeping}",
+            b1 - b0
+        );
+        assert_eq!(decoded.data().map(|d| d.chunks.len()), Some(chunks));
+    }
 }
 
 /// Per-frame allocation cost must not scale with the receiver count:

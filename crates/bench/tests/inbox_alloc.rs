@@ -1,96 +1,57 @@
 //! Allocation-regression gate for the transport inbox arenas.
 //!
-//! The batched receive path's contract is O(1) allocations per
-//! *batch*, not per datagram: a reader thread copies every datagram
-//! into one linear arena, seals the arena into an immutable batch
-//! (one channel send), and the driver carves frames off as zero-copy
-//! slices. These tests pin that with a counting global allocator —
-//! if a per-datagram `Bytes` allocation or a per-frame queue node
-//! sneaks back in, the per-frame numbers scale with the batch size
-//! and the assertions fail.
+//! The batched receive path's contract is two exact-size allocations
+//! per *batch*, none per datagram: a reader thread copies every
+//! datagram into one long-lived linear arena, seals the filled prefix
+//! into an immutable batch of exactly its own size (one channel
+//! send), and the driver carves frames off as zero-copy slices. These
+//! tests pin that with a counting global allocator (scoped to the
+//! test's own thread, see `common`) — if a per-datagram `Bytes`
+//! allocation, a per-frame queue node or a per-batch arena
+//! replacement sneaks back in, the assertions fail.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::snapshot;
 use totem_transport::inbox::{InboxArena, MAX_BATCH_FRAMES};
 use totem_wire::NetworkId;
 
-/// Counts allocations and requested bytes; frees are not tracked (the
-/// gate cares about allocation *pressure*, not live bytes).
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a plain
-// relaxed atomic with no other side effects.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOC_COUNT.load(Ordering::Relaxed)
-}
-
-/// Steady-state cost of the arena cycle: after a warm-up batch sizes
-/// the buffers, each full batch (push × frames, seal, carve every
-/// frame) costs a small constant number of allocations — the
-/// replacement arena, the replacement bounds vec, the `Arc` created
-/// by freezing, and the batch's trip through the channel-free path
-/// here is none — regardless of how many datagrams it carries.
+/// Steady-state cost of the arena cycle: each batch (push × frames,
+/// seal, carve every frame) costs exactly two allocations — the
+/// batch's bytes and its offsets, both sized to the batch — however
+/// many datagrams it carries and however large the arena has grown.
 #[test]
 fn arena_batch_cycle_allocates_o1_not_per_frame() {
-    const FRAMES: usize = MAX_BATCH_FRAMES;
     let datagram = [0xABu8; 512];
     let mut arena = InboxArena::new(NetworkId::new(0));
 
-    // Warm up: first batches grow the arena to its steady-state size
-    // and teach the cap hint the traffic shape.
-    for _ in 0..4 {
-        for _ in 0..FRAMES {
+    // Warm up: one full batch grows the arena to its high-water mark.
+    for _ in 0..MAX_BATCH_FRAMES {
+        arena.push(&datagram);
+    }
+    assert_eq!(arena.seal().expect("non-empty").frames(), MAX_BATCH_FRAMES);
+
+    // Measured: batches from one datagram to a full arena.
+    for frames in [1usize, 3, 17, MAX_BATCH_FRAMES] {
+        let (a0, b0) = snapshot();
+        for _ in 0..frames {
             arena.push(&datagram);
         }
         let sealed = arena.seal().expect("non-empty");
-        assert_eq!(sealed.iter().count(), FRAMES);
-    }
+        let carved: usize = sealed.iter().map(|frame| frame.len()).sum();
+        let (a1, b1) = snapshot();
+        assert_eq!(carved, frames * datagram.len());
 
-    // Measured: 8 full batch cycles, carving every frame.
-    let cycles = 8u64;
-    let a0 = allocs();
-    let mut carved_total = 0usize;
-    for _ in 0..cycles {
-        for _ in 0..FRAMES {
-            arena.push(&datagram);
-        }
-        let sealed = arena.seal().expect("non-empty");
-        for frame in sealed.iter() {
-            carved_total += frame.len();
-        }
+        assert!(a1 - a0 <= 2, "a batch of {frames} frames allocated {} times", a1 - a0);
+        // Exactly its own bytes plus one u32 offset per frame (and
+        // the refcount header of the shared allocation).
+        let own = (frames * (datagram.len() + 4) + 16) as u64;
+        assert!(
+            b1 - b0 <= own,
+            "a batch of {frames} frames allocated {} bytes, its own size is {own}",
+            b1 - b0
+        );
     }
-    let spent = allocs() - a0;
-    assert_eq!(carved_total, cycles as usize * FRAMES * datagram.len());
-
-    // O(1) per batch: arena replacement + bounds replacement + freeze.
-    // Give headroom for allocator-internal noise, but stay far below
-    // one allocation per frame (64 frames/batch would be >= 512).
-    let per_batch = spent as f64 / cycles as f64;
-    assert!(
-        per_batch <= 8.0,
-        "arena cycle allocated {per_batch:.1} times per batch (want O(1), \
-         {spent} allocations over {cycles} batches of {FRAMES} frames)"
-    );
 }
 
 /// Carving is zero-copy: frames of a sealed batch alias the arena
@@ -103,11 +64,11 @@ fn carving_a_sealed_batch_allocates_nothing() {
     }
     let sealed = arena.seal().expect("non-empty");
 
-    let a0 = allocs();
+    let (a0, _) = snapshot();
     let mut total = 0usize;
     for frame in sealed.iter() {
         total += frame.len();
     }
-    assert_eq!(allocs() - a0, 0, "carving must not allocate");
+    assert_eq!(snapshot().0 - a0, 0, "carving must not allocate");
     assert_eq!(total, 32 * 256);
 }

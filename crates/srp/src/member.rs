@@ -590,7 +590,7 @@ impl SrpNode {
                 if chunk.kind != totem_wire::ChunkKind::Recovery {
                     continue;
                 }
-                if let Ok(Packet::Data(inner)) = Packet::decode(&chunk.data) {
+                if let Ok(Packet::Data(inner)) = Packet::decode_shared(&chunk.data) {
                     if Some(inner.ring) == my_old_ring {
                         rec.recovered_seen.insert(inner.seq.as_u64());
                         if let Some(old) = self.ring.as_mut() {

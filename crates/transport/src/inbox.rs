@@ -1,25 +1,30 @@
 //! Single-writer inbox arenas: compact linear datagram buffers.
 //!
-//! Each UDP reader thread owns one [`InboxArena`] — a linear
-//! `BytesMut` it copies every received datagram into, back to back,
-//! recording only the end offset of each frame. When the socket runs
-//! dry (or the arena hits its frame/byte caps) the writer
-//! [`seal`](InboxArena::seal)s the arena into an immutable
-//! [`SealedBatch`] and hands the *whole batch* to the driver in one
-//! channel send. The driver carves the batch into per-frame [`Bytes`]
-//! with zero-copy slices of the shared arena allocation.
+//! Each UDP reader thread owns one [`InboxArena`] — a long-lived
+//! linear scratch buffer it copies every received datagram into, back
+//! to back, recording only the end offset of each frame. When the
+//! socket runs dry (or the arena hits its frame/byte caps) the writer
+//! [`seal`](InboxArena::seal)s the filled prefix into an immutable,
+//! *exact-size* [`SealedBatch`] and hands the *whole batch* to the
+//! driver in one channel send. The driver carves the batch into
+//! per-frame [`Bytes`] with zero-copy slices of the batch allocation,
+//! and the zero-copy decoder (`totem_wire::Packet::decode_shared`)
+//! slices payloads out of those — so socket → batch → decoded packet
+//! → delivered payload share one allocation.
 //!
-//! Compared to the previous per-datagram path
-//! (`Bytes::copy_from_slice` + one channel send per datagram) this
-//! costs O(1) allocations and one queue operation *per batch* instead
-//! of per frame: the arena is one allocation, the offsets ride in one
-//! small `Vec`, and every carved frame is a refcount bump on the
-//! arena. The design follows the single-writer message inboxes in
-//! citybound's `kay` actor system (one linear buffer per writer →
-//! reader pair, messages appended back to back and consumed as
-//! slices).
+//! A batch costs two allocations of exactly its own size (the bytes,
+//! the offsets) and one queue operation, however many frames it
+//! carries; every carved frame is a refcount bump. Because the batch
+//! is sized to its contents rather than to the arena, a payload the
+//! application holds on to pins at most the datagrams that arrived in
+//! the same batch — never a 16–256 KiB arena. The scratch buffer
+//! itself is never handed out, so it grows to the traffic's high-water
+//! mark once and is reused for the life of the reader. The design
+//! follows the single-writer message inboxes in citybound's `kay`
+//! actor system (one linear buffer per writer → reader pair, messages
+//! appended back to back and consumed as slices).
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use totem_wire::NetworkId;
 
@@ -34,13 +39,11 @@ pub const MAX_BATCH_BYTES: usize = 256 * 1024;
 #[derive(Debug)]
 pub struct InboxArena {
     net: NetworkId,
-    arena: BytesMut,
+    /// Long-lived scratch: the datagrams of the batch being filled.
+    arena: Vec<u8>,
     /// End offset of frame `i` within the arena (frame `i` spans
     /// `bounds[i-1]..bounds[i]`, with an implicit leading 0).
     bounds: Vec<u32>,
-    /// Capacity hint for the next arena, tracking recent batch sizes
-    /// so steady state reserves once and never regrows.
-    cap_hint: usize,
 }
 
 impl InboxArena {
@@ -48,9 +51,8 @@ impl InboxArena {
     pub fn new(net: NetworkId) -> Self {
         InboxArena {
             net,
-            arena: BytesMut::with_capacity(MAX_BATCH_BYTES / 16),
+            arena: Vec::with_capacity(MAX_BATCH_BYTES / 16),
             bounds: Vec::with_capacity(MAX_BATCH_FRAMES),
-            cap_hint: MAX_BATCH_BYTES / 16,
         }
     }
 
@@ -83,28 +85,32 @@ impl InboxArena {
         self.frames() >= MAX_BATCH_FRAMES || self.bytes() >= MAX_BATCH_BYTES
     }
 
-    /// Freezes the buffered datagrams into an immutable
-    /// [`SealedBatch`] and re-arms the arena with a fresh buffer sized
-    /// by recent traffic. Returns `None` when nothing is buffered.
+    /// Copies the buffered datagrams into an immutable, exact-size
+    /// [`SealedBatch`] (two allocations: the bytes and the offsets)
+    /// and empties the arena, keeping its capacity for the next batch.
+    /// Returns `None` when nothing is buffered.
     pub fn seal(&mut self) -> Option<SealedBatch> {
         if self.bounds.is_empty() {
             return None;
         }
-        // Track the high-water mark so the replacement buffer is
-        // usually a single up-front reservation.
-        self.cap_hint = self.cap_hint.max(self.arena.len()).min(MAX_BATCH_BYTES);
-        let arena = std::mem::replace(&mut self.arena, BytesMut::with_capacity(self.cap_hint));
-        let bounds = std::mem::replace(&mut self.bounds, Vec::with_capacity(MAX_BATCH_FRAMES));
-        Some(SealedBatch { net: self.net, data: arena.freeze(), bounds })
+        let batch = SealedBatch {
+            net: self.net,
+            data: Bytes::copy_from_slice(&self.arena),
+            bounds: self.bounds.as_slice().into(),
+        };
+        self.arena.clear();
+        self.bounds.clear();
+        Some(batch)
     }
 }
 
-/// An immutable batch of datagrams sharing one arena allocation.
+/// An immutable batch of datagrams sharing one allocation of exactly
+/// their combined size.
 #[derive(Debug, Clone)]
 pub struct SealedBatch {
     net: NetworkId,
     data: Bytes,
-    bounds: Vec<u32>,
+    bounds: Box<[u32]>,
 }
 
 impl SealedBatch {
@@ -119,7 +125,7 @@ impl SealedBatch {
     }
 
     /// Iterates the datagrams in arrival order as zero-copy slices of
-    /// the shared arena.
+    /// the shared batch allocation.
     pub fn iter(&self) -> impl Iterator<Item = Bytes> + '_ {
         let mut start = 0usize;
         self.bounds.iter().map(move |&end| {
@@ -143,7 +149,7 @@ mod tests {
         assert_eq!(a.frames(), 3);
         assert_eq!(a.bytes(), 10);
         let sealed = a.seal().expect("non-empty");
-        assert!(a.is_empty(), "seal re-arms an empty arena");
+        assert!(a.is_empty(), "seal empties the arena");
         assert_eq!(sealed.net(), NetworkId::new(1));
         let frames: Vec<Vec<u8>> = sealed.iter().map(|b| b.to_vec()).collect();
         assert_eq!(frames, vec![b"alpha".to_vec(), Vec::new(), b"bravo".to_vec()]);
@@ -176,5 +182,23 @@ mod tests {
         assert_eq!(frames[0].as_ref(), b"one");
         assert_eq!(frames[1].as_ref(), b"two");
         assert_eq!(sealed.data.as_ref(), b"onetwo");
+        assert_eq!(frames[0].as_ptr(), sealed.data.as_ptr());
+        assert_eq!(frames[1].as_ptr(), sealed.data.as_ptr().wrapping_add(3));
+    }
+
+    #[test]
+    fn seal_keeps_the_scratch_buffer_and_sizes_the_batch_exactly() {
+        let mut a = InboxArena::new(NetworkId::new(0));
+        let scratch = a.arena.as_ptr();
+        let cap = a.arena.capacity();
+        for round in 1..=3usize {
+            for _ in 0..round {
+                a.push(&[7u8; 100]);
+            }
+            let sealed = a.seal().expect("non-empty");
+            assert_eq!(sealed.data.len(), round * 100, "batch holds its own bytes only");
+            assert_eq!(sealed.bounds.len(), round);
+            assert_eq!((a.arena.as_ptr(), a.arena.capacity()), (scratch, cap));
+        }
     }
 }

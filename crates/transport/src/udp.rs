@@ -12,11 +12,11 @@
 //! a compact linear buffer, one per (reader → driver) pair — and
 //! hands the driver whole [`SealedBatch`]es
 //! through one channel send per batch. Frames are carved off as
-//! zero-copy `Bytes` slices of the shared arena: no per-datagram
-//! allocation, no per-datagram queue operation. With the `mmsg`
-//! feature on Linux the drain itself is one `recvmmsg(2)` per batch;
-//! portably it is one blocking `recv_from` followed by a non-blocking
-//! drain of whatever else is queued.
+//! zero-copy `Bytes` slices of the batch's exact-size allocation: no
+//! per-datagram allocation, no per-datagram queue operation. With the
+//! `mmsg` feature on Linux the drain itself is one `recvmmsg(2)` per
+//! batch; portably it is one blocking `recv_from` followed by a
+//! non-blocking drain of whatever else is queued.
 //!
 //! **Send path.** [`Transport::send_batch`] groups a batch's frames
 //! into contiguous same-network runs. With `mmsg` each run (with
@@ -236,6 +236,9 @@ impl BoundTopology {
 pub struct UdpTransport {
     me: NodeId,
     topology: UdpTopology,
+    /// `peers[net]`: every other node's address on `net` — the
+    /// broadcast fan-out, resolved once.
+    peers: Vec<Vec<SocketAddr>>,
     sockets: Vec<UdpSocket>,
     rx: Receiver<SealedBatch>,
     /// Frames carved out of a sealed batch but not yet consumed by
@@ -300,9 +303,18 @@ impl UdpTransport {
             socket.set_read_timeout(Some(Duration::from_millis(50)))?;
             spawn_reader(socket.try_clone()?, net_id, tx.clone(), stop.clone(), mode);
         }
+        let peers = (0..topology.networks())
+            .map(|net| {
+                (0..topology.nodes())
+                    .filter(|&node| node != me.index())
+                    .map(|node| topology.addrs[node][net])
+                    .collect()
+            })
+            .collect();
         Ok(UdpTransport {
             me,
             topology,
+            peers,
             sockets,
             rx,
             carved: Mutex::new(VecDeque::new()),
@@ -321,19 +333,15 @@ impl UdpTransport {
         &self.topology
     }
 
-    /// Appends each destination datagram of `(net, dst)` to `out` as
-    /// a concrete socket address (broadcast fans out to every peer).
-    fn resolve_into(&self, net: NetworkId, dst: Destination, out: &mut Vec<SocketAddr>) {
+    /// The concrete socket addresses `(net, dst)` stands for, borrowed
+    /// from the tables built at construction (broadcast fans out to
+    /// every peer).
+    fn resolve(&self, net: NetworkId, dst: Destination) -> &[SocketAddr] {
         match dst {
-            Destination::Broadcast => {
-                for node in 0..self.topology.nodes() {
-                    let node = NodeId::new(node as u16);
-                    if node != self.me {
-                        out.push(self.topology.addr(node, net));
-                    }
-                }
+            Destination::Broadcast => &self.peers[net.index()],
+            Destination::Node(d) => {
+                std::slice::from_ref(&self.topology.addrs[d.index()][net.index()])
             }
-            Destination::Node(d) => out.push(self.topology.addr(d, net)),
         }
     }
 
@@ -349,14 +357,11 @@ impl UdpTransport {
             // sendmmsg vectors; fall back to the portable loop when a
             // destination is not IPv4 (the shim only speaks
             // sockaddr_in).
-            let mut addrs = Vec::new();
             let mut msgs: Vec<(&[u8], std::net::SocketAddrV4)> = Vec::new();
             let mut frame_end = Vec::with_capacity(frames.len());
             let mut all_v4 = true;
             for f in frames {
-                addrs.clear();
-                self.resolve_into(net, f.dst, &mut addrs);
-                for a in &addrs {
+                for a in self.resolve(net, f.dst) {
                     match a {
                         SocketAddr::V4(v4) => msgs.push((f.payload.as_ref(), *v4)),
                         SocketAddr::V6(_) => {
@@ -376,12 +381,9 @@ impl UdpTransport {
             }
         }
 
-        let mut addrs = Vec::new();
         let mut sent = 0usize;
         for f in frames {
-            addrs.clear();
-            self.resolve_into(net, f.dst, &mut addrs);
-            for (i, a) in addrs.iter().enumerate() {
+            for (i, a) in self.resolve(net, f.dst).iter().enumerate() {
                 match socket.send_to(&f.payload, a) {
                     Ok(_) => {}
                     // A frame is "sent" only when all its datagrams
@@ -504,18 +506,8 @@ impl Transport for UdpTransport {
 
     fn send(&self, net: NetworkId, dst: Destination, payload: Bytes) -> io::Result<()> {
         let socket = &self.sockets[net.index()];
-        match dst {
-            Destination::Broadcast => {
-                for node in 0..self.topology.nodes() {
-                    let node = NodeId::new(node as u16);
-                    if node != self.me {
-                        socket.send_to(&payload, self.topology.addr(node, net))?;
-                    }
-                }
-            }
-            Destination::Node(d) => {
-                socket.send_to(&payload, self.topology.addr(d, net))?;
-            }
+        for a in self.resolve(net, dst) {
+            socket.send_to(&payload, a)?;
         }
         Ok(())
     }

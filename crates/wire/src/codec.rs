@@ -177,16 +177,34 @@ impl Writer {
 }
 
 /// A bounds-checked cursor over a byte slice with big-endian primitives.
+///
+/// A reader either *borrows* a plain slice ([`Reader::new`]), in which
+/// case every byte string it hands out is a fresh copy, or reads *over*
+/// an owning [`Bytes`] ([`Reader::over`]), in which case byte strings
+/// are zero-copy `slice()`s of that buffer. Both modes accept and
+/// reject exactly the same inputs and yield equal values; only who
+/// owns the payload bytes differs.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The owning buffer `buf` views, when byte strings may alias it.
+    src: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader positioned at the start of `buf`.
+    /// Creates a reader positioned at the start of `buf`. Byte strings
+    /// read from it are copied out.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { buf, pos: 0, src: None }
+    }
+
+    /// Creates a reader positioned at the start of `src` whose byte
+    /// strings are zero-copy slices of `src` (a refcount bump each):
+    /// everything decoded through it shares — and keeps alive — the
+    /// one allocation behind `src`.
+    pub fn over(src: &'a Bytes) -> Self {
+        Reader { buf: src, pos: 0, src: Some(src) }
     }
 
     /// Bytes not yet consumed.
@@ -213,6 +231,17 @@ impl<'a> Reader<'a> {
         };
         self.pos += n;
         Ok(s)
+    }
+
+    /// Takes the next `n` bytes as a [`Bytes`]: a slice of the owning
+    /// buffer in [`Reader::over`] mode, a copy otherwise.
+    fn take_bytes(&mut self, n: usize) -> Result<Bytes, CodecError> {
+        let start = self.pos;
+        let s = self.take(n)?;
+        Ok(match self.src {
+            Some(src) => src.slice(start..start + n),
+            None => Bytes::copy_from_slice(s),
+        })
     }
 
     /// Takes the next `N` bytes as a fixed-size array without any
@@ -276,7 +305,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a `u32` length prefix followed by that many bytes.
+    /// Reads a `u32` length prefix followed by that many bytes (a
+    /// zero-copy slice in [`Reader::over`] mode, a copy otherwise).
     ///
     /// # Errors
     ///
@@ -288,18 +318,19 @@ impl<'a> Reader<'a> {
         if len > MAX_DECODE_LEN {
             return Err(CodecError::BadLength { what: "byte string", len });
         }
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+        self.take_bytes(len)
     }
 
     /// Reads exactly `len` un-prefixed bytes (the caller read the
-    /// length from its own header field).
+    /// length from its own header field); sliced or copied like
+    /// [`Reader::bytes`].
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`] if fewer than `len` bytes
     /// remain.
     pub fn raw_bytes(&mut self, len: usize) -> Result<Bytes, CodecError> {
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+        self.take_bytes(len)
     }
 
     /// Reads a `u32` element count (bounded by `MAX_DECODE_LEN`) for a

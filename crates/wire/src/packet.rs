@@ -249,7 +249,8 @@ impl Packet {
     }
 
     /// Decodes a packet, requiring the buffer to contain exactly one
-    /// packet.
+    /// packet. Payload bytes are copied out of the borrowed `buf`; see
+    /// [`Packet::decode_shared`] for the zero-copy form.
     ///
     /// # Errors
     ///
@@ -273,7 +274,25 @@ impl Packet {
     /// # }
     /// ```
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        let mut r = Reader::new(buf);
+        Self::decode_whole(Reader::new(buf))
+    }
+
+    /// Decodes a packet from an owning buffer without copying payload
+    /// bytes: data-chunk payloads and Ring Paxos values of the result
+    /// are `slice()`s of `buf`, so the packet shares — and keeps
+    /// alive — `buf`'s allocation. Accepts, rejects and yields exactly
+    /// what [`Packet::decode`] does on the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncation, unknown tags,
+    /// implausible lengths, or trailing bytes.
+    pub fn decode_shared(buf: &Bytes) -> Result<Self, CodecError> {
+        Self::decode_whole(Reader::over(buf))
+    }
+
+    /// Exactly one packet, nothing after it.
+    fn decode_whole(mut r: Reader<'_>) -> Result<Self, CodecError> {
         let pkt = Self::decode_from(&mut r)?;
         r.finish()?;
         Ok(pkt)

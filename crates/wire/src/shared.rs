@@ -83,14 +83,16 @@ impl SharedPacket {
     /// Decodes a raw datagram and seals it with its own bytes seeding
     /// the encoding cache — the one-call receive path for transports
     /// that hand out [`Bytes`] frames (re-encoding a relayed frame is
-    /// then free).
+    /// then free). Decoding is zero-copy ([`Packet::decode_shared`]):
+    /// the packet's payloads, its cached encoding and `wire` are all
+    /// views of one allocation.
     ///
     /// # Errors
     ///
     /// Returns the decoder's [`CodecError`](crate::CodecError) for a
     /// malformed datagram.
     pub fn from_datagram(wire: Bytes) -> Result<Self, crate::CodecError> {
-        let pkt = Packet::decode(&wire)?;
+        let pkt = Packet::decode_shared(&wire)?;
         Ok(SharedPacket::from_wire(pkt, wire))
     }
 
@@ -188,8 +190,9 @@ pub type NetFrame = (NetworkId, SharedPacket);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{NodeId, RingId, Seq};
-    use crate::packet::Chunk;
+    use crate::ids::{InstanceId, NodeId, RingId, Seq};
+    use crate::packet::{Chunk, ChunkKind};
+    use crate::ring_paxos::{Proposal, RingPaxosMsg};
 
     fn data(seq: u64) -> Packet {
         Packet::Data(DataPacket {
@@ -219,6 +222,79 @@ mod tests {
         let wire = Bytes::from(pkt.encode());
         let shared = SharedPacket::from_wire(pkt, wire.clone());
         assert_eq!(shared.encoded().as_ref().as_ptr(), wire.as_ref().as_ptr());
+    }
+
+    /// `inner` is a view into `outer`'s allocation, not a copy.
+    fn aliases(outer: &Bytes, inner: &Bytes) -> bool {
+        let (lo, hi) = (outer.as_ptr() as usize, outer.as_ptr() as usize + outer.len());
+        let at = inner.as_ptr() as usize;
+        lo <= at && at + inner.len() <= hi
+    }
+
+    #[test]
+    fn from_datagram_payloads_alias_the_datagram() {
+        let old_ring = DataPacket {
+            ring: RingId::new(NodeId::new(0), 1),
+            seq: Seq::new(4),
+            sender: NodeId::new(1),
+            chunks: vec![
+                Chunk::complete(1, Bytes::from_static(b"carried over")),
+                Chunk::complete(2, Bytes::from_static(b"from the old ring")),
+            ],
+        };
+        let recovery = Chunk {
+            kind: ChunkKind::Recovery,
+            msg_id: 0,
+            orig_len: 0,
+            data: Packet::Data(old_ring.clone()).encode_shared(),
+        };
+        let outer = Packet::Data(DataPacket {
+            ring: RingId::new(NodeId::new(0), 2),
+            seq: Seq::new(1),
+            sender: NodeId::new(0),
+            chunks: vec![Chunk::complete(7, Bytes::from_static(b"fresh")), recovery],
+        });
+        let wire = outer.encode_shared();
+
+        let shared = SharedPacket::from_datagram(wire.clone()).unwrap();
+        assert_eq!(shared, outer);
+        assert_eq!(shared.encoded().as_ptr(), wire.as_ptr());
+        let chunks = &shared.data().unwrap().chunks;
+        assert!(chunks.iter().all(|c| aliases(&wire, &c.data)));
+
+        // Decapsulating the recovery chunk (what the SRP recovery path
+        // does) stays inside the same datagram.
+        let Ok(Packet::Data(inner)) = Packet::decode_shared(&chunks[1].data) else {
+            panic!("recovery chunk carries a data packet");
+        };
+        assert_eq!(inner, old_ring);
+        assert!(inner.chunks.iter().all(|c| aliases(&wire, &c.data)));
+
+        // The borrowing entry still hands out independent copies.
+        let Ok(Packet::Data(copied)) = Packet::decode(&wire) else { panic!("data packet") };
+        assert!(copied.chunks.iter().all(|c| !aliases(&wire, &c.data)));
+    }
+
+    #[test]
+    fn from_datagram_ring_paxos_values_alias_the_datagram() {
+        let value = Proposal {
+            sender: NodeId::new(3),
+            inc: 1,
+            req: 9,
+            payload: Bytes::from_static(b"decided value"),
+        };
+        let wire = Packet::RingPaxos(RingPaxosMsg::Decision {
+            iid: InstanceId::new(5),
+            nop: false,
+            value,
+        })
+        .encode_shared();
+        let shared = SharedPacket::from_datagram(wire.clone()).unwrap();
+        let Packet::RingPaxos(RingPaxosMsg::Decision { value, .. }) = shared.packet() else {
+            panic!("decision");
+        };
+        assert_eq!(value.payload.as_ref(), b"decided value");
+        assert!(aliases(&wire, &value.payload));
     }
 
     #[test]

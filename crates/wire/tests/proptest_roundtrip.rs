@@ -1,11 +1,12 @@
 //! Property-based tests: every structurally valid packet round-trips
-//! through the codec, and the decoder never panics on arbitrary bytes.
+//! through the codec, the decoder never panics on arbitrary bytes, and
+//! the borrowing and zero-copy decode entries are indistinguishable.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use totem_wire::{
-    Chunk, ChunkKind, CommitToken, DataPacket, JoinMessage, MembEntry, NodeId, Packet, RingId, Seq,
-    Token,
+    Ballot, Chunk, ChunkKind, CommitToken, DataPacket, InstanceId, JoinMessage, MembEntry, NodeId,
+    Packet, Proposal, RingId, RingPaxosMsg, Seq, Token,
 };
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
@@ -100,13 +101,53 @@ fn arb_commit() -> impl Strategy<Value = CommitToken> {
         .prop_map(|(ring, round, entries)| CommitToken { ring, round, entries })
 }
 
+fn arb_proposal() -> impl Strategy<Value = Proposal> {
+    (arb_node(), any::<u64>(), any::<u64>(), proptest::collection::vec(any::<u8>(), 0..1400))
+        .prop_map(|(sender, inc, req, payload)| Proposal {
+            sender,
+            inc,
+            req,
+            payload: Bytes::from(payload),
+        })
+}
+
+fn arb_ring_paxos() -> impl Strategy<Value = RingPaxosMsg> {
+    let iid = || any::<u64>().prop_map(InstanceId::new);
+    let ballot = || any::<u64>().prop_map(Ballot::new);
+    prop_oneof![
+        arb_proposal().prop_map(RingPaxosMsg::Propose),
+        (iid(), ballot(), arb_proposal()).prop_map(|(iid, ballot, value)| RingPaxosMsg::Accept {
+            iid,
+            ballot,
+            value
+        }),
+        (iid(), ballot(), arb_node()).prop_map(|(iid, ballot, from)| RingPaxosMsg::RingAck {
+            iid,
+            ballot,
+            from
+        }),
+        (iid(), any::<bool>(), arb_proposal())
+            .prop_map(|(iid, nop, value)| RingPaxosMsg::Decision { iid, nop, value }),
+        (arb_node(), iid()).prop_map(|(from, iid)| RingPaxosMsg::LearnReq { from, iid }),
+    ]
+}
+
 fn arb_packet() -> impl Strategy<Value = Packet> {
     prop_oneof![
         arb_data_packet().prop_map(Packet::Data),
         arb_token().prop_map(Packet::Token),
         arb_join().prop_map(Packet::Join),
         arb_commit().prop_map(Packet::Commit),
+        arb_ring_paxos().prop_map(Packet::RingPaxos),
     ]
+}
+
+/// Both decode entries on the same bytes: same packet or same error.
+fn decoders_agree(bytes: &[u8]) -> Result<Packet, totem_wire::CodecError> {
+    let borrowed = Packet::decode(bytes);
+    let shared = Packet::decode_shared(&Bytes::copy_from_slice(bytes));
+    assert_eq!(borrowed, shared, "decode and decode_shared disagree on {bytes:02x?}");
+    borrowed
 }
 
 proptest! {
@@ -169,6 +210,41 @@ proptest! {
         let mut bytes = pkt.encode();
         bytes.extend_from_slice(&garbage);
         let _ = Packet::decode(&bytes);
+    }
+
+    // The zero-copy entry is the borrowing one with different payload
+    // ownership, nothing else: on valid frames of every kind and on
+    // each hostile mutation above, both return the same packet or the
+    // same error.
+    #[test]
+    fn borrowing_and_zero_copy_decode_agree(
+        pkt in arb_packet(),
+        cut in any::<prop::sample::Index>(),
+        flips in proptest::collection::vec((any::<prop::sample::Index>(), 0u8..8), 1..16),
+        garbage in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let valid = pkt.encode();
+        prop_assert_eq!(decoders_agree(&valid), Ok(pkt));
+
+        let _ = decoders_agree(&valid[..cut.index(valid.len() + 1)]);
+
+        let mut flipped = valid.clone();
+        for (idx, bit) in flips {
+            let i = idx.index(flipped.len());
+            flipped[i] ^= 1 << bit;
+        }
+        let _ = decoders_agree(&flipped);
+
+        let mut trailing = valid;
+        trailing.extend_from_slice(&garbage);
+        prop_assert!(decoders_agree(&trailing).is_err());
+    }
+
+    #[test]
+    fn borrowing_and_zero_copy_decode_agree_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let _ = decoders_agree(&bytes);
     }
 
     // Whatever the decoder accepts — even from corrupted input — must

@@ -1,18 +1,25 @@
 //! Fault handling on the threaded real-time runtime (in-memory
 //! transport): a network dies under live traffic, every node reports
 //! the fault, traffic continues, and the administrator reinstates the
-//! repaired network through the runtime handle.
+//! repaired network through the runtime handle; and hostile datagrams
+//! injected beside live traffic are dropped by the driver loop's
+//! zero-copy decode without disturbing order or liveness.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use totem_cluster::{spawn_node, RuntimeEvent, RuntimeHandle, StartMode, TotemNode};
+use totem_cluster::{
+    collect_deliveries, spawn_node_with, RuntimeConfig, RuntimeEvent, RuntimeHandle, StartMode,
+    TotemNode,
+};
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_srp::SrpConfig;
-use totem_transport::{InMemoryHub, InMemoryTransport};
-use totem_wire::{NetworkId, NodeId};
+use totem_transport::{Destination, InMemoryHub, InMemoryTransport, Transport};
+use totem_wire::{
+    Chunk, DataPacket, JoinMessage, NetworkId, NodeId, Packet, RingId, Seq, Token, Writer,
+};
 
-fn spawn_cluster(n: usize) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
+fn spawn_cluster(n: usize, config: RuntimeConfig) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
     // Keep one extra hub endpoint around just to retain a kill switch
     // for the networks (the hub state is shared).
     let mut transports = InMemoryHub::new(n + 1, 2);
@@ -31,7 +38,7 @@ fn spawn_cluster(n: usize) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
                 0,
             );
             let mode = if i == 0 { StartMode::Representative } else { StartMode::Member };
-            spawn_node(node, t, mode)
+            spawn_node_with(node, t, mode, config)
         })
         .collect();
     (handles, admin)
@@ -51,7 +58,7 @@ fn await_delivery(h: &RuntimeHandle, needle: &[u8], timeout: Duration) -> bool {
 
 #[test]
 fn live_network_death_is_reported_and_survived_then_reinstated() {
-    let (handles, admin) = spawn_cluster(3);
+    let (handles, admin) = spawn_cluster(3, RuntimeConfig::default());
 
     // Warm up: one round of traffic.
     handles[0].submit(Bytes::from_static(b"warmup"));
@@ -104,5 +111,146 @@ fn live_network_death_is_reported_and_survived_then_reinstated() {
 
     for h in handles {
         h.shutdown();
+    }
+}
+
+/// Datagrams no node may act on: seeded garbage, every strict prefix
+/// of well-formed frames, and headers whose length fields promise far
+/// more than the datagram holds.
+fn hostile_datagrams() -> Vec<Bytes> {
+    let mut out = vec![Bytes::new()];
+
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for len in 1..=48usize {
+        let garbage: Vec<u8> = (0..len * 3)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        out.push(Bytes::from(garbage));
+    }
+
+    let ring = RingId::new(NodeId::new(0), 0);
+    let frames = [
+        Packet::Data(DataPacket {
+            ring,
+            seq: Seq::new(1),
+            sender: NodeId::new(1),
+            chunks: vec![
+                Chunk::complete(1, Bytes::from_static(b"forged payload")),
+                Chunk::complete(2, Bytes::from_static(b"and another")),
+            ],
+        }),
+        Packet::Token(Token::initial(ring)),
+        Packet::Join(JoinMessage {
+            sender: NodeId::new(2),
+            ring_seq: 7,
+            proc_set: vec![NodeId::new(0), NodeId::new(2)],
+            fail_set: vec![NodeId::new(1)],
+        }),
+    ];
+    for frame in frames {
+        let whole = frame.encode_shared();
+        out.extend((1..whole.len()).map(|cut| whole.slice(..cut)));
+    }
+
+    // A data frame announcing 0xFFFF chunks, and one whose only chunk
+    // claims 0xFFFF bytes of which three are present.
+    for (chunks, chunk_len) in [(0xFFFFu16, 3u16), (1, 0xFFFF)] {
+        let mut w = Writer::new();
+        w.u8(0x01);
+        w.u16(0);
+        w.u64(0);
+        w.u64(1);
+        w.u16(1);
+        w.u16(chunks);
+        w.u8(0);
+        w.u8(0);
+        w.u16(chunk_len);
+        w.u32(1);
+        w.u32(3);
+        w.raw(b"abc");
+        out.push(w.to_shared());
+    }
+    // A token whose retransmission list claims 4 Gi entries, and one
+    // claiming a plausible count that is not there.
+    for rtr in [u32::MAX, 40] {
+        let mut token = Packet::Token(Token::initial(ring)).encode();
+        let at = token.len() - 4;
+        token[at..].copy_from_slice(&rtr.to_be_bytes());
+        out.push(Bytes::from(token));
+    }
+    // A Ring Paxos proposal with a 4 GiB value, then one just past the
+    // decoder's sanity bound.
+    for len in [u32::MAX, (1 << 20) + 1] {
+        let mut w = Writer::new();
+        w.u8(0x05);
+        w.u8(0x01);
+        w.u16(1);
+        w.u64(1);
+        w.u64(1);
+        w.u32(len);
+        w.raw(b"short");
+        out.push(w.to_shared());
+    }
+    out
+}
+
+/// Hostile datagrams through the *real* driver loop, on both of its
+/// receive paths: none panics a driver, live traffic keeps being
+/// delivered between and after them, in one total order.
+#[test]
+fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
+    const WAVES: usize = 3;
+    const PER_WAVE: usize = 20;
+
+    let hostile = hostile_datagrams();
+    for d in &hostile {
+        assert!(Packet::decode(d).is_err(), "not hostile, a node would act on it: {d:?}");
+    }
+
+    for config in [RuntimeConfig::default(), RuntimeConfig { batch: false, ..Default::default() }] {
+        let (handles, attacker) = spawn_cluster(3, config);
+        let attacker = &attacker[0];
+        let mut feed = hostile.iter().cycle();
+        let per_submit = hostile.len().div_ceil(WAVES * PER_WAVE);
+
+        let mut orders: Vec<Vec<Bytes>> = vec![Vec::new(); handles.len()];
+        for wave in 0..WAVES {
+            for i in 0..PER_WAVE {
+                let n = wave * PER_WAVE + i;
+                handles[n % 3].submit(Bytes::from(format!("live-{n:03}")));
+                for k in 0..per_submit {
+                    let net = NetworkId::new(((n + k) % 2) as u8);
+                    let datagram = feed.next().expect("cycle never ends").clone();
+                    attacker.send(net, Destination::Broadcast, datagram).unwrap();
+                }
+            }
+            // Each wave must get through before the next starts, so
+            // hostile datagrams sit between live ones in every inbox.
+            let (got, _) = collect_deliveries(&handles, PER_WAVE, Duration::from_secs(20));
+            for (order, got) in orders.iter_mut().zip(got) {
+                order.extend(got);
+            }
+        }
+
+        let mut expected: Vec<Bytes> =
+            (0..WAVES * PER_WAVE).map(|n| Bytes::from(format!("live-{n:03}"))).collect();
+        for (node, order) in orders.iter().enumerate() {
+            assert_eq!(order.len(), expected.len(), "{config:?}: node {node} stopped delivering");
+            assert_eq!(order, &orders[0], "{config:?}: node {node} broke total order");
+        }
+        let mut delivered = orders[0].clone();
+        delivered.sort();
+        expected.sort();
+        assert_eq!(delivered, expected, "{config:?}: exactly the live messages, once each");
+
+        // `shutdown` joins the driver and panics if it had panicked.
+        for h in handles {
+            h.shutdown();
+        }
     }
 }
