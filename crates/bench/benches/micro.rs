@@ -87,11 +87,32 @@ fn bench_packer(c: &mut Criterion) {
                             .collect::<std::collections::VecDeque<_>>(),
                     )
                 },
-                |(mut packer, mut queue)| packer.pack(&mut queue, usize::MAX),
+                |(mut packer, mut queue)| {
+                    std::iter::from_fn(|| packer.pack_next(&mut queue)).count()
+                },
                 BatchSize::SmallInput,
             );
         });
     }
+    // The token visit's view: one packet per call, the chunk list
+    // handed on (here: dropped) before the next is packed.
+    g.bench_function("64x100B_next", |b| {
+        b.iter_batched(
+            || {
+                let queue: std::collections::VecDeque<_> =
+                    (0..64).map(|_| Bytes::from(vec![7u8; 100])).collect();
+                (Packer::new(), queue)
+            },
+            |(mut packer, mut queue)| {
+                let mut chunks = 0;
+                while let Some(packet) = packer.pack_next(&mut queue) {
+                    chunks += packet.len();
+                }
+                chunks
+            },
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 
@@ -105,7 +126,40 @@ fn bench_window(c: &mut Criterion) {
                     let Packet::Data(d) = data_packet(s, 100) else { unreachable!() };
                     w.insert(d.into());
                 }
-                w.take_deliverable(Seq::new(1000)).len()
+                let mut delivered = 0;
+                w.take_deliverable(Seq::new(1000), |_| delivered += 1);
+                delivered
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    // The real access pattern: the window slides. Each step inserts
+    // one frame, delivers it in place and discards the frame that has
+    // fallen `window_size` = 60 behind, so 60 stay in flight.
+    g.bench_function("sliding_60_steady_state", |b| {
+        let frames: Vec<totem_wire::SharedPacket> = (1..=1060u64)
+            .map(|s| {
+                let Packet::Data(d) = data_packet(s, 100) else { unreachable!() };
+                d.into()
+            })
+            .collect();
+        b.iter_batched(
+            || {
+                let mut w = ReceiveWindow::new();
+                for f in frames.iter().take(60) {
+                    w.insert(f.clone());
+                }
+                w.take_deliverable(Seq::new(60), |_| {});
+                w
+            },
+            |mut w| {
+                let mut delivered = 0u64;
+                for (f, s) in frames.iter().skip(60).zip(61u64..) {
+                    w.insert(f.clone());
+                    w.take_deliverable(Seq::new(s), |_| delivered += 1);
+                    w.discard_up_to(Seq::new(s - 60));
+                }
+                delivered
             },
             BatchSize::SmallInput,
         );

@@ -7,6 +7,7 @@
 //! configuration changes and fault reports to the application through
 //! a channel.
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -254,7 +255,7 @@ fn drive<B: Broadcast, T: Transport>(
     let epoch = Instant::now();
     let now_ns = || epoch.elapsed().as_nanos() as u64;
 
-    let mut pending: Vec<Bytes> = Vec::new();
+    let mut pending: VecDeque<Bytes> = VecDeque::new();
     // Batched mode reuses these across wakes: sends accumulate in
     // `out_batch` and go to the kernel in one flush per wake; receives
     // drain into `in_batch` and are all fed before any send happens.
@@ -279,7 +280,7 @@ fn drive<B: Broadcast, T: Transport>(
         // Application commands.
         loop {
             match cmd_rx.try_recv() {
-                Ok(Cmd::Submit(data)) => pending.push(data),
+                Ok(Cmd::Submit(data)) => pending.push_back(data),
                 Ok(Cmd::Reinstate(net)) => {
                     if node.reinstate(now_ns(), net) {
                         let _ = events_tx.send(RuntimeEvent::Reinstated { net, at: now_ns() });
@@ -296,10 +297,10 @@ fn drive<B: Broadcast, T: Transport>(
             }
         }
         // Feed pending submissions while the queue has room.
-        while let Some(data) = pending.first().cloned() {
+        while let Some(data) = pending.front().cloned() {
             match node.submit_into(now_ns(), data, &mut outputs) {
                 Ok(()) => {
-                    pending.remove(0);
+                    pending.pop_front();
                     if config.batch {
                         stage(&mut outputs, &mut out_batch, events_tx);
                     } else {

@@ -24,7 +24,7 @@ use totem_wire::{
 
 use crate::events::{ConfigChange, ConfigKind, SrpEvent};
 use crate::node::{
-    deliver_packets, forward_token, recovery_chunk, Nanos, RingCtx, SrpNode, StateImpl, TokenCtx,
+    deliver_packet, forward_token, recovery_chunk, Nanos, RingCtx, SrpNode, StateImpl, TokenCtx,
 };
 
 /// Gather-state bookkeeping.
@@ -581,7 +581,7 @@ impl SrpNode {
             if !rec.new.window.insert(pkt) {
                 return Vec::new();
             }
-            if rec.token.sent_token.as_ref().is_some_and(|t| seq.follows(t.seq)) {
+            if rec.token.sent_token_precedes(seq) {
                 rec.token.sent_token = None;
                 rec.token.retx_deadline = None;
             }
@@ -643,19 +643,17 @@ impl SrpNode {
 
         // Serve retransmission requests for new-ring (recovery) packets.
         let mut sent: u32 = 0;
-        let mut kept = Vec::with_capacity(t.rtr.len());
-        for s in t.rtr.drain(..) {
+        t.rtr.retain(|&s| {
             if sent < self.cfg.max_retransmit_per_token {
                 if let Some(pkt) = rec.new.window.get(s) {
                     events.push(SrpEvent::Rebroadcast(pkt.clone()));
                     self.stats.retransmissions += 1;
                     sent += 1;
-                    continue;
+                    return false;
                 }
             }
-            kept.push(s);
-        }
-        t.rtr = kept;
+            true
+        });
 
         // Rebroadcast old-ring packets some survivor is missing.
         let in_flight = t.fcc.saturating_sub(rec.token.my_last_fcc);
@@ -723,16 +721,10 @@ impl SrpNode {
         rec.token.push_aru(t.aru);
         // Advance the delivery cursor (recovery chunks deliver
         // nothing to the application) so post-recovery GC can work.
-        let ready = rec.new.window.take_deliverable(rec.new.window.my_aru());
-        let new_ring_id = rec.new.ring;
-        deliver_packets(
-            self.me,
-            new_ring_id,
-            ready,
-            &mut self.reassembler,
-            &mut self.stats,
-            &mut events,
-        );
+        let (new_ring_id, up_to) = (rec.new.ring, rec.new.window.my_aru());
+        rec.new.window.take_deliverable(up_to, |pkt| {
+            deliver_packet(new_ring_id, pkt, &mut self.reassembler, &mut self.stats, &mut events);
+        });
 
         if rec.new.rep() == self.me {
             t.rotation = t.rotation.next();
@@ -784,16 +776,9 @@ impl SrpNode {
             // Deliver the recovered tail of the old ring, in order,
             // skipping sequence numbers no survivor had (those were
             // never delivered anywhere).
-            let tail: Vec<SharedPacket> =
-                old.window.range(old.window.delivered_up_to(), rec.plan_high).cloned().collect();
-            deliver_packets(
-                self.me,
-                old.ring,
-                tail,
-                &mut self.reassembler,
-                &mut self.stats,
-                &mut events,
-            );
+            for pkt in old.window.range(old.window.delivered_up_to(), rec.plan_high) {
+                deliver_packet(old.ring, pkt, &mut self.reassembler, &mut self.stats, &mut events);
+            }
         }
         // Torn fragment chains cannot complete across the change.
         self.reassembler.clear();

@@ -150,9 +150,10 @@ pub(crate) struct TokenCtx {
     /// What this node added to the token's `fcc` on its previous
     /// visit.
     pub my_last_fcc: u32,
-    /// Copy of the last token sent, retransmitted until evidence of
-    /// receipt (paper §2).
-    pub sent_token: Option<Token>,
+    /// The last token sent — the forwarded handle itself, so a
+    /// retransmission re-sends its cached encoding — kept until
+    /// evidence of receipt (paper §2).
+    pub sent_token: Option<SharedPacket>,
     pub retx_deadline: Option<Nanos>,
     pub loss_deadline: Option<Nanos>,
     /// Token held back on an idle ring (pacing).
@@ -183,6 +184,15 @@ impl TokenCtx {
                 rotation.follows(last_rot) || (rotation == last_rot && seq.follows(last_seq))
             }
         }
+    }
+
+    /// Whether a data packet numbered `seq` proves the token this
+    /// node forwarded was received: someone later on the ring
+    /// broadcast a higher sequence number than it carried (paper §2).
+    pub(crate) fn sent_token_precedes(&self, seq: Seq) -> bool {
+        self.sent_token
+            .as_ref()
+            .is_some_and(|p| matches!(p.packet(), Packet::Token(t) if seq.follows(t.seq)))
     }
 
     pub(crate) fn push_aru(&mut self, aru: Seq) {
@@ -502,7 +512,7 @@ impl SrpNode {
                 // We hold an idle token: run the send phase on it now
                 // and forward, instead of burning a rotation.
                 tok.hold_deadline = None;
-                events.extend(self.send_on_held_token(now, t));
+                self.send_on_held_token(now, t, &mut events);
             }
         }
         Ok(events)
@@ -510,21 +520,49 @@ impl SrpNode {
 
     /// Send phase on a token this node is still holding (it was held
     /// back as idle, so this visit has contributed nothing yet).
-    fn send_on_held_token(&mut self, now: Nanos, mut t: Token) -> Vec<SrpEvent> {
-        let mut events = Vec::new();
+    fn send_on_held_token(&mut self, now: Nanos, mut t: Token, events: &mut Vec<SrpEvent>) {
+        self.send_phase(&mut t, 0, events);
         let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
-            return events;
+            return;
         };
-        debug_assert_eq!(tok.my_last_fcc, 0, "held tokens are idle visits");
+        // Everything we just sent is contiguous for us: deliver own
+        // messages under the agreed guarantee.
+        if self.cfg.guarantee == DeliveryGuarantee::Agreed {
+            let (ring_id, up_to) = (ring.ring, ring.window.my_aru());
+            ring.window.take_deliverable(up_to, |pkt| {
+                deliver_packet(ring_id, pkt, &mut self.reassembler, &mut self.stats, events);
+            });
+        }
+        // The aru can only trail what this visit already established;
+        // leave it and forward.
+        forward_token(self.me, &self.cfg, tok, ring, t, now, events);
+    }
+
+    /// The send phase of a token visit: broadcasts new messages under
+    /// flow control, then brings the token's `aru` up to date.
+    /// `served` is what this visit already rebroadcast in answer to
+    /// retransmission requests; returns the visit's total.
+    ///
+    /// Flow control is the global window minus what the rest of the
+    /// ring used this rotation, capped per visit — but never below a
+    /// fair per-member share of the window, or the members visited
+    /// late in the rotation are starved outright by the early ones
+    /// under saturation.
+    fn send_phase(&mut self, t: &mut Token, served: u32, events: &mut Vec<SrpEvent>) -> u32 {
+        let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
+            return served;
+        };
         let old_seq = t.seq;
         let in_flight = t.fcc.saturating_sub(tok.my_last_fcc);
         let fair_min = self.cfg.window_size / ring.members.len().max(1) as u32;
         let allow = self
             .cfg
             .max_messages_per_token
-            .min(fair_min.max(self.cfg.window_size.saturating_sub(in_flight)));
-        let mut sent = 0u32;
-        for chunks in self.packer.pack(&mut self.send_queue, allow as usize) {
+            .min(fair_min.max(self.cfg.window_size.saturating_sub(in_flight)))
+            .saturating_sub(served);
+        let mut sent = served;
+        for _ in 0..allow {
+            let Some(chunks) = self.packer.pack_next(&mut self.send_queue) else { break };
             t.seq = t.seq.next();
             let pkt: SharedPacket =
                 DataPacket { ring: ring.ring, seq: t.seq, sender: self.me, chunks }.into();
@@ -536,10 +574,11 @@ impl SrpNode {
         t.fcc = (t.fcc + sent).saturating_sub(tok.my_last_fcc);
         tok.my_last_fcc = sent;
         t.backlog = self.send_queue.len().min(u32::MAX as usize) as u32;
-        // The aru must track the new sequence numbers exactly as in a
-        // normal visit, or it freezes below `seq` for good (nobody
-        // ever lowers it, and the equal-to-seq advancement rule never
-        // fires again).
+
+        // All-received-up-to bookkeeping. The aru must track the new
+        // sequence numbers on every visit that sends, or it freezes
+        // below `seq` for good (nobody ever lowers it, and the
+        // equal-to-seq advancement rule never fires again).
         let my_aru = ring.window.my_aru();
         if my_aru.precedes(t.aru) {
             t.aru = my_aru;
@@ -554,24 +593,7 @@ impl SrpNode {
         } else if t.aru == old_seq && t.aru_id.is_none() {
             t.aru = t.seq;
         }
-        // Everything we just sent is contiguous for us: deliver own
-        // messages under the agreed guarantee.
-        if self.cfg.guarantee == DeliveryGuarantee::Agreed {
-            let up_to = ring.window.my_aru();
-            let ready = ring.window.take_deliverable(up_to);
-            deliver_packets(
-                self.me,
-                ring.ring,
-                ready,
-                &mut self.reassembler,
-                &mut self.stats,
-                &mut events,
-            );
-        }
-        // The aru can only trail what this visit already established;
-        // leave it and forward.
-        forward_token(self.me, &self.cfg, tok, ring, t, now, &mut events);
-        events
+        sent
     }
 
     /// Hands out the recycled event buffer (empty; callers return it
@@ -659,9 +681,9 @@ impl SrpNode {
                 }
                 // Token retransmission (paper §2).
                 if tok.retx_deadline.is_some_and(|d| d <= now) {
-                    if let Some(t) = &tok.sent_token {
+                    if let Some(sent) = &tok.sent_token {
                         let succ = ring_ref.successor(self.me);
-                        events.push(SrpEvent::ToSuccessor(succ, Packet::Token(t.clone()).into()));
+                        events.push(SrpEvent::ToSuccessor(succ, sent.clone()));
                         self.stats.token_retransmits += 1;
                     }
                     tok.retx_deadline =
@@ -745,24 +767,22 @@ impl SrpNode {
                 if !is_new {
                     return events;
                 }
-                // Evidence our forwarded token was received: someone
-                // later on the ring broadcast a higher sequence number
-                // (paper §2).
-                if tok.sent_token.as_ref().is_some_and(|t| seq.follows(t.seq)) {
+                // Evidence our forwarded token was received.
+                if tok.sent_token_precedes(seq) {
                     tok.sent_token = None;
                     tok.retx_deadline = None;
                 }
                 if self.cfg.guarantee == DeliveryGuarantee::Agreed {
-                    let up_to = ring.window.my_aru();
-                    let ready = ring.window.take_deliverable(up_to);
-                    deliver_packets(
-                        self.me,
-                        ring.ring,
-                        ready,
-                        &mut self.reassembler,
-                        &mut self.stats,
-                        &mut events,
-                    );
+                    let (ring_id, up_to) = (ring.ring, ring.window.my_aru());
+                    ring.window.take_deliverable(up_to, |pkt| {
+                        deliver_packet(
+                            ring_id,
+                            pkt,
+                            &mut self.reassembler,
+                            &mut self.stats,
+                            &mut events,
+                        );
+                    });
                 }
                 let _ = now;
             }
@@ -842,8 +862,7 @@ impl SrpNode {
 
         // 1. Serve retransmission requests from the local buffer.
         let mut sent: u32 = 0;
-        let mut kept = Vec::with_capacity(t.rtr.len());
-        for s in t.rtr.drain(..) {
+        t.rtr.retain(|&s| {
             if sent < self.cfg.max_retransmit_per_token {
                 if let Some(pkt) = ring.window.get(s) {
                     // Refcount bump: the retransmission shares the
@@ -851,55 +870,18 @@ impl SrpNode {
                     events.push(SrpEvent::Rebroadcast(pkt.clone()));
                     self.stats.retransmissions += 1;
                     sent += 1;
-                    continue;
+                    return false;
                 }
             }
-            kept.push(s);
-        }
-        t.rtr = kept;
+            true
+        });
 
-        // 2. Broadcast new messages under flow control: the global
-        //    window minus what the rest of the ring used this
-        //    rotation, capped per visit — but never below a fair
-        //    per-member share of the window, or the members visited
-        //    late in the rotation are starved outright by the early
-        //    ones under saturation.
-        let in_flight = t.fcc.saturating_sub(tok.my_last_fcc);
-        let fair_min = self.cfg.window_size / ring.members.len().max(1) as u32;
-        let allow = self
-            .cfg
-            .max_messages_per_token
-            .min(fair_min.max(self.cfg.window_size.saturating_sub(in_flight)))
-            .saturating_sub(sent);
-        let chunk_lists = self.packer.pack(&mut self.send_queue, allow as usize);
-        for chunks in chunk_lists {
-            t.seq = t.seq.next();
-            let pkt: SharedPacket =
-                DataPacket { ring: ring.ring, seq: t.seq, sender: self.me, chunks }.into();
-            ring.window.insert(pkt.clone());
-            events.push(SrpEvent::Broadcast(pkt));
-            self.stats.packets_sent += 1;
-            sent += 1;
-        }
-        t.fcc = (t.fcc + sent).saturating_sub(tok.my_last_fcc);
-        tok.my_last_fcc = sent;
-        t.backlog = self.send_queue.len().min(u32::MAX as usize) as u32;
-
-        // 3. All-received-up-to bookkeeping.
-        let my_aru = ring.window.my_aru();
-        if my_aru.precedes(t.aru) {
-            t.aru = my_aru;
-            t.aru_id = Some(self.me);
-        } else if t.aru_id == Some(self.me) {
-            if my_aru.at_or_after(t.seq) {
-                t.aru = t.seq;
-                t.aru_id = None;
-            } else {
-                t.aru = my_aru;
-            }
-        } else if t.aru == old_seq && t.aru_id.is_none() {
-            t.aru = t.seq;
-        }
+        // 2–3. Broadcast new messages under flow control and bring
+        //      the token's aru up to date.
+        let sent = self.send_phase(&mut t, sent, &mut events);
+        let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
+            return events;
+        };
 
         // 4. Request what we are missing.
         let room = MAX_RTR.saturating_sub(t.rtr.len());
@@ -918,15 +900,10 @@ impl SrpNode {
             DeliveryGuarantee::Agreed => ring.window.my_aru(),
             DeliveryGuarantee::Safe => low_water,
         };
-        let ready = ring.window.take_deliverable(deliver_to);
-        deliver_packets(
-            self.me,
-            ring.ring,
-            ready,
-            &mut self.reassembler,
-            &mut self.stats,
-            &mut events,
-        );
+        let ring_id = ring.ring;
+        ring.window.take_deliverable(deliver_to, |pkt| {
+            deliver_packet(ring_id, pkt, &mut self.reassembler, &mut self.stats, &mut events);
+        });
         ring.window.discard_up_to(low_water);
 
         // 6. The representative counts rotations (paper §2 footnote 1).
@@ -973,16 +950,13 @@ pub(crate) fn forward_token(
     now: Nanos,
     events: &mut Vec<SrpEvent>,
 ) {
+    // On a singleton ring the successor is this node: the token comes
+    // straight back as a self-addressed send, so hosts with loopback
+    // semantics work.
     let succ = ring.successor(me);
-    if succ == me {
-        // Singleton ring: the token comes straight back. Re-process on
-        // the next hold/timer tick instead of spinning; model it as a
-        // self-addressed send so hosts with loopback semantics work.
-        events.push(SrpEvent::ToSuccessor(me, Packet::Token(t.clone()).into()));
-    } else {
-        events.push(SrpEvent::ToSuccessor(succ, Packet::Token(t.clone()).into()));
-    }
-    tok.sent_token = Some(t);
+    let sent: SharedPacket = Packet::Token(t).into();
+    events.push(SrpEvent::ToSuccessor(succ, sent.clone()));
+    tok.sent_token = Some(sent);
     tok.retx_deadline = Some(now + cfg.token_retransmit_interval);
 }
 
@@ -999,31 +973,23 @@ fn release_held_token(
     }
 }
 
-/// Unpacks delivered packets into application messages.
-pub(crate) fn deliver_packets(
-    _me: NodeId,
+/// Unpacks one delivered packet into application messages.
+pub(crate) fn deliver_packet(
     ring: RingId,
-    packets: Vec<SharedPacket>,
+    pkt: &SharedPacket,
     reassembler: &mut Reassembler,
     stats: &mut SrpStats,
     events: &mut Vec<SrpEvent>,
 ) {
-    for pkt in packets {
-        let Some(d) = pkt.data() else { continue };
-        for chunk in &d.chunks {
-            if chunk.kind == ChunkKind::Recovery {
-                continue; // protocol-internal; unwrapped elsewhere
-            }
-            if let Some(data) = reassembler.push(d.sender, chunk) {
-                stats.delivered_msgs += 1;
-                stats.delivered_bytes += data.len() as u64;
-                events.push(SrpEvent::Deliver(Delivered {
-                    sender: d.sender,
-                    seq: d.seq,
-                    ring,
-                    data,
-                }));
-            }
+    let Some(d) = pkt.data() else { return };
+    for chunk in &d.chunks {
+        if chunk.kind == ChunkKind::Recovery {
+            continue; // protocol-internal; unwrapped elsewhere
+        }
+        if let Some(data) = reassembler.push(d.sender, chunk) {
+            stats.delivered_msgs += 1;
+            stats.delivered_bytes += data.len() as u64;
+            events.push(SrpEvent::Deliver(Delivered { sender: d.sender, seq: d.seq, ring, data }));
         }
     }
 }

@@ -6,9 +6,9 @@
 //! what produces the paper's characteristic throughput peaks at 700
 //! and 1400 bytes.
 //!
-//! [`Packer`] turns a queue of application payloads into chunk lists
-//! (one list per packet); [`Reassembler`] is its inverse, fed chunks
-//! in global delivery order.
+//! [`Packer`] turns a queue of application payloads into chunk lists,
+//! one packet's list per call; [`Reassembler`] is its inverse, fed
+//! chunks in global delivery order.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -30,9 +30,10 @@ use totem_wire::{Chunk, ChunkKind, NodeId};
 /// # use bytes::Bytes;
 /// let mut queue: VecDeque<Bytes> =
 ///     [Bytes::from(vec![0u8; 700]), Bytes::from(vec![1u8; 700])].into();
-/// let packets = Packer::new().pack(&mut queue, usize::MAX);
-/// assert_eq!(packets.len(), 1);
-/// assert_eq!(packets[0].len(), 2);
+/// let mut packer = Packer::new();
+/// let packet = packer.pack_next(&mut queue).expect("two messages queued");
+/// assert_eq!(packet.len(), 2);
+/// assert!(packer.pack_next(&mut queue).is_none());
 /// ```
 #[derive(Debug, Default)]
 pub struct Packer {
@@ -53,77 +54,80 @@ impl Packer {
         self.in_progress.is_some()
     }
 
-    /// Packs up to `max_packets` packets' worth of chunks from
-    /// `queue`. Each returned `Vec<Chunk>` fits within
-    /// [`MAX_PAYLOAD`] including sub-headers and is non-empty.
-    /// Messages are consumed from the queue front; a message longer
-    /// than [`MAX_UNFRAGMENTED_MSG`] is split into fragments that may
-    /// span several packets (and several calls).
-    pub fn pack(&mut self, queue: &mut VecDeque<Bytes>, max_packets: usize) -> Vec<Vec<Chunk>> {
-        let mut packets = Vec::new();
-        while packets.len() < max_packets {
-            let mut chunks: Vec<Chunk> = Vec::new();
-            let mut remaining = MAX_PAYLOAD;
+    /// Packs the next packet's chunks from `queue`, or `None` when
+    /// there is nothing left to send. The returned list is non-empty,
+    /// fits within [`MAX_PAYLOAD`] including sub-headers, and is
+    /// allocated at exactly its final length (the queue is scanned for
+    /// what fits before anything is popped). Messages are consumed
+    /// from the queue front; a message longer than
+    /// [`MAX_UNFRAGMENTED_MSG`] is split into fragments that span
+    /// several packets (and so several calls).
+    pub fn pack_next(&mut self, queue: &mut VecDeque<Bytes>) -> Option<Vec<Chunk>> {
+        let mut remaining = MAX_PAYLOAD;
 
-            // Resume an in-progress fragmentation first: its next
-            // fragment always opens the packet.
-            if let Some((msg_id, payload, offset)) = self.in_progress.take() {
-                let room = remaining - totem_wire::CHUNK_HEADER_LEN;
-                let left = payload.len() - offset;
-                let take = left.min(room);
-                let kind = if take == left { ChunkKind::FragEnd } else { ChunkKind::FragCont };
-                chunks.push(Chunk {
-                    kind,
+        // Resume an in-progress fragmentation first: its next
+        // fragment always opens the packet.
+        let mut resumed = None;
+        if let Some((msg_id, payload, offset)) = self.in_progress.take() {
+            let room = remaining - totem_wire::CHUNK_HEADER_LEN;
+            let left = payload.len() - offset;
+            let take = left.min(room);
+            let kind = if take == left { ChunkKind::FragEnd } else { ChunkKind::FragCont };
+            let chunk = Chunk {
+                kind,
+                msg_id,
+                orig_len: payload.len() as u32,
+                data: payload.slice(offset..offset + take),
+            };
+            if take < left {
+                self.in_progress = Some((msg_id, payload, offset + take));
+                // A continuation fragment fills the whole packet.
+                return Some(vec![chunk]);
+            }
+            remaining -= totem_wire::CHUNK_HEADER_LEN + take;
+            resumed = Some(chunk);
+        }
+
+        // How many whole messages from the queue front share this
+        // packet. An oversized message closes the run (it fragments
+        // from the start of a packet so fragments stay frame-aligned);
+        // so does the first one that no longer fits (it opens the
+        // next packet).
+        let mut whole = 0;
+        for len in queue.iter().map(Bytes::len) {
+            let need = len + totem_wire::CHUNK_HEADER_LEN;
+            if len > MAX_UNFRAGMENTED_MSG || need > remaining {
+                break;
+            }
+            remaining -= need;
+            whole += 1;
+        }
+
+        if whole == 0 && resumed.is_none() {
+            // The packet is still empty: start fragmenting an
+            // oversized queue head, if that is what stopped the scan.
+            if queue.front().is_some_and(|m| m.len() > MAX_UNFRAGMENTED_MSG) {
+                let payload = queue.pop_front()?;
+                let msg_id = self.bump_id();
+                let chunk = Chunk {
+                    kind: ChunkKind::FragStart,
                     msg_id,
                     orig_len: payload.len() as u32,
-                    data: payload.slice(offset..offset + take),
-                });
-                remaining -= totem_wire::CHUNK_HEADER_LEN + take;
-                if take < left {
-                    self.in_progress = Some((msg_id, payload, offset + take));
-                    // A continuation fragment fills the whole packet.
-                    packets.push(chunks);
-                    continue;
-                }
+                    data: payload.slice(0..MAX_UNFRAGMENTED_MSG),
+                };
+                self.in_progress = Some((msg_id, payload, MAX_UNFRAGMENTED_MSG));
+                return Some(vec![chunk]);
             }
-
-            // Fill with whole messages; start a fragmentation if the
-            // queue head is oversized.
-            while let Some(front_len) = queue.front().map(Bytes::len) {
-                let need = front_len + totem_wire::CHUNK_HEADER_LEN;
-                if front_len > MAX_UNFRAGMENTED_MSG {
-                    // Oversized: fragment, but only from the start of a
-                    // packet so fragments stay frame-aligned.
-                    if !chunks.is_empty() {
-                        break;
-                    }
-                    let Some(payload) = queue.pop_front() else { break };
-                    let msg_id = self.bump_id();
-                    let take = MAX_UNFRAGMENTED_MSG;
-                    chunks.push(Chunk {
-                        kind: ChunkKind::FragStart,
-                        msg_id,
-                        orig_len: payload.len() as u32,
-                        data: payload.slice(0..take),
-                    });
-                    self.in_progress = Some((msg_id, payload, take));
-                    break;
-                }
-                if need > remaining {
-                    break; // closes this packet; the message opens the next
-                }
-                let Some(payload) = queue.pop_front() else { break };
-                let msg_id = self.bump_id();
-                chunks.push(Chunk::complete(msg_id, payload));
-                remaining -= need;
-            }
-
-            if chunks.is_empty() {
-                break; // nothing left to send
-            }
-            packets.push(chunks);
+            return None; // nothing left to send
         }
-        packets
+
+        let mut chunks = Vec::with_capacity(whole + usize::from(resumed.is_some()));
+        chunks.extend(resumed);
+        for payload in queue.drain(..whole) {
+            let msg_id = self.bump_id();
+            chunks.push(Chunk::complete(msg_id, payload));
+        }
+        Some(chunks)
     }
 
     fn bump_id(&mut self) -> u32 {
@@ -203,6 +207,11 @@ mod tests {
         sizes.iter().map(|&n| Bytes::from(vec![n as u8; n])).collect()
     }
 
+    /// Up to `max_packets` packets, one `pack_next` at a time.
+    fn pack(p: &mut Packer, queue: &mut VecDeque<Bytes>, max_packets: usize) -> Vec<Vec<Chunk>> {
+        std::iter::from_fn(|| p.pack_next(queue)).take(max_packets).collect()
+    }
+
     fn payload_len(chunks: &[Chunk]) -> usize {
         chunks.iter().map(Chunk::wire_len).sum()
     }
@@ -211,7 +220,7 @@ mod tests {
     fn two_700_byte_messages_share_a_packet_exactly() {
         let mut p = Packer::new();
         let mut queue = q(&[700, 700]);
-        let pkts = p.pack(&mut queue, 10);
+        let pkts = pack(&mut p, &mut queue, 10);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].len(), 2);
         assert_eq!(payload_len(&pkts[0]), MAX_PAYLOAD);
@@ -222,7 +231,7 @@ mod tests {
     fn small_messages_pack_many_per_packet() {
         let mut p = Packer::new();
         let mut queue = q(&[100; 24]);
-        let pkts = p.pack(&mut queue, 10);
+        let pkts = pack(&mut p, &mut queue, 10);
         // 12 per packet: 12 × (100+12) = 1344 ≤ 1424, 13 would overflow.
         assert_eq!(pkts.len(), 2);
         assert_eq!(pkts[0].len(), 12);
@@ -230,11 +239,22 @@ mod tests {
     }
 
     #[test]
+    fn chunk_lists_are_allocated_at_their_final_length() {
+        let mut p = Packer::new();
+        let mut queue = q(&[100; 13]);
+        queue.extend(q(&[1500, 100, 700, 700, 3000]));
+        for chunks in pack(&mut p, &mut queue, 100) {
+            assert_eq!(chunks.capacity(), chunks.len());
+        }
+        assert!(queue.is_empty());
+    }
+
+    #[test]
     fn oversized_message_fragments_across_packets() {
         let len = 3000;
         let mut p = Packer::new();
         let mut queue = q(&[len]);
-        let pkts = p.pack(&mut queue, 10);
+        let pkts = pack(&mut p, &mut queue, 10);
         // 3000 = 1412 + 1412 + 176 → 3 packets.
         assert_eq!(pkts.len(), 3);
         assert_eq!(pkts[0][0].kind, ChunkKind::FragStart);
@@ -248,7 +268,7 @@ mod tests {
     fn final_fragment_shares_packet_with_next_message() {
         let mut p = Packer::new();
         let mut queue = q(&[1500, 100]);
-        let pkts = p.pack(&mut queue, 10);
+        let pkts = pack(&mut p, &mut queue, 10);
         assert_eq!(pkts.len(), 2);
         assert_eq!(pkts[1][0].kind, ChunkKind::FragEnd);
         assert_eq!(pkts[1][1].kind, ChunkKind::Complete);
@@ -259,10 +279,10 @@ mod tests {
     fn packet_budget_suspends_and_resumes_fragmentation() {
         let mut p = Packer::new();
         let mut queue = q(&[5000]);
-        let first = p.pack(&mut queue, 2);
+        let first = pack(&mut p, &mut queue, 2);
         assert_eq!(first.len(), 2);
         assert!(p.mid_fragment());
-        let rest = p.pack(&mut queue, 10);
+        let rest = pack(&mut p, &mut queue, 10);
         assert!(!p.mid_fragment());
         let total: usize =
             first.iter().chain(rest.iter()).flat_map(|c| c.iter().map(|ch| ch.data.len())).sum();
@@ -273,7 +293,7 @@ mod tests {
     fn every_packet_respects_max_payload() {
         let mut p = Packer::new();
         let mut queue = q(&[1, 50, 700, 1412, 1413, 4000, 9, 100, 100, 100]);
-        let pkts = p.pack(&mut queue, 100);
+        let pkts = pack(&mut p, &mut queue, 100);
         for pkt in &pkts {
             assert!(payload_len(pkt) <= MAX_PAYLOAD, "packet overflows: {}", payload_len(pkt));
             assert!(!pkt.is_empty());
@@ -287,7 +307,7 @@ mod tests {
         let mut p = Packer::new();
         let mut queue = q(&sizes);
         let original: Vec<Bytes> = queue.iter().cloned().collect();
-        let pkts = p.pack(&mut queue, 100);
+        let pkts = pack(&mut p, &mut queue, 100);
 
         let mut r = Reassembler::new();
         let sender = NodeId::new(0);
@@ -346,13 +366,13 @@ mod tests {
         // fragments.
         let mut p = Packer::new();
         let mut queue = q(&[MAX_UNFRAGMENTED_MSG]);
-        let pkts = p.pack(&mut queue, 10);
+        let pkts = pack(&mut p, &mut queue, 10);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0][0].kind, ChunkKind::Complete);
         assert_eq!(payload_len(&pkts[0]), MAX_PAYLOAD);
 
         let mut queue = q(&[MAX_UNFRAGMENTED_MSG + 1]);
-        let pkts = p.pack(&mut queue, 10);
+        let pkts = pack(&mut p, &mut queue, 10);
         assert_eq!(pkts.len(), 2);
         assert_eq!(pkts[0][0].kind, ChunkKind::FragStart);
         let _ = CHUNK_HEADER_LEN;

@@ -45,8 +45,9 @@ fn queue_of(sizes: &[usize]) -> VecDeque<Bytes> {
 fn roundtrip(sizes: &[usize]) -> (Vec<Bytes>, Vec<Bytes>, Vec<Vec<Chunk>>) {
     let mut queue = queue_of(sizes);
     let original: Vec<Bytes> = queue.iter().cloned().collect();
-    let packed = Packer::new().pack(&mut queue, usize::MAX);
-    assert!(queue.is_empty(), "pack with no budget cap must drain the queue");
+    let mut packer = Packer::new();
+    let packed: Vec<Vec<Chunk>> = std::iter::from_fn(|| packer.pack_next(&mut queue)).collect();
+    assert!(queue.is_empty(), "packing until `None` must drain the queue");
 
     let sender = NodeId::new(3);
     let mut reassembler = Reassembler::new();

@@ -2,8 +2,9 @@
 //! transport): a network dies under live traffic, every node reports
 //! the fault, traffic continues, and the administrator reinstates the
 //! repaired network through the runtime handle; and hostile datagrams
-//! injected beside live traffic are dropped by the driver loop's
-//! zero-copy decode without disturbing order or liveness.
+//! injected beside live traffic — undecodable ones, and well-formed
+//! data frames forged with sequence numbers far ahead of the ring —
+//! are dropped without disturbing order, liveness or membership.
 
 use std::time::{Duration, Instant};
 
@@ -199,6 +200,27 @@ fn hostile_datagrams() -> Vec<Bytes> {
     out
 }
 
+/// Well-formed data frames on the live ring, "from" a member, whose
+/// sequence numbers lie far beyond anything flow control lets a ring
+/// reach: just past the receive window's span cap, and astronomically
+/// past it. They decode, so they reach the SRP — which must refuse
+/// them outright rather than size its window by them or take the
+/// phantom sequence number for a reason to reform the ring.
+fn forged_far_ahead_frames() -> Vec<Bytes> {
+    [totem_srp::window::SPAN_CAP + 500, 1 << 40, u64::MAX >> 2]
+        .into_iter()
+        .map(|seq| {
+            Packet::Data(DataPacket {
+                ring: RingId::new(NodeId::new(0), 1),
+                seq: Seq::new(seq),
+                sender: NodeId::new(1),
+                chunks: vec![Chunk::complete(9, Bytes::from_static(b"from the future"))],
+            })
+            .encode_shared()
+        })
+        .collect()
+}
+
 /// Hostile datagrams through the *real* driver loop, on both of its
 /// receive paths: none panics a driver, live traffic keeps being
 /// delivered between and after them, in one total order.
@@ -212,10 +234,16 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
         assert!(Packet::decode(d).is_err(), "not hostile, a node would act on it: {d:?}");
     }
 
+    let forged = forged_far_ahead_frames();
+    for d in &forged {
+        assert!(Packet::decode(d).is_ok(), "a forged frame must get past the decoder");
+    }
+
     for config in [RuntimeConfig::default(), RuntimeConfig { batch: false, ..Default::default() }] {
         let (handles, attacker) = spawn_cluster(3, config);
         let attacker = &attacker[0];
         let mut feed = hostile.iter().cycle();
+        let mut forged_feed = forged.iter().cycle();
         let per_submit = hostile.len().div_ceil(WAVES * PER_WAVE);
 
         let mut orders: Vec<Vec<Bytes>> = vec![Vec::new(); handles.len()];
@@ -227,6 +255,14 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
                     let net = NetworkId::new(((n + k) % 2) as u8);
                     let datagram = feed.next().expect("cycle never ends").clone();
                     attacker.send(net, Destination::Broadcast, datagram).unwrap();
+                }
+                if i % 5 == 0 {
+                    // On both networks, as a replicated broadcast
+                    // would arrive.
+                    let datagram = forged_feed.next().expect("cycle never ends");
+                    for net in [NetworkId::new(0), NetworkId::new(1)] {
+                        attacker.send(net, Destination::Broadcast, datagram.clone()).unwrap();
+                    }
                 }
             }
             // Each wave must get through before the next starts, so
@@ -249,8 +285,17 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
         assert_eq!(delivered, expected, "{config:?}: exactly the live messages, once each");
 
         // `shutdown` joins the driver and panics if it had panicked.
+        // A far-ahead frame that got into a window would have shown
+        // as a phantom `high_seen` at the next token and reformed the
+        // ring; refused at the door, the ring never noticed.
         for h in handles {
-            h.shutdown();
+            let node = h.shutdown();
+            assert_eq!(
+                node.srp().stats().gathers,
+                0,
+                "{config:?}: a forged frame reformed the ring"
+            );
+            assert_eq!(node.srp().members().map(<[NodeId]>::len), Some(3));
         }
     }
 }
