@@ -1,15 +1,18 @@
 //! Criterion micro-benchmarks of the protocol building blocks:
-//! codec round-trips, message packing, receive-window bookkeeping, and
-//! the per-packet costs of the RRP replication algorithms.
+//! codec round-trips, message packing, receive-window bookkeeping, the
+//! per-packet costs of the RRP replication algorithms, and what a
+//! whole node pays for a token hop and for a redundant copy.
 
 use criterion::{
     criterion_group, criterion_main, BatchSize, Criterion, Throughput as CriterionThroughput,
 };
 
 use bytes::Bytes;
+use totem_cluster::{NodeOutput, TotemNode};
 use totem_rrp::{ReplicationStyle, RrpConfig, RrpLayer};
 use totem_srp::packing::Packer;
 use totem_srp::window::ReceiveWindow;
+use totem_srp::SrpConfig;
 use totem_wire::frame::{MAX_PAYLOAD, MAX_UNFRAGMENTED_MSG};
 use totem_wire::{Chunk, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, Token};
 
@@ -225,5 +228,111 @@ fn bench_rrp(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_packer, bench_window, bench_rrp);
+/// Two nodes on an otherwise idle active-replication ring of two
+/// networks, fed the way the threaded driver feeds them: raw datagrams
+/// in, encoded frames out.
+struct IdleRing {
+    nodes: Vec<TotemNode>,
+    now: u64,
+    /// The token copies in flight to `holder`'s successor.
+    copies: Vec<(NetworkId, Bytes)>,
+    holder: usize,
+    out: Vec<NodeOutput>,
+}
+
+impl IdleRing {
+    fn new() -> Self {
+        let members = [NodeId::new(0), NodeId::new(1)];
+        let nodes = members
+            .iter()
+            .map(|&me| {
+                TotemNode::new_operational(
+                    me,
+                    &members,
+                    SrpConfig::default(),
+                    RrpConfig::new(ReplicationStyle::Active, 2),
+                    0,
+                )
+            })
+            .collect();
+        let mut ring = IdleRing { nodes, now: 0, copies: Vec::new(), holder: 0, out: Vec::new() };
+        let boot = ring.nodes[0].bootstrap_token(0);
+        ring.out.extend(boot);
+        ring.release();
+        ring
+    }
+
+    /// Ends the holder's idle hold and puts the forwarded token's
+    /// copies on the wire.
+    fn release(&mut self) {
+        let node = &mut self.nodes[self.holder];
+        if let Some(deadline) = node.next_deadline() {
+            self.now = self.now.max(deadline);
+        }
+        node.on_timer_into(self.now, &mut self.out);
+        self.copies.clear();
+        for o in self.out.drain(..) {
+            if let NodeOutput::Send { net, pkt, .. } = o {
+                self.copies.push((net, pkt.encoded().clone()));
+            }
+        }
+    }
+
+    /// One idle token visit at the next node: both copies in, the
+    /// hold, the timer release, the forwarded token encoded.
+    fn hop(&mut self) -> usize {
+        self.holder = 1 - self.holder;
+        for (net, datagram) in self.copies.drain(..) {
+            self.now += 1_000;
+            self.nodes[self.holder].on_datagram_into(self.now, net, datagram, &mut self.out);
+        }
+        self.release();
+        self.copies.len()
+    }
+}
+
+fn bench_token_hop(c: &mut Criterion) {
+    let mut g = c.benchmark_group("token_hop");
+    let mut ring = IdleRing::new();
+    g.bench_function("active_2net_idle", |b| b.iter(|| ring.hop()));
+    g.finish();
+}
+
+/// What a node pays for a copy it has no use for — the second half of
+/// everything active replication delivers.
+fn bench_redundant_copy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("redundant_copy");
+    let mut ring = IdleRing::new();
+    // The token node 1 is about to pass up, arriving once more after.
+    let (net, token) = ring.copies[1].clone();
+    ring.hop();
+    g.bench_function("token", |b| {
+        b.iter(|| {
+            ring.nodes[1].on_datagram_into(ring.now, net, token.clone(), &mut ring.out);
+            ring.out.len()
+        });
+    });
+    // A data frame, then its copy on the other network, again and
+    // again.
+    let frame = data_packet(1, 100).encode_shared();
+    ring.nodes[1].on_datagram_into(ring.now, NetworkId::new(0), frame.clone(), &mut ring.out);
+    g.bench_function("data", |b| {
+        b.iter(|| {
+            let net = NetworkId::new(1);
+            ring.nodes[1].on_datagram_into(ring.now, net, frame.clone(), &mut ring.out);
+            ring.out.len()
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_packer,
+    bench_window,
+    bench_rrp,
+    bench_token_hop,
+    bench_redundant_copy
+);
 criterion_main!(benches);

@@ -11,18 +11,20 @@
 //! The receive side has the matching contract: decoding a datagram
 //! the transport owns copies no payload bytes, and the SRP allocates
 //! nothing for a frame it receives — only for what it originates (a
-//! chunk list and a shared handle per packet, a handle per token hop).
+//! chunk list and a shared handle per packet). And replication costs
+//! what it carries: a redundant copy is dropped before it is decoded,
+//! and a token crosses a node in the one handle it was decoded into.
 
 mod common;
 
 use std::collections::VecDeque;
 
 use common::snapshot;
-use totem_cluster::{ClusterConfig, SimCluster};
-use totem_rrp::ReplicationStyle;
+use totem_cluster::{ClusterConfig, NodeOutput, SimCluster, TotemNode};
+use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_sim::{SimDuration, SimTime};
 use totem_srp::{SrpConfig, SrpEvent, SrpNode};
-use totem_wire::{Chunk, DataPacket, NodeId, Packet, RingId, Seq, SharedPacket};
+use totem_wire::{Chunk, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, SharedPacket};
 
 /// Steady-state allocation cost of a saturated cluster: (allocations
 /// per wire frame, allocated bytes per wire frame).
@@ -286,4 +288,183 @@ fn srp_steady_state_allocates_only_what_it_originates() {
     for c in visits {
         assert!(c.allocs <= 2 * c.packed + 1, "a token visit over-allocated: {c:?}");
     }
+}
+
+/// Two [`TotemNode`]s on a ring of two, fed the way the threaded
+/// driver feeds them — raw datagrams in, encoded frames out — with
+/// every call into a node, and the encoding of what it sends, metered.
+struct MeteredPair {
+    nodes: Vec<TotemNode>,
+    now: u64,
+    /// Datagrams in flight: (destination, network, bytes).
+    wire: VecDeque<(usize, NetworkId, bytes::Bytes)>,
+    out: Vec<NodeOutput>,
+}
+
+impl MeteredPair {
+    fn new(style: ReplicationStyle, networks: usize) -> Self {
+        let members = [NodeId::new(0), NodeId::new(1)];
+        let nodes = members
+            .iter()
+            .map(|&me| {
+                TotemNode::new_operational(
+                    me,
+                    &members,
+                    SrpConfig::default(),
+                    RrpConfig::new(style, networks),
+                    0,
+                )
+            })
+            .collect();
+        let mut pair = MeteredPair {
+            nodes,
+            now: 0,
+            wire: VecDeque::with_capacity(64),
+            out: Vec::with_capacity(64),
+        };
+        pair.metered(0, |n, now, out| out.extend(n.bootstrap_token(now)));
+        pair
+    }
+
+    /// One call into node `at`, plus the encoding of every frame it
+    /// sends (what the driver's `stage` does): the allocations of both.
+    /// The sends land on the wire as datagrams of their own, as a
+    /// socket would hand them over (copied outside the metered window).
+    fn metered(
+        &mut self,
+        at: usize,
+        call: impl FnOnce(&mut TotemNode, u64, &mut Vec<NodeOutput>),
+    ) -> u64 {
+        let (a0, _) = snapshot();
+        call(&mut self.nodes[at], self.now, &mut self.out);
+        for o in &self.out {
+            if let NodeOutput::Send { pkt, .. } = o {
+                pkt.encoded();
+            }
+        }
+        let (a1, _) = snapshot();
+        for o in self.out.drain(..) {
+            if let NodeOutput::Send { net, pkt, .. } = o {
+                self.wire.push_back((1 - at, net, bytes::Bytes::copy_from_slice(pkt.encoded())));
+            }
+        }
+        a1 - a0
+    }
+
+    /// Feeds node `at` every datagram in flight to it; returns what
+    /// each cost.
+    fn receive(&mut self, at: usize) -> Vec<u64> {
+        let mut costs = Vec::new();
+        while let Some(i) = self.wire.iter().position(|&(to, ..)| to == at) {
+            let (_, net, datagram) = self.wire.remove(i).expect("position is in range");
+            self.now += 1_000;
+            costs.push(self.metered(at, |n, now, out| n.on_datagram_into(now, net, datagram, out)));
+        }
+        costs
+    }
+
+    /// Fires node `at`'s earliest timer; returns what it cost.
+    fn fire(&mut self, at: usize) -> u64 {
+        let deadline = self.nodes[at].next_deadline().expect("a timer is armed");
+        self.now = self.now.max(deadline);
+        self.metered(at, |n, now, out| n.on_timer_into(now, out))
+    }
+
+    /// One idle token visit at node `at`: every copy of the token in,
+    /// the idle hold, the timer that ends it, the forwarded token
+    /// encoded for the wire. Returns (cost of each copy, cost of the
+    /// release).
+    fn idle_visit(&mut self, at: usize) -> (Vec<u64>, u64) {
+        let copies = self.receive(at);
+        assert!(!copies.is_empty(), "no token reached node {at}");
+        let handled = self.nodes[at].srp().stats().tokens_handled;
+        let release = self.fire(at);
+        assert_eq!(self.nodes[at].srp().stats().tokens_handled, handled);
+        assert!(self.wire.iter().any(|&(to, ..)| to != at), "node {at} did not forward");
+        (copies, release)
+    }
+}
+
+/// A token that changes three integers per hop costs what it carries:
+/// across a whole idle visit — N datagrams in, the gate, the SRP's
+/// update, the hold, the timer release, the routes, the encoding — a
+/// node allocates the handle the first copy is decoded into and the
+/// bytes of the token it sends on, and nothing else. The other copies
+/// are never decoded; the update happens in the handle that arrived;
+/// that handle is what is forwarded.
+#[test]
+fn idle_token_visit_allocates_at_most_twice() {
+    for (style, networks) in [
+        (ReplicationStyle::Active, 2),
+        (ReplicationStyle::Passive, 2),
+        (ReplicationStyle::ActivePassive { copies: 2 }, 3),
+    ] {
+        let mut pair = MeteredPair::new(style, networks);
+        pair.fire(0);
+        // Warm up: event buffers, route buffers, the output buffer.
+        for _ in 0..8 {
+            pair.idle_visit(1);
+            pair.idle_visit(0);
+        }
+        for _ in 0..32 {
+            for at in [1, 0] {
+                let (copies, release) = pair.idle_visit(at);
+                let visit = copies.iter().sum::<u64>() + release;
+                assert!(
+                    visit <= 2,
+                    "{style}: an idle token visit allocated {visit} times \
+                     (copies {copies:?}, release {release})"
+                );
+            }
+        }
+        assert_eq!(pair.nodes[0].srp().stats().gathers + pair.nodes[1].srp().stats().gathers, 0);
+    }
+}
+
+/// The copies replication delivers by design are dropped before they
+/// are decoded: the second copy of a token (it completes the gate with
+/// the handle already there), a data frame the window already holds,
+/// and one at or below the contiguity watermark. Each still moves the
+/// reception counters like any other copy.
+#[test]
+fn redundant_copy_allocates_nothing() {
+    let mut pair = MeteredPair::new(ReplicationStyle::Active, 2);
+    pair.fire(0);
+    for _ in 0..8 {
+        pair.idle_visit(1);
+        pair.idle_visit(0);
+    }
+    for _ in 0..8 {
+        for at in [1, 0] {
+            let (copies, _) = pair.idle_visit(at);
+            assert_eq!(copies.len(), 2, "active replication delivers one copy per network");
+            assert_eq!(copies[1], 0, "the second token copy allocated");
+        }
+    }
+
+    // Data frames for node 1, crafted so arrival order is ours: 2
+    // before 1, each on both networks.
+    let frame = |seq: u64| {
+        Packet::Data(DataPacket {
+            ring: pair.nodes[1].srp().ring_id().expect("operational"),
+            seq: Seq::new(seq),
+            sender: NodeId::new(0),
+            chunks: vec![Chunk::complete(seq as u32, bytes::Bytes::from(vec![0x5A; 100]))],
+        })
+        .encode_shared()
+    };
+    let (two, one) = (frame(2), frame(1));
+    let received = |pair: &MeteredPair| pair.nodes[1].rrp().stats().received.clone();
+    let feed = |pair: &mut MeteredPair, net: u8, datagram: &bytes::Bytes| {
+        let datagram = bytes::Bytes::copy_from_slice(datagram);
+        pair.metered(1, |n, now, out| n.on_datagram_into(now, NetworkId::new(net), datagram, out))
+    };
+    let before = received(&pair);
+    assert!(feed(&mut pair, 0, &two) > 0, "a new frame is decoded");
+    assert_eq!(feed(&mut pair, 1, &two), 0, "a copy of a frame held above the watermark");
+    assert!(feed(&mut pair, 0, &one) > 0);
+    assert_eq!(feed(&mut pair, 1, &one), 0, "a copy of a frame at the watermark");
+    assert_eq!(feed(&mut pair, 0, &one), 0, "a copy of a frame below the watermark");
+    assert_eq!(received(&pair), vec![before[0] + 3, before[1] + 2]);
+    assert_eq!(pair.nodes[1].srp().stats().delivered_msgs, 2);
 }

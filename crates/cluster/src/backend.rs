@@ -128,6 +128,26 @@ pub trait Broadcast {
         out: &mut Vec<NodeOutput>,
     );
 
+    /// Feeds a raw datagram received on `net` — what a host on real
+    /// sockets calls. The default decodes it
+    /// ([`SharedPacket::from_datagram`]; a malformed datagram is
+    /// dropped unseen) and hands the packet to
+    /// [`Broadcast::on_packet_into`]. A backend that can tell from a
+    /// datagram's fixed header that it is a redundant copy overrides
+    /// this to account for the copy without decoding it; the outputs
+    /// and every counter must come out as the default's would.
+    fn on_datagram_into(
+        &mut self,
+        now: Nanos,
+        net: NetworkId,
+        datagram: Bytes,
+        out: &mut Vec<NodeOutput>,
+    ) {
+        if let Ok(pkt) = SharedPacket::from_datagram(datagram) {
+            self.on_packet_into(now, net, pkt, out);
+        }
+    }
+
     /// Fires any expired timers.
     fn on_timer_into(&mut self, now: Nanos, out: &mut Vec<NodeOutput>);
 
@@ -202,6 +222,16 @@ impl Broadcast for TotemNode {
         out: &mut Vec<NodeOutput>,
     ) {
         TotemNode::on_packet_into(self, now, net, pkt, out);
+    }
+
+    fn on_datagram_into(
+        &mut self,
+        now: Nanos,
+        net: NetworkId,
+        datagram: Bytes,
+        out: &mut Vec<NodeOutput>,
+    ) {
+        TotemNode::on_datagram_into(self, now, net, datagram, out);
     }
 
     fn on_timer_into(&mut self, now: Nanos, out: &mut Vec<NodeOutput>) {
@@ -386,6 +416,16 @@ impl Broadcast for BackendNode {
         out: &mut Vec<NodeOutput>,
     ) {
         delegate!(self, n => Broadcast::on_packet_into(n, now, net, pkt, out));
+    }
+
+    fn on_datagram_into(
+        &mut self,
+        now: Nanos,
+        net: NetworkId,
+        datagram: Bytes,
+        out: &mut Vec<NodeOutput>,
+    ) {
+        delegate!(self, n => Broadcast::on_datagram_into(n, now, net, datagram, out));
     }
 
     fn on_timer_into(&mut self, now: Nanos, out: &mut Vec<NodeOutput>) {

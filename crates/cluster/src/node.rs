@@ -10,13 +10,18 @@
 //! * received packets are gated by the RRP and handed up to the SRP;
 //! * after the SRP digests a message, the RRP gets a chance to release
 //!   a token it buffered behind the gap (passive replication, Figure
-//!   4 `recvMsg`).
+//!   4 `recvMsg`);
+//! * a host that receives raw datagrams hands them over undecoded
+//!   ([`TotemNode::on_datagram_into`]), so the redundant copies that
+//!   replication delivers by design — the token copy that only
+//!   completes the gate, the data frame already in the window — are
+//!   accounted for from their fixed header and never decoded.
 
 use bytes::Bytes;
 
 use totem_rrp::{FaultReport, RrpConfig, RrpEvent, RrpLayer};
 use totem_srp::{ConfigChange, Delivered, SrpConfig, SrpEvent, SrpNode, SrpState, SubmitError};
-use totem_wire::{NetworkId, NodeId, Packet, SharedPacket, Transition};
+use totem_wire::{NetworkId, NodeId, Packet, SharedPacket, Transition, WireHeader};
 
 /// Protocol time in nanoseconds (shared with `totem-srp`).
 pub type Nanos = u64;
@@ -55,8 +60,9 @@ pub enum NodeOutput {
 pub struct TotemNode {
     srp: SrpNode,
     rrp: RrpLayer,
-    /// Recycled RRP event buffer: the per-reception fast path (one
-    /// `Deliver` per packet) allocates nothing in steady state.
+    /// Recycled RRP event buffer: receptions, timer expiries and
+    /// buffered-token releases all report through it, so none of them
+    /// allocates in steady state.
     rrp_events: Vec<RrpEvent>,
     /// Recycled route buffer: picking the networks for an outgoing
     /// packet reuses one `Vec` instead of allocating per send.
@@ -213,9 +219,75 @@ impl TotemNode {
         pkt: SharedPacket,
         out: &mut Vec<NodeOutput>,
     ) {
+        self.receive(now, out, |rrp, missing, events| {
+            rrp.on_packet_into(now, net, pkt, missing, events);
+        });
+    }
+
+    /// Feeds a raw datagram received on `net`: what
+    /// [`SharedPacket::from_datagram`] followed by
+    /// [`TotemNode::on_packet_into`] does, output for output and
+    /// counter for counter (a datagram the decoder rejects is dropped
+    /// unseen) — except that a copy neither layer has any use for is
+    /// never decoded. The datagram is validated and its fixed header
+    /// read without allocating ([`WireHeader::parse`]); then
+    ///
+    /// * a regular token goes to the RRP gate by its key, and is
+    ///   decoded only if the gate must hold or pass up this copy (see
+    ///   [`RrpLayer::on_token_into`]);
+    /// * a data frame the SRP already holds on its current ring is
+    ///   counted as the duplicate it is, by both layers, from the
+    ///   header ([`SrpNode::suppress_duplicate`],
+    ///   [`RrpLayer::on_redundant_message_into`]);
+    /// * everything else is decoded and takes
+    ///   [`TotemNode::on_packet_into`].
+    ///
+    /// Which of the three applies depends only on what the node holds
+    /// (ring, window, gate), not on how it is configured.
+    pub fn on_datagram_into(
+        &mut self,
+        now: Nanos,
+        net: NetworkId,
+        datagram: Bytes,
+        out: &mut Vec<NodeOutput>,
+    ) {
+        let Ok(header) = WireHeader::parse(&datagram) else { return };
+        match header {
+            WireHeader::Token { ring, rotation, seq } => {
+                self.receive(now, out, |rrp, missing, events| {
+                    let body = || SharedPacket::from_datagram(datagram).ok();
+                    rrp.on_token_into(now, net, ring, rotation, seq, missing, body, events);
+                });
+            }
+            WireHeader::Data { ring, seq, sender } if self.srp.suppress_duplicate(ring, seq) => {
+                self.receive(now, out, |rrp, _missing, events| {
+                    rrp.on_redundant_message_into(now, net, sender, events);
+                });
+            }
+            WireHeader::Data { .. }
+            | WireHeader::Join { .. }
+            | WireHeader::Commit { .. }
+            | WireHeader::RingPaxos => {
+                if let Ok(pkt) = SharedPacket::from_datagram(datagram) {
+                    self.on_packet_into(now, net, pkt, out);
+                }
+            }
+        }
+    }
+
+    /// One reception: `feed` hands it to the RRP (with the SRP's
+    /// `any_messages_missing()` from before it), whatever the RRP
+    /// passes up goes to the SRP, and tokens the SRP's progress
+    /// unblocks are released.
+    fn receive(
+        &mut self,
+        now: Nanos,
+        out: &mut Vec<NodeOutput>,
+        feed: impl FnOnce(&mut RrpLayer, bool, &mut Vec<RrpEvent>),
+    ) {
         let missing = self.srp.any_messages_missing();
         let mut events = std::mem::take(&mut self.rrp_events);
-        self.rrp.on_packet_into(now, net, pkt, missing, &mut events);
+        feed(&mut self.rrp, missing, &mut events);
         self.process_rrp(now, &mut events, out);
         self.rrp_events = events;
         self.drain_releases(now, out);
@@ -236,8 +308,10 @@ impl TotemNode {
             self.route_srp(now, events, out);
         }
         if self.rrp.next_deadline().is_some_and(|d| d <= now) {
-            let mut events = self.rrp.on_timer(now);
+            let mut events = std::mem::take(&mut self.rrp_events);
+            self.rrp.on_timer_into(now, &mut events);
             self.process_rrp(now, &mut events, out);
+            self.rrp_events = events;
         }
         self.drain_releases(now, out);
     }
@@ -290,13 +364,15 @@ impl TotemNode {
     /// Passive replication: release tokens that were buffered behind
     /// gaps the SRP has since filled.
     fn drain_releases(&mut self, now: Nanos, out: &mut Vec<NodeOutput>) {
+        let mut events = std::mem::take(&mut self.rrp_events);
         loop {
-            let mut events = self.rrp.poll_release(now, self.srp.any_messages_missing());
+            self.rrp.poll_release_into(self.srp.any_messages_missing(), &mut events);
             if events.is_empty() {
                 break;
             }
             self.process_rrp(now, &mut events, out);
         }
+        self.rrp_events = events;
     }
 
     fn process_rrp(&mut self, now: Nanos, events: &mut Vec<RrpEvent>, out: &mut Vec<NodeOutput>) {

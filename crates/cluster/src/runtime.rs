@@ -16,7 +16,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use totem_rrp::FaultReport;
 use totem_srp::{ConfigChange, Delivered};
 use totem_transport::{Destination, RecvBatch, SendBatch, Transport};
-use totem_wire::SharedPacket;
+use totem_wire::NetworkId;
 
 use crate::backend::Broadcast;
 use crate::node::{NodeOutput, TotemNode};
@@ -82,15 +82,16 @@ pub enum RuntimeEvent {
     /// A previously faulty network was put back in service.
     Reinstated {
         /// The repaired network.
-        net: totem_wire::NetworkId,
+        net: NetworkId,
         /// When, in nanoseconds of protocol time.
         at: u64,
     },
 }
 
+#[derive(Debug)]
 enum Cmd {
     Submit(Bytes),
-    Reinstate(totem_wire::NetworkId),
+    Reinstate(NetworkId),
     SetK(usize),
     Shutdown,
 }
@@ -114,7 +115,7 @@ impl<B: Broadcast> RuntimeHandle<B> {
 
     /// Administrative repair: puts a faulty network back in service on
     /// this node (see [`totem_rrp::RrpLayer::reinstate`]).
-    pub fn reinstate(&self, net: totem_wire::NetworkId) {
+    pub fn reinstate(&self, net: NetworkId) {
         let _ = self.cmd_tx.send(Cmd::Reinstate(net));
     }
 
@@ -252,106 +253,161 @@ fn drive<B: Broadcast, T: Transport>(
     cmd_rx: &Receiver<Cmd>,
     events_tx: &Sender<RuntimeEvent>,
 ) {
-    let epoch = Instant::now();
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-
-    let mut pending: VecDeque<Bytes> = VecDeque::new();
-    // Batched mode reuses these across wakes: sends accumulate in
-    // `out_batch` and go to the kernel in one flush per wake; receives
-    // drain into `in_batch` and are all fed before any send happens.
-    let mut out_batch = SendBatch::new();
+    let mut driver = Driver::new(node, transport, config, cmd_rx, events_tx);
+    driver.start(start);
+    // Batched mode drains every wake's receptions into this and feeds
+    // them all before anything is sent.
     let mut in_batch = RecvBatch::new();
-
-    // One recycled output buffer serves the whole driver loop.
-    let mut outputs: Vec<NodeOutput> = Vec::new();
-    match start {
-        StartMode::Member => {}
-        StartMode::Representative => node.bootstrap_into(now_ns(), &mut outputs),
-        StartMode::Joining => node.start_into(now_ns(), &mut outputs),
+    while driver.settle() {
+        let timeout = driver.wait_budget();
+        if config.batch {
+            if recv_wait(transport, &mut in_batch, timeout, config.poll) > 0 {
+                let when = driver.now();
+                for (net, datagram) in in_batch.drain() {
+                    driver.feed(when, net, datagram);
+                }
+            }
+        } else if let Some((net, datagram)) = transport.recv_timeout(timeout) {
+            driver.feed(driver.now(), net, datagram);
+        }
     }
-    if config.batch {
-        stage(&mut outputs, &mut out_batch, events_tx);
-        flush(transport, &mut out_batch);
-    } else {
-        perform(&mut outputs, transport, events_tx);
+}
+
+/// One node's driver loop between two waits on the transport: the
+/// state it carries from wake to wake and the steps of a wake.
+struct Driver<'a, B, T> {
+    node: &'a mut B,
+    transport: &'a T,
+    config: RuntimeConfig,
+    cmd_rx: &'a Receiver<Cmd>,
+    events_tx: &'a Sender<RuntimeEvent>,
+    epoch: Instant,
+    /// Submissions the node has not accepted yet (flow control),
+    /// retried every wake.
+    pending: VecDeque<Bytes>,
+    /// Batched mode: sends staged since the last flush; everything a
+    /// wake produces goes to the kernel in one submission.
+    out_batch: SendBatch,
+    /// One recycled output buffer serves the whole loop.
+    outputs: Vec<NodeOutput>,
+}
+
+impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
+    fn new(
+        node: &'a mut B,
+        transport: &'a T,
+        config: RuntimeConfig,
+        cmd_rx: &'a Receiver<Cmd>,
+        events_tx: &'a Sender<RuntimeEvent>,
+    ) -> Self {
+        Driver {
+            node,
+            transport,
+            config,
+            cmd_rx,
+            events_tx,
+            epoch: Instant::now(),
+            pending: VecDeque::new(),
+            out_batch: SendBatch::new(),
+            outputs: Vec::new(),
+        }
     }
 
-    loop {
-        // Application commands.
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    fn start(&mut self, mode: StartMode) {
+        match mode {
+            StartMode::Member => {}
+            StartMode::Representative => self.node.bootstrap_into(self.now(), &mut self.outputs),
+            StartMode::Joining => self.node.start_into(self.now(), &mut self.outputs),
+        }
+        self.emit();
+    }
+
+    /// Hands the node's outputs on: events to the application at once,
+    /// sends to the wire — at once, or in batched mode with the next
+    /// [`Driver::settle`].
+    fn emit(&mut self) {
+        if self.config.batch {
+            stage(&mut self.outputs, &mut self.out_batch, self.events_tx);
+        } else {
+            perform(&mut self.outputs, self.transport, self.events_tx);
+        }
+    }
+
+    /// Feeds one received datagram. The node decodes it only if it has
+    /// a use for it, and keeps the bytes it came in as the packet's
+    /// encoding, so retransmitting it never re-encodes.
+    fn feed(&mut self, now: u64, net: NetworkId, datagram: Bytes) {
+        self.node.on_datagram_into(now, net, datagram, &mut self.outputs);
+        self.emit();
+    }
+
+    /// What follows a wake's receptions, and precedes every wait:
+    /// application commands and the submissions the node has room for,
+    /// *then* expired timers, then one flush of everything the wake
+    /// produced. The order matters on an idle ring: the timer that
+    /// ends this node's idle-token hold must not fire ahead of a
+    /// submission that arrived during the hold, or the message misses
+    /// the token it was meant to ride and waits a whole rotation.
+    /// Returns `false` when the loop must stop.
+    fn settle(&mut self) -> bool {
+        if !self.commands() {
+            return false;
+        }
+        let now = self.now();
+        if self.node.next_deadline().is_some_and(|d| d <= now) {
+            self.node.on_timer_into(now, &mut self.outputs);
+            self.emit();
+        }
+        if self.config.batch {
+            flush(self.transport, &mut self.out_batch);
+        }
+        true
+    }
+
+    /// Drains the command channel and feeds pending submissions while
+    /// the node accepts them. Returns `false` on shutdown.
+    fn commands(&mut self) -> bool {
         loop {
-            match cmd_rx.try_recv() {
-                Ok(Cmd::Submit(data)) => pending.push_back(data),
+            match self.cmd_rx.try_recv() {
+                Ok(Cmd::Submit(data)) => self.pending.push_back(data),
                 Ok(Cmd::Reinstate(net)) => {
-                    if node.reinstate(now_ns(), net) {
-                        let _ = events_tx.send(RuntimeEvent::Reinstated { net, at: now_ns() });
+                    let now = self.now();
+                    if self.node.reinstate(now, net) {
+                        let _ = self.events_tx.send(RuntimeEvent::Reinstated { net, at: now });
                     }
                 }
                 Ok(Cmd::SetK(k)) => {
                     // An out-of-range K is dropped; the CLI validates
                     // before sending, so there is no one to tell here.
-                    let _ = node.set_k(now_ns(), k);
+                    let _ = self.node.set_k(self.now(), k);
                 }
-                Ok(Cmd::Shutdown) => return,
+                Ok(Cmd::Shutdown) | Err(TryRecvError::Disconnected) => return false,
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
             }
         }
-        // Feed pending submissions while the queue has room.
-        while let Some(data) = pending.front().cloned() {
-            match node.submit_into(now_ns(), data, &mut outputs) {
-                Ok(()) => {
-                    pending.pop_front();
-                    if config.batch {
-                        stage(&mut outputs, &mut out_batch, events_tx);
-                    } else {
-                        perform(&mut outputs, transport, events_tx);
-                    }
-                }
-                Err(_) => break, // backpressure: retry next iteration
+        while let Some(data) = self.pending.front().cloned() {
+            if self.node.submit_into(self.now(), data, &mut self.outputs).is_err() {
+                break; // backpressure: retry next wake
             }
+            self.pending.pop_front();
+            self.emit();
         }
-        // Wait for traffic or the next deadline.
-        let now = now_ns();
-        let timeout = match node.next_deadline() {
+        true
+    }
+
+    /// How long the next wait may last: until the node's next
+    /// deadline, at most 50 ms (the command channel is polled, not
+    /// waited on).
+    fn wait_budget(&self) -> Duration {
+        let now = self.now();
+        match self.node.next_deadline() {
             Some(d) if d > now => Duration::from_nanos((d - now).min(50_000_000)),
             Some(_) => Duration::ZERO,
             None => Duration::from_millis(50),
-        };
-        if config.batch {
-            // Everything staged so far (bootstrap frames, submissions)
-            // rides one submission before the wait.
-            flush(transport, &mut out_batch);
-            in_batch.clear();
-            if recv_wait(transport, &mut in_batch, timeout, config.poll) > 0 {
-                let when = now_ns();
-                for (net, bytes) in in_batch.iter() {
-                    // Seed the encode cache with the received datagram
-                    // so retransmitting it never re-encodes.
-                    if let Ok(shared) = SharedPacket::from_datagram(bytes.clone()) {
-                        node.on_packet_into(when, *net, shared, &mut outputs);
-                        stage(&mut outputs, &mut out_batch, events_tx);
-                    }
-                }
-            }
-        } else if let Some((net, bytes)) = transport.recv_timeout(timeout) {
-            if let Ok(shared) = SharedPacket::from_datagram(bytes) {
-                node.on_packet_into(now_ns(), net, shared, &mut outputs);
-                perform(&mut outputs, transport, events_tx);
-            }
-        }
-        let now = now_ns();
-        if node.next_deadline().is_some_and(|d| d <= now) {
-            node.on_timer_into(now, &mut outputs);
-            if config.batch {
-                stage(&mut outputs, &mut out_batch, events_tx);
-            } else {
-                perform(&mut outputs, transport, events_tx);
-            }
-        }
-        if config.batch {
-            // One submission flushes the whole wake's output: token
-            // forwarding, retransmissions and fan-out together.
-            flush(transport, &mut out_batch);
         }
     }
 }
@@ -558,6 +614,92 @@ mod tests {
                 h.shutdown();
             }
         }
+    }
+
+    /// A `Broadcast` engine that only records which entry points a
+    /// host calls, in order. Its one timer is due from the start and
+    /// is disarmed by firing.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        calls: Vec<&'static str>,
+        fired: bool,
+    }
+
+    impl Broadcast for Recorder {
+        fn id(&self) -> NodeId {
+            NodeId::new(0)
+        }
+        fn start_into(&mut self, _now: u64, _out: &mut Vec<NodeOutput>) {}
+        fn bootstrap_into(&mut self, _now: u64, _out: &mut Vec<NodeOutput>) {}
+        fn submit_into(
+            &mut self,
+            _now: u64,
+            _data: Bytes,
+            _out: &mut Vec<NodeOutput>,
+        ) -> Result<(), totem_srp::SubmitError> {
+            self.calls.push("submit_into");
+            Ok(())
+        }
+        fn on_packet_into(
+            &mut self,
+            _now: u64,
+            _net: NetworkId,
+            _pkt: totem_wire::SharedPacket,
+            _out: &mut Vec<NodeOutput>,
+        ) {
+            self.calls.push("on_packet_into");
+        }
+        fn on_datagram_into(
+            &mut self,
+            _now: u64,
+            _net: NetworkId,
+            _datagram: Bytes,
+            _out: &mut Vec<NodeOutput>,
+        ) {
+            self.calls.push("on_datagram_into");
+        }
+        fn on_timer_into(&mut self, _now: u64, _out: &mut Vec<NodeOutput>) {
+            self.calls.push("on_timer_into");
+            self.fired = true;
+        }
+        fn next_deadline(&self) -> Option<u64> {
+            (!self.fired).then_some(0)
+        }
+        fn send_queue_len(&self) -> usize {
+            0
+        }
+        fn take_transitions(&mut self) -> Vec<totem_wire::Transition> {
+            Vec::new()
+        }
+        fn fingerprint<H: std::hash::Hasher>(&self, _h: &mut H) {}
+        fn crash_epoch(&self) -> u64 {
+            0
+        }
+    }
+
+    /// The wake a submission shares with the expiry of this node's
+    /// idle-token hold: the submission must reach the node first, so it
+    /// rides the held token instead of watching it leave. Receptions
+    /// reach the node undecoded in either loop.
+    #[test]
+    fn a_wake_feeds_receptions_then_submissions_then_timers() {
+        let transports = InMemoryHub::new(1, 1);
+        let (cmd_tx, cmd_rx) = unbounded();
+        let (events_tx, _events_rx) = unbounded();
+        for batch in [true, false] {
+            let mut node = Recorder::default();
+            let config = RuntimeConfig { batch, poll: PollMode::Wait };
+            let mut driver = Driver::new(&mut node, &transports[0], config, &cmd_rx, &events_tx);
+            cmd_tx.send(Cmd::Submit(Bytes::from_static(b"rides the held token"))).unwrap();
+            driver.feed(0, NetworkId::new(0), Bytes::from_static(b"any datagram"));
+            assert!(driver.settle());
+            assert_eq!(node.calls, ["on_datagram_into", "submit_into", "on_timer_into"]);
+        }
+        cmd_tx.send(Cmd::Shutdown).unwrap();
+        let mut node = Recorder::default();
+        let mut driver =
+            Driver::new(&mut node, &transports[0], RuntimeConfig::default(), &cmd_rx, &events_tx);
+        assert!(!driver.settle(), "shutdown stops the loop");
     }
 
     #[test]

@@ -25,10 +25,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use totem_wire::{NetworkId, NodeId, Packet, SharedPacket, Transition, TRANSITION_BUFFER_CAP};
+use totem_wire::{
+    NetworkId, NodeId, Packet, RingId, Rotation, Seq, SharedPacket, Transition,
+    TRANSITION_BUFFER_CAP,
+};
 
 use crate::config::{ReplicationStyle, RrpConfig, RrpConfigError};
-use crate::engine::Engine;
+use crate::engine::{token_key, Engine};
 use crate::fault::FaultReason;
 use crate::fault::FaultReport;
 use crate::pernet::PerNet;
@@ -293,9 +296,9 @@ impl RrpLayer {
         }
     }
 
-    fn auto_reinstatements(&mut self, now: u64) -> Vec<RrpEvent> {
+    fn auto_reinstatements(&mut self, now: u64, out: &mut Vec<RrpEvent>) {
         if self.cfg.auto_reinstate_interval == 0 {
-            return Vec::new();
+            return;
         }
         let due: Vec<NetworkId> = self
             .flagged_at
@@ -304,10 +307,11 @@ impl RrpLayer {
                 f.and_then(|at| (now >= at + self.cfg.auto_reinstate_interval).then_some(net))
             })
             .collect();
-        due.into_iter()
-            .filter(|&net| self.reinstate(now, net))
-            .map(|net| RrpEvent::Reinstated { net, at: now })
-            .collect()
+        for net in due {
+            if self.reinstate(now, net) {
+                out.push(RrpEvent::Reinstated { net, at: now });
+            }
+        }
     }
 
     /// The configuration in force.
@@ -480,46 +484,57 @@ impl RrpLayer {
         any_missing: bool,
         out: &mut Vec<RrpEvent>,
     ) {
-        if let Some(count) = self.stats.received.get_mut(net.index()) {
-            *count += 1;
+        // Every class keeps the shared handle it arrived in, so what is
+        // delivered — a frame into the SRP's window, a token out of the
+        // gate — is what arrived.
+        if let Some(t) = pkt.token() {
+            let (ring, rotation, seq) = (t.ring, t.rotation, t.seq);
+            self.on_token_into(now, net, ring, rotation, seq, any_missing, || Some(pkt), out);
+        } else {
+            self.message_into(now, net, sender_of(&pkt), Some(pkt), out);
         }
+    }
+
+    /// Feeds one copy of the regular token `(ring, rotation, seq)`
+    /// received on `net`, known so far by its header alone — all the
+    /// gate reads of it. `body` materialises the packet and is called
+    /// only if this copy is the one the gate must hold or pass up; the
+    /// copy that merely completes a held instance, and a stale or
+    /// surplus one, are accounted for (reception counter, token
+    /// monitor, gate) and never decoded. With `body` returning the
+    /// packet the header came from, this is
+    /// [`RrpLayer::on_packet_into`] for that packet.
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_token_into(
+        &mut self,
+        now: u64,
+        net: NetworkId,
+        ring: RingId,
+        rotation: Rotation,
+        seq: Seq,
+        any_missing: bool,
+        body: impl FnOnce() -> Option<SharedPacket>,
+        out: &mut Vec<RrpEvent>,
+    ) {
+        self.count_reception(net);
         let start = out.len();
         let mut token_newly_buffered = false;
-        // Regular tokens are extracted by value (the gate holds and
-        // compares them); every other class keeps its shared handle so
-        // the delivered frame is the one that arrived.
         match &mut self.inner {
-            Inner::Single => out.push(RrpEvent::Deliver(pkt, net)),
-            Inner::Engine(e) => match pkt.try_into_token() {
-                Ok(t) => {
-                    if e.k() == 1 {
-                        let was_buffering = e.buffering();
-                        let ev = e.on_token(now, net, t, any_missing, &self.cfg);
-                        if any_missing && !ev.iter().any(|ev| matches!(ev, RrpEvent::Deliver(..))) {
-                            self.stats.tokens_buffered += 1;
-                        }
-                        token_newly_buffered = !was_buffering && e.buffering();
-                        out.extend(ev);
-                    } else {
-                        out.append(&mut e.on_token(now, net, t, any_missing, &self.cfg));
+            Inner::Single => out.extend(body().map(|pkt| RrpEvent::Deliver(pkt, net))),
+            Inner::Engine(e) => {
+                let was_buffering = e.buffering();
+                let key = token_key(ring, rotation, seq);
+                e.on_token(now, net, key, any_missing, &self.cfg, body, out);
+                if e.k() == 1 {
+                    let passed_up = out.get(start..).is_some_and(|new| {
+                        new.iter().any(|ev| matches!(ev, RrpEvent::Deliver(..)))
+                    });
+                    if any_missing && !passed_up {
+                        self.stats.tokens_buffered += 1;
                     }
+                    token_newly_buffered = !was_buffering && e.buffering();
                 }
-                Err(pkt) => {
-                    // Commit tokens have no data sender; they count on
-                    // the token monitor below instead.
-                    if let Some(sender) = sender_of(&pkt) {
-                        out.extend(e.on_message(now, net, sender, &self.cfg));
-                    }
-                    if e.k() == 1 && matches!(pkt.packet(), Packet::Commit(_)) {
-                        // Commit tokens travel the token path; count
-                        // them on the token monitor so quiet-period
-                        // coverage extends to reconfiguration (paper
-                        // §6).
-                        out.extend(e.on_token_monitor_only(now, net, &self.cfg));
-                    }
-                    out.push(RrpEvent::Deliver(pkt, net));
-                }
-            },
+            }
         }
         if token_newly_buffered {
             self.note_transition("rrp-passive-token", "Idle", "TokenBehindGap", "Buffered");
@@ -529,47 +544,106 @@ impl RrpLayer {
         }
     }
 
+    /// Reception accounting for a data frame from `sender` that the
+    /// caller has established the SRP has no use for (a copy of a
+    /// packet it already holds): the reception counter and the
+    /// sender's monitor move exactly as [`RrpLayer::on_packet_into`]
+    /// moves them, and nothing is delivered — so the frame never has
+    /// to be decoded.
+    pub fn on_redundant_message_into(
+        &mut self,
+        now: u64,
+        net: NetworkId,
+        sender: NodeId,
+        out: &mut Vec<RrpEvent>,
+    ) {
+        self.message_into(now, net, Some(sender), None, out);
+    }
+
+    /// Stage one for a message-class frame, then the frame itself
+    /// straight up (unless the caller withholds it as redundant).
+    fn message_into(
+        &mut self,
+        now: u64,
+        net: NetworkId,
+        sender: Option<NodeId>,
+        pkt: Option<SharedPacket>,
+        out: &mut Vec<RrpEvent>,
+    ) {
+        self.count_reception(net);
+        let start = out.len();
+        if let Inner::Engine(e) = &mut self.inner {
+            // Commit tokens have no data sender; they count on the
+            // token monitor below instead.
+            if let Some(sender) = sender {
+                e.on_message(now, net, sender, &self.cfg, out);
+            }
+            if e.k() == 1 && pkt.as_ref().is_some_and(|p| matches!(p.packet(), Packet::Commit(_))) {
+                // Commit tokens travel the token path; count them on
+                // the token monitor so quiet-period coverage extends
+                // to reconfiguration (paper §6).
+                e.on_token_monitor_only(now, net, out);
+            }
+        }
+        out.extend(pkt.map(|pkt| RrpEvent::Deliver(pkt, net)));
+        if let Some(new) = out.get(start..) {
+            self.note_new_faults(new);
+        }
+    }
+
+    fn count_reception(&mut self, net: NetworkId) {
+        if let Some(count) = self.stats.received.get_mut(net.index()) {
+            *count += 1;
+        }
+    }
+
     /// Must be called after the SRP has processed a delivered message,
     /// with the fresh `any_messages_missing()`: passive-mode
     /// replication (K=1) releases a buffered token the moment the gap
     /// closes (paper Figure 4, `recvMsg`).
     pub fn poll_release(&mut self, _now: u64, any_missing: bool) -> Vec<RrpEvent> {
-        let (ev, gap_closed) = match &mut self.inner {
-            Inner::Engine(e) if e.k() == 1 => {
-                let was_buffering = e.buffering();
-                let ev = e.poll_release(any_missing);
-                (ev, was_buffering && !e.buffering())
-            }
-            Inner::Single | Inner::Engine(_) => (Vec::new(), false),
-        };
-        if gap_closed {
+        let mut events = Vec::new();
+        self.poll_release_into(any_missing, &mut events);
+        events
+    }
+
+    /// Like [`RrpLayer::poll_release`], but appends the released token
+    /// (if any) to a caller-supplied buffer.
+    pub fn poll_release_into(&mut self, any_missing: bool, out: &mut Vec<RrpEvent>) {
+        let Inner::Engine(e) = &mut self.inner else { return };
+        let was_buffering = e.buffering();
+        e.poll_release(any_missing, out);
+        if was_buffering && !e.buffering() {
             self.note_transition("rrp-passive-token", "Buffered", "GapClosed", "Idle");
         }
-        ev
     }
 
     /// Fires any timers with deadline `<= now`.
     pub fn on_timer(&mut self, now: u64) -> Vec<RrpEvent> {
-        let mut buffer_timed_out = false;
-        let mut ev = match &mut self.inner {
-            Inner::Single => Vec::new(),
-            Inner::Engine(e) => {
-                let was_buffering = e.buffering();
-                let ev = e.on_timer(now, &self.cfg);
-                buffer_timed_out = was_buffering && !e.buffering();
-                ev
+        let mut events = Vec::new();
+        self.on_timer_into(now, &mut events);
+        events
+    }
+
+    /// Like [`RrpLayer::on_timer`], but appends the resulting events to
+    /// a caller-supplied buffer.
+    pub fn on_timer_into(&mut self, now: u64, out: &mut Vec<RrpEvent>) {
+        let start = out.len();
+        if let Inner::Engine(e) = &mut self.inner {
+            let was_buffering = e.buffering();
+            e.on_timer(now, &self.cfg, out);
+            if was_buffering && !e.buffering() {
+                self.note_transition("rrp-passive-token", "Buffered", "TimerExpiry", "Idle");
             }
-        };
-        if buffer_timed_out {
-            self.note_transition("rrp-passive-token", "Buffered", "TimerExpiry", "Idle");
         }
-        self.stats.tokens_timer_released += ev
-            .iter()
-            .filter(|e| matches!(e, RrpEvent::Deliver(p, _) if p.is_token_class()))
-            .count() as u64;
-        self.note_new_faults(&ev);
-        ev.extend(self.auto_reinstatements(now));
-        ev
+        if let Some(new) = out.get(start..) {
+            self.stats.tokens_timer_released += new
+                .iter()
+                .filter(|e| matches!(e, RrpEvent::Deliver(p, _) if p.is_token_class()))
+                .count() as u64;
+            self.note_new_faults(new);
+        }
+        self.auto_reinstatements(now, out);
     }
 
     /// The per-network problem counters of the K=N problem-counter
@@ -654,7 +728,7 @@ fn sender_of(pkt: &Packet) -> Option<NodeId> {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use totem_wire::{Chunk, DataPacket, RingId, Seq, Token};
+    use totem_wire::{Chunk, DataPacket, Token};
 
     fn data(seq: u64, sender: u16) -> Packet {
         Packet::Data(DataPacket {
@@ -785,7 +859,7 @@ mod tests {
         let cfg = l.config().clone();
         for i in 0..cfg.problem_threshold as u64 {
             let mut t = Token::initial(RingId::new(NodeId::new(0), 1));
-            t.rotation = totem_wire::Rotation::new(i);
+            t.rotation = Rotation::new(i);
             t.seq = Seq::new(i + 1);
             l.on_packet(i * 10_000_000, NetworkId::new(0), Packet::Token(t).into(), false);
             if let Some(d) = l.next_deadline() {
@@ -855,7 +929,7 @@ mod tests {
         // Drive net1 to a token-timeout fault at K=N.
         for i in 0..cfg.problem_threshold as u64 {
             let mut t = Token::initial(RingId::new(NodeId::new(0), 1));
-            t.rotation = totem_wire::Rotation::new(i);
+            t.rotation = Rotation::new(i);
             t.seq = Seq::new(i + 1);
             let now = i * 10_000_000;
             l.on_packet(now, NetworkId::new(0), Packet::Token(t.clone()).into(), false);

@@ -524,7 +524,7 @@ impl SrpNode {
                     // Round 1 returned to the representative: the ring
                     // is formed — inject the initial regular token.
                     let t = Token::initial(ct.ring);
-                    self.handle_token(now, t)
+                    self.handle_token(now, Packet::Token(t).into())
                 } else {
                     Vec::new()
                 }
@@ -616,8 +616,9 @@ impl SrpNode {
     /// The token while in Recovery: same circulation rules as
     /// Operational, but the payload is old-ring packets wrapped as
     /// recovery chunks, and two idle rotations end the phase.
-    pub(crate) fn recovery_token(&mut self, now: Nanos, mut t: Token) -> Vec<SrpEvent> {
+    pub(crate) fn recovery_token(&mut self, now: Nanos, mut pkt: SharedPacket) -> Vec<SrpEvent> {
         let mut events = Vec::new();
+        let Some(t) = pkt.token() else { return events };
         let StateImpl::Recovery(rec) = &mut self.state else { return events };
         if t.ring != rec.new.ring {
             return events;
@@ -632,6 +633,7 @@ impl SrpNode {
             self.note_transition("srp-membership", "Recovery", "TokenLoss", "Gather");
             return self.enter_gather(now, Vec::new());
         }
+        let Some(t) = pkt.token_mut() else { return events };
         rec.token.last_key = Some((t.rotation, t.seq));
         rec.token.sent_token = None;
         rec.token.retx_deadline = None;
@@ -741,7 +743,7 @@ impl SrpNode {
         }
         let finish = rec.quiet >= 2;
 
-        forward_token(self.me, &self.cfg, &mut rec.token, &rec.new, t, now, &mut events);
+        forward_token(self.me, &self.cfg, &mut rec.token, &rec.new, pkt, now, &mut events);
 
         if finish {
             events.extend(self.finalize_recovery());

@@ -156,8 +156,9 @@ pub(crate) struct TokenCtx {
     pub sent_token: Option<SharedPacket>,
     pub retx_deadline: Option<Nanos>,
     pub loss_deadline: Option<Nanos>,
-    /// Token held back on an idle ring (pacing).
-    pub hold: Option<Token>,
+    /// Token held back on an idle ring (pacing), in the handle it will
+    /// be forwarded in.
+    pub hold: Option<SharedPacket>,
     pub hold_deadline: Option<Nanos>,
     /// The token `aru` observed on the last two visits; their minimum
     /// bounds every member's `my_aru` from below and gates buffer GC
@@ -489,7 +490,7 @@ impl SrpNode {
         let mut token = Token::initial(ring.ring);
         token.seq = self.cfg.initial_seq;
         token.aru = self.cfg.initial_seq;
-        self.handle_token(now, token)
+        self.handle_token(now, Packet::Token(token).into())
     }
 
     /// Queues an application message for totally ordered broadcast.
@@ -520,8 +521,14 @@ impl SrpNode {
 
     /// Send phase on a token this node is still holding (it was held
     /// back as idle, so this visit has contributed nothing yet).
-    fn send_on_held_token(&mut self, now: Nanos, mut t: Token, events: &mut Vec<SrpEvent>) {
-        self.send_phase(&mut t, 0, events);
+    fn send_on_held_token(
+        &mut self,
+        now: Nanos,
+        mut held: SharedPacket,
+        events: &mut Vec<SrpEvent>,
+    ) {
+        let Some(t) = held.token_mut() else { return };
+        self.send_phase(t, 0, events);
         let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
             return;
         };
@@ -535,7 +542,7 @@ impl SrpNode {
         }
         // The aru can only trail what this visit already established;
         // leave it and forward.
-        forward_token(self.me, &self.cfg, tok, ring, t, now, events);
+        forward_token(self.me, &self.cfg, tok, ring, held, now, events);
     }
 
     /// The send phase of a token visit: broadcasts new messages under
@@ -617,19 +624,40 @@ impl SrpNode {
     /// shared handle end to end — buffering one in the receive window
     /// keeps (a refcount on) the frame that arrived, including its
     /// cached wire bytes for recovery re-encapsulation.
+    ///
+    /// So does the token: a visit updates it in the handle it arrived
+    /// in and forwards that handle, so a token that reached this node
+    /// in a handle of its own (off the wire) crosses it without a new
+    /// one being made.
     pub fn handle_packet(&mut self, now: Nanos, pkt: SharedPacket) -> Vec<SrpEvent> {
         if pkt.data().is_some() {
             return self.handle_data(now, pkt);
         }
+        if pkt.token().is_some() {
+            return self.handle_token(now, pkt);
+        }
         match pkt.into_packet() {
-            Packet::Data(d) => self.handle_data(now, d.into()), // unreachable: handled above
-            Packet::Token(t) => self.handle_token(now, t),
             Packet::Join(j) => self.handle_join(now, j),
             Packet::Commit(c) => self.handle_commit(now, c),
-            // Another backend's traffic (never routed here by a
-            // correctly configured cluster); the SRP ignores it.
-            Packet::RingPaxos(_) => Vec::new(),
+            // Data and tokens were handled above; the rest is another
+            // backend's traffic (never routed here by a correctly
+            // configured cluster), which the SRP ignores.
+            Packet::Data(_) | Packet::Token(_) | Packet::RingPaxos(_) => Vec::new(),
         }
+    }
+
+    /// Whether a data frame stamped `(ring, seq)` is a copy of one this
+    /// node, Operational on that ring, already holds or has moved past
+    /// — so that [`SrpNode::handle_packet`] could only count it as a
+    /// duplicate and drop it. When so, counts it exactly that way and
+    /// returns `true`: the caller need not decode the frame. Answers
+    /// `false`, and changes nothing, for everything else (see
+    /// [`ReceiveWindow::suppress_duplicate`]).
+    pub fn suppress_duplicate(&mut self, ring: RingId, seq: Seq) -> bool {
+        if !matches!(self.state, StateImpl::Operational(_)) {
+            return false;
+        }
+        self.ring.as_mut().is_some_and(|r| r.ring == ring && r.window.suppress_duplicate(seq))
     }
 
     /// The earliest instant at which [`SrpNode::on_timer`] must be
@@ -807,17 +835,19 @@ impl SrpNode {
     // Operational: the token
     // ------------------------------------------------------------------
 
-    pub(crate) fn handle_token(&mut self, now: Nanos, t: Token) -> Vec<SrpEvent> {
+    /// `pkt` must be a regular token; anything else is ignored.
+    pub(crate) fn handle_token(&mut self, now: Nanos, pkt: SharedPacket) -> Vec<SrpEvent> {
         match &self.state {
-            StateImpl::Operational(_) => self.operational_token(now, t),
-            StateImpl::Recovery(_) => self.recovery_token(now, t),
+            StateImpl::Operational(_) => self.operational_token(now, pkt),
+            StateImpl::Recovery(_) => self.recovery_token(now, pkt),
             // A token while gathering/committing is stale; membership
             // will reform the ring.
             StateImpl::Gather(_) | StateImpl::Commit(_) => Vec::new(),
         }
     }
 
-    fn operational_token(&mut self, now: Nanos, mut t: Token) -> Vec<SrpEvent> {
+    fn operational_token(&mut self, now: Nanos, mut pkt: SharedPacket) -> Vec<SrpEvent> {
+        let Some(t) = pkt.token() else { return Vec::new() };
         {
             let Some(ring) = self.ring.as_ref() else { return Vec::new() };
             if t.ring != ring.ring {
@@ -848,6 +878,10 @@ impl SrpNode {
             events.extend(self.enter_gather(now, Vec::new()));
             return events;
         }
+        // The visit rewrites the token where it is: free when this node
+        // has the only handle on it (it came off the wire), a fresh
+        // handle otherwise.
+        let Some(t) = pkt.token_mut() else { return events };
         tok.last_key = Some((t.rotation, t.seq));
         tok.hold = None;
         tok.hold_deadline = None;
@@ -878,7 +912,7 @@ impl SrpNode {
 
         // 2–3. Broadcast new messages under flow control and bring
         //      the token's aru up to date.
-        let sent = self.send_phase(&mut t, sent, &mut events);
+        let sent = self.send_phase(t, sent, &mut events);
         let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
             return events;
         };
@@ -914,10 +948,10 @@ impl SrpNode {
         // 7. Forward — or hold briefly if the ring is idle.
         let idle = sent == 0 && t.rtr.is_empty() && t.seq == old_seq;
         if idle && self.cfg.idle_token_hold > 0 {
-            tok.hold = Some(t);
+            tok.hold = Some(pkt);
             tok.hold_deadline = Some(now + self.cfg.idle_token_hold);
         } else {
-            forward_token(self.me, &self.cfg, tok, ring, t, now, &mut events);
+            forward_token(self.me, &self.cfg, tok, ring, pkt, now, &mut events);
         }
         events
     }
@@ -940,13 +974,14 @@ pub(crate) fn operational_parts<'a>(
     }
 }
 
-/// Forwards `t` to the successor, arming the retransmission timer.
+/// Forwards the token `sent` to the successor, arming the
+/// retransmission timer.
 pub(crate) fn forward_token(
     me: NodeId,
     cfg: &SrpConfig,
     tok: &mut TokenCtx,
     ring: &RingCtx,
-    t: Token,
+    sent: SharedPacket,
     now: Nanos,
     events: &mut Vec<SrpEvent>,
 ) {
@@ -954,7 +989,6 @@ pub(crate) fn forward_token(
     // straight back as a self-addressed send, so hosts with loopback
     // semantics work.
     let succ = ring.successor(me);
-    let sent: SharedPacket = Packet::Token(t).into();
     events.push(SrpEvent::ToSuccessor(succ, sent.clone()));
     tok.sent_token = Some(sent);
     tok.retx_deadline = Some(now + cfg.token_retransmit_interval);

@@ -159,6 +159,26 @@ impl ReceiveWindow {
         true
     }
 
+    /// The duplicate probe on a sequence number alone, for a data frame
+    /// that has not been decoded: `true` — and the duplicate counted as
+    /// [`ReceiveWindow::insert`] counts it — when a frame numbered
+    /// `seq` is one this window already holds or has moved past, to
+    /// which `insert` could only answer "not new". Everything else
+    /// answers `false` and changes nothing: a frame that would be new,
+    /// and the cases `insert` treats specially (sequence number zero,
+    /// a frame beyond [`SPAN_CAP`], a cursor that a transient fault
+    /// dragged below the floor), which stay `insert`'s to decide.
+    pub fn suppress_duplicate(&mut self, seq: Seq) -> bool {
+        if seq == Seq::ZERO || self.my_aru.precedes(self.floor) {
+            return false;
+        }
+        if seq.follows(self.my_aru) && self.get(seq).is_none() {
+            return false;
+        }
+        self.duplicates += 1;
+        true
+    }
+
     /// Records that sequence number `seq` exists on the ring (learned
     /// from a token or another packet's header).
     pub fn note_seq(&mut self, seq: Seq) {

@@ -12,9 +12,10 @@
 //! slices payloads out of those — so socket → batch → decoded packet
 //! → delivered payload share one allocation.
 //!
-//! A batch costs two allocations of exactly its own size (the bytes,
-//! the offsets) and one queue operation, however many frames it
-//! carries; every carved frame is a refcount bump. Because the batch
+//! A batch costs one allocation of exactly its own size — the
+//! datagrams, followed by their end offsets when there is more than
+//! one — and one queue operation, however many frames it carries;
+//! every carved frame is a refcount bump. Because the batch
 //! is sized to its contents rather than to the arena, a payload the
 //! application holds on to pins at most the datagrams that arrived in
 //! the same batch — never a 16–256 KiB arena. The scratch buffer
@@ -86,31 +87,43 @@ impl InboxArena {
     }
 
     /// Copies the buffered datagrams into an immutable, exact-size
-    /// [`SealedBatch`] (two allocations: the bytes and the offsets)
+    /// [`SealedBatch`] — one allocation, whatever the frame count —
     /// and empties the arena, keeping its capacity for the next batch.
     /// Returns `None` when nothing is buffered.
     pub fn seal(&mut self) -> Option<SealedBatch> {
-        if self.bounds.is_empty() {
+        let frames = self.bounds.len();
+        if frames == 0 {
             return None;
         }
-        let batch = SealedBatch {
-            net: self.net,
-            data: Bytes::copy_from_slice(&self.arena),
-            bounds: self.bounds.as_slice().into(),
-        };
+        // A lone datagram is its own batch; several carry their end
+        // offsets behind them, in the same allocation.
+        if frames > 1 {
+            for end in &self.bounds {
+                self.arena.extend_from_slice(&end.to_le_bytes());
+            }
+        }
+        let batch =
+            SealedBatch { net: self.net, data: Bytes::copy_from_slice(&self.arena), frames };
         self.arena.clear();
         self.bounds.clear();
         Some(batch)
     }
 }
 
+/// Width of one end offset in a [`SealedBatch`]'s trailer.
+const OFFSET_LEN: usize = size_of::<u32>();
+
 /// An immutable batch of datagrams sharing one allocation of exactly
-/// their combined size.
+/// their combined size (plus four bytes per datagram when it holds
+/// more than one).
 #[derive(Debug, Clone)]
 pub struct SealedBatch {
     net: NetworkId,
+    /// The datagrams back to back; when `frames > 1`, followed by
+    /// `frames` little-endian `u32` end offsets (frame `i` spans
+    /// `end[i-1]..end[i]`, with an implicit leading 0).
     data: Bytes,
-    bounds: Box<[u32]>,
+    frames: usize,
 }
 
 impl SealedBatch {
@@ -121,16 +134,24 @@ impl SealedBatch {
 
     /// Number of datagrams in the batch.
     pub fn frames(&self) -> usize {
-        self.bounds.len()
+        self.frames
     }
 
     /// Iterates the datagrams in arrival order as zero-copy slices of
     /// the shared batch allocation.
     pub fn iter(&self) -> impl Iterator<Item = Bytes> + '_ {
+        let lone = self.frames == 1;
+        let payload = self.data.len() - if lone { 0 } else { self.frames * OFFSET_LEN };
+        // A lone frame ends where the batch does; otherwise the ends
+        // are read off the trailer.
+        let ends = self.data[payload..]
+            .chunks_exact(OFFSET_LEN)
+            .map(|e| u32::from_le_bytes([e[0], e[1], e[2], e[3]]) as usize)
+            .chain(lone.then_some(payload));
         let mut start = 0usize;
-        self.bounds.iter().map(move |&end| {
-            let frame = self.data.slice(start..end as usize);
-            start = end as usize;
+        ends.map(move |end| {
+            let frame = self.data.slice(start..end);
+            start = end;
             frame
         })
     }
@@ -181,7 +202,7 @@ mod tests {
         // buffer, so their contents sit at adjacent offsets.
         assert_eq!(frames[0].as_ref(), b"one");
         assert_eq!(frames[1].as_ref(), b"two");
-        assert_eq!(sealed.data.as_ref(), b"onetwo");
+        assert_eq!(&sealed.data[..6], b"onetwo");
         assert_eq!(frames[0].as_ptr(), sealed.data.as_ptr());
         assert_eq!(frames[1].as_ptr(), sealed.data.as_ptr().wrapping_add(3));
     }
@@ -196,8 +217,10 @@ mod tests {
                 a.push(&[7u8; 100]);
             }
             let sealed = a.seal().expect("non-empty");
-            assert_eq!(sealed.data.len(), round * 100, "batch holds its own bytes only");
-            assert_eq!(sealed.bounds.len(), round);
+            let offsets = if round > 1 { round * OFFSET_LEN } else { 0 };
+            assert_eq!(sealed.data.len(), round * 100 + offsets, "batch holds its own bytes only");
+            assert_eq!(sealed.frames(), round);
+            assert!(sealed.iter().all(|frame| frame.as_ref() == [7u8; 100]));
             assert_eq!((a.arena.as_ptr(), a.arena.capacity()), (scratch, cap));
         }
     }

@@ -181,22 +181,35 @@ impl Writer {
 /// A reader either *borrows* a plain slice ([`Reader::new`]), in which
 /// case every byte string it hands out is a fresh copy, or reads *over*
 /// an owning [`Bytes`] ([`Reader::over`]), in which case byte strings
-/// are zero-copy `slice()`s of that buffer. Both modes accept and
-/// reject exactly the same inputs and yield equal values; only who
-/// owns the payload bytes differs.
+/// are zero-copy `slice()`s of that buffer, or only *validates* (the
+/// mode behind [`crate::WireHeader::parse`]), in which case byte
+/// strings and lists are checked and come back empty, so nothing is
+/// allocated. All three accept and reject exactly the same inputs —
+/// the decoders are written once, against this type — and the first
+/// two yield equal values; only who owns the payload bytes differs.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// The owning buffer `buf` views, when byte strings may alias it.
-    src: Option<&'a Bytes>,
+    payloads: Payloads<'a>,
+}
+
+/// What a [`Reader`] does with the variable-length parts of a packet.
+#[derive(Debug, Clone, Copy)]
+enum Payloads<'a> {
+    /// Copy byte strings out of the borrowed buffer.
+    Copy,
+    /// Slice byte strings out of the owning buffer the reader views.
+    Share(&'a Bytes),
+    /// Check byte strings and list items, keep none of them.
+    Discard,
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader positioned at the start of `buf`. Byte strings
     /// read from it are copied out.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0, src: None }
+        Reader { buf, pos: 0, payloads: Payloads::Copy }
     }
 
     /// Creates a reader positioned at the start of `src` whose byte
@@ -204,7 +217,16 @@ impl<'a> Reader<'a> {
     /// everything decoded through it shares — and keeps alive — the
     /// one allocation behind `src`.
     pub fn over(src: &'a Bytes) -> Self {
-        Reader { buf: src, pos: 0, src: Some(src) }
+        Reader { buf: src, pos: 0, payloads: Payloads::Share(src) }
+    }
+
+    /// Creates a reader that checks everything and keeps only scalars:
+    /// byte strings and lists (`Reader::list`) read from it are
+    /// validated exactly as in the other modes but come back empty, so
+    /// a decode through it allocates nothing. What it yields is a skeleton of
+    /// the packet (see [`crate::WireHeader::parse`], its one caller).
+    pub(crate) fn validating(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0, payloads: Payloads::Discard }
     }
 
     /// Bytes not yet consumed.
@@ -234,13 +256,15 @@ impl<'a> Reader<'a> {
     }
 
     /// Takes the next `n` bytes as a [`Bytes`]: a slice of the owning
-    /// buffer in [`Reader::over`] mode, a copy otherwise.
+    /// buffer in [`Reader::over`] mode, a copy in [`Reader::new`]
+    /// mode, empty when only validating.
     fn take_bytes(&mut self, n: usize) -> Result<Bytes, CodecError> {
         let start = self.pos;
         let s = self.take(n)?;
-        Ok(match self.src {
-            Some(src) => src.slice(start..start + n),
-            None => Bytes::copy_from_slice(s),
+        Ok(match self.payloads {
+            Payloads::Share(src) => src.slice(start..start + n),
+            Payloads::Copy => Bytes::copy_from_slice(s),
+            Payloads::Discard => Bytes::new(),
         })
     }
 
@@ -331,6 +355,31 @@ impl<'a> Reader<'a> {
     /// remain.
     pub fn raw_bytes(&mut self, len: usize) -> Result<Bytes, CodecError> {
         self.take_bytes(len)
+    }
+
+    /// Reads `n` items with `item` into a list preallocated for
+    /// `n.min(cap)` of them. When only validating, every item is still
+    /// read — and so checked — but none is kept and nothing is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `item` reports.
+    pub(crate) fn list<T>(
+        &mut self,
+        n: usize,
+        cap: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let keep = !matches!(self.payloads, Payloads::Discard);
+        let mut out = if keep { Vec::with_capacity(n.min(cap)) } else { Vec::new() };
+        for _ in 0..n {
+            let it = item(self)?;
+            if keep {
+                out.push(it);
+            }
+        }
+        Ok(out)
     }
 
     /// Reads a `u32` element count (bounded by `MAX_DECODE_LEN`) for a

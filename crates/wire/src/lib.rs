@@ -18,6 +18,9 @@
 //!   the Totem SRP membership protocol.
 //! * [`shared`] — the [`SharedPacket`] encode-once/share-everywhere
 //!   handle the data plane fans out instead of deep-cloning packets.
+//! * [`header`] — the [`WireHeader`] of a datagram, validated by the
+//!   one decoder without allocating, so a redundant copy can be
+//!   recognised before it is decoded.
 //! * [`codec`] — a small, dependency-free binary codec
 //!   (big-endian, length-prefixed) with a fuzz-friendly decoder.
 //! * [`frame`] — the Ethernet framing model from the paper
@@ -57,6 +60,7 @@
 
 pub mod codec;
 pub mod frame;
+pub mod header;
 pub mod ids;
 pub mod membership;
 pub mod packet;
@@ -69,6 +73,7 @@ pub use codec::{CodecError, Reader, Writer};
 pub use frame::{
     chunk_capacity, wire_frame_len, CHUNK_HEADER_LEN, ETHERNET_MTU, HEADER_OVERHEAD, MAX_PAYLOAD,
 };
+pub use header::WireHeader;
 pub use ids::{
     Ballot, Incarnation, InstanceId, NetworkId, NodeId, RingId, Rotation, Seq, SerialOrdKey,
 };

@@ -53,18 +53,12 @@ impl JoinMessage {
         if np > MAX_MEMBERS {
             return Err(CodecError::BadLength { what: "proc set", len: np });
         }
-        let mut proc_set = Vec::with_capacity(np);
-        for _ in 0..np {
-            proc_set.push(NodeId::new(r.u16()?));
-        }
+        let proc_set = r.list(np, MAX_MEMBERS, |r| r.u16().map(NodeId::new))?;
         let nf = r.seq_len("fail set")?;
         if nf > MAX_MEMBERS {
             return Err(CodecError::BadLength { what: "fail set", len: nf });
         }
-        let mut fail_set = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            fail_set.push(NodeId::new(r.u16()?));
-        }
+        let fail_set = r.list(nf, MAX_MEMBERS, |r| r.u16().map(NodeId::new))?;
         Ok(JoinMessage { sender, ring_seq, proc_set, fail_set })
     }
 
@@ -153,10 +147,7 @@ impl CommitToken {
         if n > MAX_MEMBERS {
             return Err(CodecError::BadLength { what: "commit entries", len: n });
         }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(MembEntry::decode(r)?);
-        }
+        let entries = r.list(n, MAX_MEMBERS, MembEntry::decode)?;
         Ok(CommitToken { ring, round, entries })
     }
 

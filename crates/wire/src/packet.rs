@@ -312,10 +312,7 @@ impl Packet {
                 let seq = Seq::new(r.u64()?);
                 let sender = NodeId::new(r.u16()?);
                 let n = r.u16()? as usize;
-                let mut chunks = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    chunks.push(Chunk::decode(r)?);
-                }
+                let chunks = r.list(n, 64, Chunk::decode)?;
                 Ok(Packet::Data(DataPacket { ring, seq, sender, chunks }))
             }
             TAG_TOKEN => Ok(Packet::Token(Token::decode(r)?)),

@@ -20,10 +20,13 @@
 //!   can seed the cache with the bytes it was decoded from
 //!   ([`SharedPacket::from_wire`]), making its re-encoding free.
 //!
-//! The handle is deliberately immutable: protocol state machines
-//! construct a [`Packet`], seal it into a `SharedPacket`, and from
-//! then on only read it. Mutation requires [`SharedPacket::into_packet`],
-//! which clones only when the handle is actually shared.
+//! The handle is immutable to everyone it is shared with: protocol
+//! state machines construct a [`Packet`], seal it into a
+//! `SharedPacket`, and from then on only read it. Mutation requires
+//! [`SharedPacket::into_packet`], which clones only when the handle is
+//! actually shared — or, for the one packet that is rewritten at every
+//! hop, [`SharedPacket::token_mut`], which updates a unique handle in
+//! place.
 
 use std::sync::{Arc, OnceLock};
 
@@ -132,21 +135,35 @@ impl SharedPacket {
         }
     }
 
-    /// Like [`SharedPacket::into_token`], but hands the handle back
-    /// unchanged when this is not a token frame — for call sites that
-    /// gate tokens and forward everything else.
-    pub fn try_into_token(self) -> Result<Token, SharedPacket> {
-        if matches!(self.cell.pkt, Packet::Token(_)) {
-            match self.into_packet() {
-                Packet::Token(t) => Ok(t),
-                // Unreachable: the class was just checked.
-                other @ (Packet::Data(_)
-                | Packet::Join(_)
-                | Packet::Commit(_)
-                | Packet::RingPaxos(_)) => Err(SharedPacket::new(other)),
-            }
-        } else {
-            Err(self)
+    /// The regular token inside, if this is a token frame.
+    pub fn token(&self) -> Option<&Token> {
+        match &self.cell.pkt {
+            Packet::Token(t) => Some(t),
+            Packet::Data(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => None,
+        }
+    }
+
+    /// Mutable access to the regular token inside, for updating it in
+    /// place between two hops; `None` (and the handle untouched) for
+    /// any other packet class.
+    ///
+    /// The handle is made unique first. That is free when it already
+    /// is — the receive path, where one handle carries the token from
+    /// the datagram it was decoded from to the frame it is forwarded
+    /// in — and a fresh handle around a clone of the token when it is
+    /// shared (the simulator, where the sender's retransmission copy
+    /// and every network's copy are the same handle). The cached
+    /// encoding describes the token as it was, so it is dropped.
+    pub fn token_mut(&mut self) -> Option<&mut Token> {
+        self.token()?;
+        if Arc::get_mut(&mut self.cell).is_none() {
+            *self = SharedPacket::new(self.cell.pkt.clone());
+        }
+        let cell = Arc::get_mut(&mut self.cell)?;
+        cell.encoded = OnceLock::new();
+        match &mut cell.pkt {
+            Packet::Token(t) => Some(t),
+            Packet::Data(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => None,
         }
     }
 }
@@ -304,6 +321,32 @@ mod tests {
         let shared = SharedPacket::new(data(2));
         let _held = shared.clone();
         assert_eq!(shared.into_packet(), data(2)); // clones, still correct
+    }
+
+    #[test]
+    fn token_mut_updates_a_unique_handle_in_place_and_drops_its_encoding() {
+        let wire = Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))).encode_shared();
+        let mut shared = SharedPacket::from_datagram(wire.clone()).unwrap();
+        let cell = Arc::as_ptr(&shared.cell);
+        shared.token_mut().unwrap().seq = Seq::new(9);
+        assert_eq!(Arc::as_ptr(&shared.cell), cell, "a unique handle is reused");
+        assert_eq!(shared.token().unwrap().seq, Seq::new(9));
+        // The encoding is recomputed from the updated token.
+        assert_ne!(*shared.encoded(), wire);
+        assert_eq!(shared.encoded().as_ref(), shared.packet().encode().as_slice());
+    }
+
+    #[test]
+    fn token_mut_leaves_other_holders_of_a_shared_handle_alone() {
+        let original =
+            SharedPacket::new(Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))));
+        let sent = original.encoded().clone();
+        let mut mine = original.clone();
+        mine.token_mut().unwrap().seq = Seq::new(9);
+        assert_eq!(original.token().unwrap().seq, Seq::ZERO);
+        assert_eq!(*original.encoded(), sent);
+        assert_eq!(mine.token().unwrap().seq, Seq::new(9));
+        assert!(SharedPacket::new(data(1)).token_mut().is_none());
     }
 
     #[test]

@@ -102,10 +102,7 @@ impl Token {
         if n > MAX_RTR {
             return Err(CodecError::BadLength { what: "rtr list", len: n });
         }
-        let mut rtr = Vec::with_capacity(n);
-        for _ in 0..n {
-            rtr.push(Seq::new(r.u64()?));
-        }
+        let rtr = r.list(n, MAX_RTR, |r| r.u64().map(Seq::new))?;
         Ok(Token { ring, rotation, seq, aru, aru_id, fcc, backlog, rtr })
     }
 

@@ -1,12 +1,13 @@
 //! Property-based tests: every structurally valid packet round-trips
 //! through the codec, the decoder never panics on arbitrary bytes, and
-//! the borrowing and zero-copy decode entries are indistinguishable.
+//! its three entries — borrowing, zero-copy, and the header-only
+//! validation — are indistinguishable in what they accept and report.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use totem_wire::{
     Ballot, Chunk, ChunkKind, CommitToken, DataPacket, InstanceId, JoinMessage, MembEntry, NodeId,
-    Packet, Proposal, RingId, RingPaxosMsg, Seq, Token,
+    Packet, Proposal, RingId, RingPaxosMsg, Seq, Token, WireHeader,
 };
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
@@ -142,11 +143,15 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
     ]
 }
 
-/// Both decode entries on the same bytes: same packet or same error.
+/// Every decode entry on the same bytes: same packet or same error,
+/// and the non-allocating header validation accepts exactly when they
+/// do, reporting that packet's header or that error.
 fn decoders_agree(bytes: &[u8]) -> Result<Packet, totem_wire::CodecError> {
     let borrowed = Packet::decode(bytes);
     let shared = Packet::decode_shared(&Bytes::copy_from_slice(bytes));
     assert_eq!(borrowed, shared, "decode and decode_shared disagree on {bytes:02x?}");
+    let header = borrowed.as_ref().map(WireHeader::of).map_err(Clone::clone);
+    assert_eq!(WireHeader::parse(bytes), header, "header and decode disagree on {bytes:02x?}");
     borrowed
 }
 
@@ -213,9 +218,10 @@ proptest! {
     }
 
     // The zero-copy entry is the borrowing one with different payload
-    // ownership, nothing else: on valid frames of every kind and on
-    // each hostile mutation above, both return the same packet or the
-    // same error.
+    // ownership, and the header validation is the same decoder keeping
+    // nothing, nothing else: on valid frames of every kind and on each
+    // hostile mutation above, all return the same packet (or its
+    // header) or the same error.
     #[test]
     fn borrowing_and_zero_copy_decode_agree(
         pkt in arb_packet(),

@@ -2,9 +2,11 @@
 //! transport): a network dies under live traffic, every node reports
 //! the fault, traffic continues, and the administrator reinstates the
 //! repaired network through the runtime handle; and hostile datagrams
-//! injected beside live traffic — undecodable ones, and well-formed
-//! data frames forged with sequence numbers far ahead of the ring —
-//! are dropped without disturbing order, liveness or membership.
+//! injected beside live traffic — undecodable ones, well-formed data
+//! frames forged with sequence numbers far ahead of the ring, and
+//! frames with the header of a packet the ring holds on a body the
+//! decoder rejects — are dropped without disturbing order, liveness,
+//! membership or, for the undecodable, a single counter.
 
 use std::time::{Duration, Instant};
 
@@ -21,6 +23,14 @@ use totem_wire::{
 };
 
 fn spawn_cluster(n: usize, config: RuntimeConfig) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
+    spawn_cluster_with(n, config, ReplicationStyle::Active)
+}
+
+fn spawn_cluster_with(
+    n: usize,
+    config: RuntimeConfig,
+    style: ReplicationStyle,
+) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
     // Keep one extra hub endpoint around just to retain a kill switch
     // for the networks (the hub state is shared).
     let mut transports = InMemoryHub::new(n + 1, 2);
@@ -35,7 +45,7 @@ fn spawn_cluster(n: usize, config: RuntimeConfig) -> (Vec<RuntimeHandle>, Vec<In
                 me,
                 &members,
                 SrpConfig::default(),
-                RrpConfig::new(ReplicationStyle::Active, 2),
+                RrpConfig::new(style, 2),
                 0,
             );
             let mode = if i == 0 { StartMode::Representative } else { StartMode::Member };
@@ -296,6 +306,88 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
                 "{config:?}: a forged frame reformed the ring"
             );
             assert_eq!(node.srp().members().map(<[NodeId]>::len), Some(3));
+        }
+    }
+}
+
+/// A redundant copy is recognised by its header and never decoded —
+/// which must not let a datagram with a good header and a body the
+/// decoder rejects leave a trace anywhere. Forged copies of a frame
+/// every node holds (right ring, held sequence number, a sender id of
+/// their own so their footprint would be unmistakable), cut short or
+/// overlong, are injected beside live traffic on both receive paths of
+/// the real driver loop; afterwards no node's reception monitors have
+/// heard of that sender, and fed once more to the stopped node one
+/// leaves every counter where it was — while the same header on an
+/// intact body is counted like any other copy.
+#[test]
+fn a_held_frames_header_on_a_corrupt_body_is_invisible_to_every_layer() {
+    const FORGER: NodeId = NodeId::new(7);
+    let held = |body: &'static [u8]| {
+        Packet::Data(DataPacket {
+            ring: RingId::new(NodeId::new(0), 1),
+            seq: Seq::new(1),
+            sender: FORGER,
+            chunks: vec![Chunk::complete(1, Bytes::from_static(body))],
+        })
+        .encode_shared()
+    };
+    let intact = held(b"a copy the window has no use for");
+    let mut overlong = intact.to_vec();
+    overlong.push(0);
+    let corrupt = [intact.slice(..intact.len() - 5), Bytes::from(overlong)];
+    for d in &corrupt {
+        assert!(Packet::decode(d).is_err(), "the body must be one the decoder rejects");
+    }
+
+    for config in [RuntimeConfig::default(), RuntimeConfig { batch: false, ..Default::default() }] {
+        // Passive replication keeps a reception monitor per sender, so
+        // a forged sender that was accounted for would show.
+        let (handles, attacker) = spawn_cluster_with(3, config, ReplicationStyle::Passive);
+        handles[0].submit(Bytes::from_static(b"sequence number one"));
+        for h in &handles {
+            assert!(await_delivery(h, b"sequence number one", Duration::from_secs(10)));
+        }
+        for round in 0..20 {
+            for d in &corrupt {
+                for net in [NetworkId::new(0), NetworkId::new(1)] {
+                    attacker[0].send(net, Destination::Broadcast, d.clone()).unwrap();
+                }
+            }
+            handles[round % 3].submit(Bytes::from(format!("live-{round:02}")));
+        }
+        let (orders, _) = collect_deliveries(&handles, 20, Duration::from_secs(20));
+        for (node, order) in orders.iter().enumerate() {
+            assert_eq!(order.len(), 20, "{config:?}: node {node} stopped delivering");
+            assert_eq!(order, &orders[0], "{config:?}: node {node} broke total order");
+        }
+
+        for h in handles {
+            let mut node = h.shutdown();
+            let heard_of_forger = |node: &TotemNode| {
+                node.rrp().monitor_report().iter().any(|(kind, _)| {
+                    matches!(kind, totem_rrp::MonitorKind::Messages { sender } if *sender == FORGER)
+                })
+            };
+            assert!(!heard_of_forger(&node), "{config:?}: a rejected frame reached a monitor");
+            assert_eq!(node.srp().stats().gathers, 0);
+
+            // The driver has stopped, so the counters stand still.
+            let counters =
+                |node: &TotemNode| (node.rrp().stats().clone(), node.rrp().monitor_report().len());
+            let before = counters(&node);
+            let mut out = Vec::new();
+            for d in &corrupt {
+                node.on_datagram_into(u64::MAX / 2, NetworkId::new(1), d.clone(), &mut out);
+            }
+            assert!(out.is_empty());
+            assert_eq!(counters(&node), before, "{config:?}: a rejected frame was counted");
+            // The same header on a body that decodes is a plain
+            // redundant copy: dropped, and counted as one.
+            node.on_datagram_into(u64::MAX / 2, NetworkId::new(1), intact.clone(), &mut out);
+            assert!(out.is_empty());
+            assert_eq!(node.rrp().stats().received[1], before.0.received[1] + 1);
+            assert!(heard_of_forger(&node));
         }
     }
 }
