@@ -223,7 +223,8 @@ fn bench_rrp(c: &mut Criterion) {
     g.bench_function("routes_round_robin", |b| {
         let mut layer =
             RrpLayer::new(RrpConfig::new(ReplicationStyle::Passive, 2)).expect("valid config");
-        b.iter(|| layer.routes_for_message());
+        let mut routes = Vec::new();
+        b.iter(|| layer.routes_for_message_into(&mut routes));
     });
     g.finish();
 }

@@ -56,21 +56,14 @@ impl Flags {
         self.bools.iter().any(|b| b == name)
     }
 
-    /// The replication style from `--replication` (or its legacy alias
-    /// `--style`), defaulting to `active`.
+    /// The replication style from `--replication`, defaulting to
+    /// `active`.
     ///
     /// # Errors
     ///
-    /// Rejects unknown style names and giving both spellings at once.
+    /// Rejects unknown style names.
     pub fn style(&self) -> Result<ReplicationStyle, String> {
-        let raw = match (self.values.get("replication"), self.values.get("style")) {
-            (Some(_), Some(_)) => {
-                return Err("give either --replication or --style, not both".into())
-            }
-            (Some(r), None) | (None, Some(r)) => r.as_str(),
-            (None, None) => "active",
-        };
-        parse_style(raw)
+        parse_style(self.values.get("replication").map_or("active", String::as_str))
     }
 
     /// The atomic-broadcast backend from `--backend`, defaulting to
@@ -168,12 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn replication_flag_is_an_alias_for_style() {
+    fn replication_flag_selects_the_style() {
         let f = Flags::parse(&argv(&["--replication", "k-of-n:2"])).unwrap();
         assert_eq!(f.style().unwrap(), ReplicationStyle::KOfN { copies: 2 });
-        let f = Flags::parse(&argv(&["--style", "passive"])).unwrap();
-        assert_eq!(f.style().unwrap(), ReplicationStyle::Passive);
-        let f = Flags::parse(&argv(&["--style", "active", "--replication", "passive"])).unwrap();
-        assert!(f.style().is_err(), "both spellings at once must be rejected");
+        let f = Flags::parse(&argv(&[])).unwrap();
+        assert_eq!(f.style().unwrap(), ReplicationStyle::Active);
     }
 }

@@ -38,13 +38,12 @@ usage:
   totem scale      [--replication S] [--backend B] [--size BYTES] [--max-nodes N]
         ring-size sweep: throughput and latency as the ring grows
   totem udp        [--nodes N] [--networks M] [--replication S] [--msgs K]
-                   [--size BYTES] [--no-batch] [--busy-poll US]
+                   [--size BYTES] [--busy-poll US]
         real sockets: a loopback UDP cluster under the threaded
-        runtime (batched sendmmsg-style driver by default; --no-batch
-        uses the single-datagram path, --busy-poll spins US µs before
-        blocking); verifies one agreed total order, prints msgs/sec
+        runtime (--busy-poll spins US µs before blocking); verifies
+        one agreed total order, prints msgs/sec
 
-replication styles (--replication, legacy alias --style):
+replication styles (--replication):
   single | active | passive | ap:K | k-of-n:K     (default: active)
 
 atomic-broadcast backends (--backend, on throughput / scale / soak):
@@ -212,7 +211,6 @@ pub fn udp(args: &[String]) -> Result<(), String> {
         return Err("--networks must be at least 1".into());
     }
     let config = RuntimeConfig {
-        batch: !flags.has("no-batch"),
         poll: if spin_us > 0 { PollMode::BusyPoll { spin_us } } else { PollMode::Wait },
     };
 
@@ -220,8 +218,7 @@ pub fn udp(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("binding loopback sockets: {e}"))?;
     println!(
         "{style}, {nodes} nodes x {networks} networks over loopback UDP \
-         (batch={}, poll={:?}); node 0 net 0 at {}",
-        config.batch,
+         (poll={:?}); node 0 net 0 at {}",
         config.poll,
         bound.topology().addr(NodeId::new(0), NetworkId::new(0))
     );

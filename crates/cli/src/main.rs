@@ -12,7 +12,7 @@
 //!
 //! Replication styles: `single`, `active`, `passive`, `ap:K`
 //! (active-passive with K copies), `k-of-n:K` (the unified engine at
-//! degree K; `--style` is a legacy alias for `--replication`).
+//! degree K), selected with `--replication`.
 //! Everything except `udp` runs on the deterministic simulator (same
 //! arguments → same output, bit for bit); `udp` exercises the same
 //! stack over real loopback sockets under the threaded runtime.

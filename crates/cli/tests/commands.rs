@@ -9,26 +9,33 @@ fn argv(s: &[&str]) -> Vec<String> {
 #[test]
 fn throughput_runs_for_every_style() {
     for style in ["single", "active", "passive", "ap:2"] {
-        commands::throughput(&argv(&["--style", style, "--size", "700", "--window-ms", "150"]))
-            .unwrap_or_else(|e| panic!("{style}: {e}"));
+        commands::throughput(&argv(&[
+            "--replication",
+            style,
+            "--size",
+            "700",
+            "--window-ms",
+            "150",
+        ]))
+        .unwrap_or_else(|e| panic!("{style}: {e}"));
     }
 }
 
 #[test]
 fn throughput_rejects_nonsense() {
-    assert!(commands::throughput(&argv(&["--style", "warp"])).is_err());
+    assert!(commands::throughput(&argv(&["--replication", "warp"])).is_err());
     assert!(commands::throughput(&argv(&["--size", "tiny"])).is_err());
     assert!(commands::throughput(&argv(&["positional"])).is_err());
 }
 
 #[test]
 fn failover_verifies_transparency() {
-    commands::failover(&argv(&["--style", "active", "--nodes", "3"])).unwrap();
+    commands::failover(&argv(&["--replication", "active", "--nodes", "3"])).unwrap();
 }
 
 #[test]
 fn failover_rejects_single_network() {
-    assert!(commands::failover(&argv(&["--style", "single"])).is_err());
+    assert!(commands::failover(&argv(&["--replication", "single"])).is_err());
 }
 
 #[test]
@@ -43,5 +50,5 @@ fn compare_prints_all_styles() {
 
 #[test]
 fn scale_sweeps_ring_sizes() {
-    commands::scale(&argv(&["--style", "passive", "--max-nodes", "4"])).unwrap();
+    commands::scale(&argv(&["--replication", "passive", "--max-nodes", "4"])).unwrap();
 }

@@ -5,8 +5,8 @@
 //! that resides between the Totem SRP and the networks"):
 //!
 //! * SRP send actions are fanned out to networks chosen by the RRP
-//!   ([`totem_rrp::RrpLayer::routes_for_message`] /
-//!   [`totem_rrp::RrpLayer::routes_for_token`]);
+//!   ([`totem_rrp::RrpLayer::routes_for_message_into`] /
+//!   [`totem_rrp::RrpLayer::routes_for_token_into`]);
 //! * received packets are gated by the RRP and handed up to the SRP;
 //! * after the SRP digests a message, the RRP gets a chance to release
 //!   a token it buffered behind the gap (passive replication, Figure

@@ -2,8 +2,10 @@
 //! [`Transport`].
 //!
 //! The driver loop waits on the transport with a timeout equal to the
-//! node's next protocol deadline, decodes packets, feeds the state
-//! machine, puts its sends back on the wire, and forwards deliveries,
+//! node's next protocol deadline, drains everything that arrived into
+//! one [`RecvBatch`], offers the application's submissions and then
+//! the receptions to the state machine, puts all resulting sends on
+//! the wire as one [`SendBatch`], and forwards deliveries,
 //! configuration changes and fault reports to the application through
 //! a channel.
 
@@ -39,23 +41,10 @@ pub enum PollMode {
 }
 
 /// Tuning knobs for the driver loop (see [`spawn_node_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeConfig {
-    /// Use the batched transport fast path: drain a whole
-    /// [`RecvBatch`] per wake, feed every frame, and flush all
-    /// resulting sends as one [`SendBatch`]. On a batch-aware
-    /// transport (UDP) this amortizes submission/completion syscalls
-    /// across the batch; on any other transport the trait's default
-    /// loops make it behave exactly like the single-shot path.
-    pub batch: bool,
     /// How to wait for traffic.
     pub poll: PollMode,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig { batch: true, poll: PollMode::Wait }
-    }
 }
 
 /// How a node enters the ring at startup.
@@ -253,23 +242,13 @@ fn drive<B: Broadcast, T: Transport>(
     cmd_rx: &Receiver<Cmd>,
     events_tx: &Sender<RuntimeEvent>,
 ) {
-    let mut driver = Driver::new(node, transport, config, cmd_rx, events_tx);
+    let mut driver = Driver::new(node, transport, cmd_rx, events_tx);
     driver.start(start);
-    // Batched mode drains every wake's receptions into this and feeds
-    // them all before anything is sent.
-    let mut in_batch = RecvBatch::new();
-    while driver.settle() {
-        let timeout = driver.wait_budget();
-        if config.batch {
-            if recv_wait(transport, &mut in_batch, timeout, config.poll) > 0 {
-                let when = driver.now();
-                for (net, datagram) in in_batch.drain() {
-                    driver.feed(when, net, datagram);
-                }
-            }
-        } else if let Some((net, datagram)) = transport.recv_timeout(timeout) {
-            driver.feed(driver.now(), net, datagram);
-        }
+    // Everything one wait drained out of the transport; empty on the
+    // first pass, which only settles what `start` produced.
+    let mut received = RecvBatch::new();
+    while driver.wake(&mut received) {
+        recv_wait(transport, &mut received, driver.wait_budget(), config.poll);
     }
 }
 
@@ -278,15 +257,14 @@ fn drive<B: Broadcast, T: Transport>(
 struct Driver<'a, B, T> {
     node: &'a mut B,
     transport: &'a T,
-    config: RuntimeConfig,
     cmd_rx: &'a Receiver<Cmd>,
     events_tx: &'a Sender<RuntimeEvent>,
     epoch: Instant,
     /// Submissions the node has not accepted yet (flow control),
     /// retried every wake.
     pending: VecDeque<Bytes>,
-    /// Batched mode: sends staged since the last flush; everything a
-    /// wake produces goes to the kernel in one submission.
+    /// Sends staged since the last flush; everything a wake produces
+    /// goes to the kernel in one submission.
     out_batch: SendBatch,
     /// One recycled output buffer serves the whole loop.
     outputs: Vec<NodeOutput>,
@@ -296,14 +274,12 @@ impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
     fn new(
         node: &'a mut B,
         transport: &'a T,
-        config: RuntimeConfig,
         cmd_rx: &'a Receiver<Cmd>,
         events_tx: &'a Sender<RuntimeEvent>,
     ) -> Self {
         Driver {
             node,
             transport,
-            config,
             cmd_rx,
             events_tx,
             epoch: Instant::now(),
@@ -327,44 +303,60 @@ impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
     }
 
     /// Hands the node's outputs on: events to the application at once,
-    /// sends to the wire — at once, or in batched mode with the next
-    /// [`Driver::settle`].
+    /// sends to `out_batch` for the flush that ends the wake.
     fn emit(&mut self) {
-        if self.config.batch {
-            stage(&mut self.outputs, &mut self.out_batch, self.events_tx);
-        } else {
-            perform(&mut self.outputs, self.transport, self.events_tx);
+        for out in self.outputs.drain(..) {
+            let event = match out {
+                NodeOutput::Send { net, dst, pkt } => {
+                    let dest = match dst {
+                        None => Destination::Broadcast,
+                        Some(d) => Destination::Node(d),
+                    };
+                    // The cached encoding makes every copy of this
+                    // frame share one buffer.
+                    self.out_batch.push(net, dest, pkt.encoded().clone());
+                    continue;
+                }
+                NodeOutput::Deliver(d) => RuntimeEvent::Delivered(d),
+                NodeOutput::Config(c) => RuntimeEvent::Config(c),
+                NodeOutput::Fault(f) => RuntimeEvent::Fault(f),
+                NodeOutput::Reinstated { net, at } => RuntimeEvent::Reinstated { net, at },
+            };
+            let _ = self.events_tx.send(event);
         }
     }
 
-    /// Feeds one received datagram. The node decodes it only if it has
-    /// a use for it, and keeps the bytes it came in as the packet's
-    /// encoding, so retransmitting it never re-encodes.
-    fn feed(&mut self, now: u64, net: NetworkId, datagram: Bytes) {
-        self.node.on_datagram_into(now, net, datagram, &mut self.outputs);
-        self.emit();
-    }
-
-    /// What follows a wake's receptions, and precedes every wait:
-    /// application commands and the submissions the node has room for,
-    /// *then* expired timers, then one flush of everything the wake
-    /// produced. The order matters on an idle ring: the timer that
-    /// ends this node's idle-token hold must not fire ahead of a
-    /// submission that arrived during the hold, or the message misses
-    /// the token it was meant to ride and waits a whole rotation.
-    /// Returns `false` when the loop must stop.
-    fn settle(&mut self) -> bool {
+    /// One pass of the loop, run on what the wait before it drained
+    /// into `received`: application commands and the submissions the
+    /// node has room for, *then* the receptions, *then* expired
+    /// timers, then one flush of everything the wake produced. Returns
+    /// `false` when the loop must stop.
+    ///
+    /// The order is the protocol's: a node broadcasts only while it
+    /// holds the token. A submission that arrived during the wait must
+    /// be in the node's queue before the token that ended the wait is
+    /// fed (under active replication the gate passes it up on its last
+    /// copy, and both copies sit in the same `received`), and before
+    /// the timer that ends an idle-token hold fires — otherwise the
+    /// message watches its token leave and waits a whole rotation.
+    fn wake(&mut self, received: &mut RecvBatch) -> bool {
         if !self.commands() {
             return false;
+        }
+        // The node decodes a datagram only if it has a use for it, and
+        // keeps the bytes it came in as the packet's encoding, so
+        // retransmitting it never re-encodes.
+        let now = self.now();
+        for (net, datagram) in received.drain() {
+            self.node.on_datagram_into(now, net, datagram, &mut self.outputs);
+            self.emit();
         }
         let now = self.now();
         if self.node.next_deadline().is_some_and(|d| d <= now) {
             self.node.on_timer_into(now, &mut self.outputs);
             self.emit();
         }
-        if self.config.batch {
-            flush(self.transport, &mut self.out_batch);
-        }
+        self.flush();
         true
     }
 
@@ -399,6 +391,23 @@ impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
         true
     }
 
+    /// Submits everything staged in `out_batch`. Transient failures
+    /// are packet loss — the protocol retransmits — so an errored or
+    /// partially-sent tail is dropped rather than retried in a loop.
+    fn flush(&mut self) {
+        // The node emits each frame's redundant copies net-by-net;
+        // regrouping them per network turns the flush into one
+        // contiguous run (one sendmmsg submission) per network.
+        self.out_batch.group_by_net();
+        while !self.out_batch.is_empty() {
+            match self.transport.send_batch(&mut self.out_batch) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+        self.out_batch.clear();
+    }
+
     /// How long the next wait may last: until the node's next
     /// deadline, at most 50 ms (the command channel is polled, not
     /// waited on).
@@ -415,21 +424,17 @@ impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
 /// Waits for inbound traffic per `poll`: either one blocking
 /// [`Transport::recv_batch`], or zero-timeout spins for up to
 /// `spin_us` before blocking for whatever remains of `timeout`.
-fn recv_wait<T: Transport>(
-    transport: &T,
-    out: &mut RecvBatch,
-    timeout: Duration,
-    poll: PollMode,
-) -> usize {
+fn recv_wait<T: Transport>(transport: &T, out: &mut RecvBatch, timeout: Duration, poll: PollMode) {
     match poll {
-        PollMode::Wait => transport.recv_batch(out, timeout),
+        PollMode::Wait => {
+            transport.recv_batch(out, timeout);
+        }
         PollMode::BusyPoll { spin_us } => {
             let spin = Duration::from_micros(spin_us).min(timeout);
             let start = Instant::now();
             loop {
-                let got = transport.recv_batch(out, Duration::ZERO);
-                if got > 0 {
-                    return got;
+                if transport.recv_batch(out, Duration::ZERO) > 0 {
+                    return;
                 }
                 if start.elapsed() >= spin {
                     break;
@@ -437,90 +442,9 @@ fn recv_wait<T: Transport>(
                 std::hint::spin_loop();
             }
             let rest = timeout.saturating_sub(start.elapsed());
-            if rest.is_zero() {
-                0
-            } else {
-                transport.recv_batch(out, rest)
+            if !rest.is_zero() {
+                transport.recv_batch(out, rest);
             }
-        }
-    }
-}
-
-/// Batched-mode output handling: events go to the application
-/// immediately, sends accumulate in `out_batch` for the next
-/// [`flush`].
-fn stage(
-    outputs: &mut Vec<NodeOutput>,
-    out_batch: &mut SendBatch,
-    events_tx: &Sender<RuntimeEvent>,
-) {
-    for out in outputs.drain(..) {
-        match out {
-            NodeOutput::Send { net, dst, pkt } => {
-                let dest = match dst {
-                    None => Destination::Broadcast,
-                    Some(d) => Destination::Node(d),
-                };
-                out_batch.push(net, dest, pkt.encoded().clone());
-            }
-            other => forward_event(other, events_tx),
-        }
-    }
-}
-
-/// Submits everything staged in `out_batch`. Transient failures are
-/// packet loss — the protocol retransmits — so an errored or
-/// partially-sent tail is dropped rather than retried in a loop.
-fn flush<T: Transport>(transport: &T, out_batch: &mut SendBatch) {
-    // The node emits each frame's redundant copies net-by-net;
-    // regrouping them per network turns the flush into one contiguous
-    // run (one sendmmsg submission) per network.
-    out_batch.group_by_net();
-    while !out_batch.is_empty() {
-        match transport.send_batch(out_batch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-    out_batch.clear();
-}
-
-fn perform<T: Transport>(
-    outputs: &mut Vec<NodeOutput>,
-    transport: &T,
-    events_tx: &Sender<RuntimeEvent>,
-) {
-    for out in outputs.drain(..) {
-        match out {
-            NodeOutput::Send { net, dst, pkt } => {
-                let dest = match dst {
-                    None => Destination::Broadcast,
-                    Some(d) => Destination::Node(d),
-                };
-                // Treat transient send failures as packet loss; the
-                // protocol retransmits. The cached encoding makes every
-                // copy of this frame share one buffer.
-                let _ = transport.send(net, dest, pkt.encoded().clone());
-            }
-            other => forward_event(other, events_tx),
-        }
-    }
-}
-
-fn forward_event(out: NodeOutput, events_tx: &Sender<RuntimeEvent>) {
-    match out {
-        NodeOutput::Send { .. } => unreachable!("sends are handled by the caller"),
-        NodeOutput::Deliver(d) => {
-            let _ = events_tx.send(RuntimeEvent::Delivered(d));
-        }
-        NodeOutput::Config(c) => {
-            let _ = events_tx.send(RuntimeEvent::Config(c));
-        }
-        NodeOutput::Fault(f) => {
-            let _ = events_tx.send(RuntimeEvent::Fault(f));
-        }
-        NodeOutput::Reinstated { net, at } => {
-            let _ = events_tx.send(RuntimeEvent::Reinstated { net, at });
         }
     }
 }
@@ -588,12 +512,8 @@ mod tests {
 
     #[test]
     fn every_runtime_config_delivers() {
-        let configs = [
-            RuntimeConfig { batch: false, poll: PollMode::Wait },
-            RuntimeConfig { batch: true, poll: PollMode::Wait },
-            RuntimeConfig { batch: true, poll: PollMode::BusyPoll { spin_us: 50 } },
-        ];
-        for config in configs {
+        for poll in [PollMode::Wait, PollMode::BusyPoll { spin_us: 50 }] {
+            let config = RuntimeConfig { poll };
             let handles = cluster_with(3, ReplicationStyle::Active, 2, config);
             handles[2].submit(Bytes::from_static(b"any mode"));
             for (i, h) in handles.iter().enumerate() {
@@ -677,29 +597,98 @@ mod tests {
         }
     }
 
-    /// The wake a submission shares with the expiry of this node's
-    /// idle-token hold: the submission must reach the node first, so it
-    /// rides the held token instead of watching it leave. Receptions
-    /// reach the node undecoded in either loop.
+    /// Stands in for an encoded token: its redundant copies are the
+    /// same bytes on different networks.
+    const TOKEN: &[u8] = b"a token";
+
+    /// A submission that arrived during the wait reaches the node
+    /// ahead of that wait's receptions — both copies of the token it
+    /// is meant to ride — and ahead of the timer that ends an
+    /// idle-token hold.
     #[test]
-    fn a_wake_feeds_receptions_then_submissions_then_timers() {
-        let transports = InMemoryHub::new(1, 1);
+    fn a_wake_offers_submissions_then_receptions_then_timers() {
+        let transports = InMemoryHub::new(1, 2);
         let (cmd_tx, cmd_rx) = unbounded();
         let (events_tx, _events_rx) = unbounded();
-        for batch in [true, false] {
-            let mut node = Recorder::default();
-            let config = RuntimeConfig { batch, poll: PollMode::Wait };
-            let mut driver = Driver::new(&mut node, &transports[0], config, &cmd_rx, &events_tx);
-            cmd_tx.send(Cmd::Submit(Bytes::from_static(b"rides the held token"))).unwrap();
-            driver.feed(0, NetworkId::new(0), Bytes::from_static(b"any datagram"));
-            assert!(driver.settle());
-            assert_eq!(node.calls, ["on_datagram_into", "submit_into", "on_timer_into"]);
-        }
+        let mut received = RecvBatch::new();
+
+        let mut node = Recorder::default();
+        let mut driver = Driver::new(&mut node, &transports[0], &cmd_rx, &events_tx);
+        cmd_tx.send(Cmd::Submit(Bytes::from_static(b"rides this token"))).unwrap();
+        received.push(NetworkId::new(0), Bytes::from_static(TOKEN));
+        received.push(NetworkId::new(1), Bytes::from_static(TOKEN));
+        assert!(driver.wake(&mut received));
+        assert!(received.is_empty());
+        assert_eq!(
+            node.calls,
+            ["submit_into", "on_datagram_into", "on_datagram_into", "on_timer_into"]
+        );
+
+        // No reception: the wait ended on the hold timer.
+        let mut node = Recorder::default();
+        let mut driver = Driver::new(&mut node, &transports[0], &cmd_rx, &events_tx);
+        cmd_tx.send(Cmd::Submit(Bytes::from_static(b"rides the held token"))).unwrap();
+        assert!(driver.wake(&mut received));
+        assert_eq!(node.calls, ["submit_into", "on_timer_into"]);
+
         cmd_tx.send(Cmd::Shutdown).unwrap();
         let mut node = Recorder::default();
-        let mut driver =
-            Driver::new(&mut node, &transports[0], RuntimeConfig::default(), &cmd_rx, &events_tx);
-        assert!(!driver.settle(), "shutdown stops the loop");
+        let mut driver = Driver::new(&mut node, &transports[0], &cmd_rx, &events_tx);
+        assert!(!driver.wake(&mut received), "shutdown stops the loop");
+    }
+
+    /// A transport whose waits are scripted: during the first, a
+    /// submission arrives and then both copies of a token, which one
+    /// fill hands over together; the second ends in shutdown.
+    struct Scripted {
+        cmd_tx: Sender<Cmd>,
+        waits: std::cell::Cell<usize>,
+    }
+
+    impl Transport for Scripted {
+        fn networks(&self) -> usize {
+            2
+        }
+        fn send(&self, _: NetworkId, _: Destination, _: Bytes) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn recv_timeout(&self, _: Duration) -> Option<(NetworkId, Bytes)> {
+            None
+        }
+        fn recv_batch(&self, out: &mut RecvBatch, _: Duration) -> usize {
+            if self.waits.replace(self.waits.get() + 1) > 0 {
+                self.cmd_tx.send(Cmd::Shutdown).unwrap();
+                return 0;
+            }
+            self.cmd_tx.send(Cmd::Submit(Bytes::from_static(b"rides this token"))).unwrap();
+            out.push(NetworkId::new(0), Bytes::from_static(TOKEN));
+            out.push(NetworkId::new(1), Bytes::from_static(TOKEN));
+            2
+        }
+    }
+
+    /// The same order through `drive` itself: the pass before the
+    /// first wait fires the timer that is already due, and the wake
+    /// after it offers the submission before either token copy.
+    #[test]
+    fn the_loop_offers_a_queued_submission_before_either_token_copy() {
+        let (cmd_tx, cmd_rx) = unbounded();
+        let (events_tx, _events_rx) = unbounded();
+        let transport = Scripted { cmd_tx, waits: std::cell::Cell::new(0) };
+        let mut node = Recorder::default();
+        drive(
+            &mut node,
+            &transport,
+            StartMode::Member,
+            RuntimeConfig::default(),
+            &cmd_rx,
+            &events_tx,
+        );
+        assert_eq!(transport.waits.get(), 2);
+        assert_eq!(
+            node.calls,
+            ["on_timer_into", "submit_into", "on_datagram_into", "on_datagram_into"]
+        );
     }
 
     #[test]

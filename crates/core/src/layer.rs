@@ -4,7 +4,7 @@
 //! [`RrpLayer`] sits between the SRP and the networks:
 //!
 //! ```text
-//!   SRP  ──(send msg/token)──▶  routes_for_message / routes_for_token
+//!   SRP  ──(send msg/token)──▶  routes_for_{message,token}_into
 //!   nets ──(recv packet)────▶  on_packet ──▶ Deliver(..) up to the SRP
 //!                                        └─▶ Fault(..) to the operator
 //! ```
@@ -340,7 +340,9 @@ impl RrpLayer {
     }
 
     /// Networks on which to send the next **message-class** packet
-    /// (data packets and join messages).
+    /// (data packets and join messages). Clears `out` and fills it in
+    /// place, so a caller on the send hot path can recycle one route
+    /// buffer across packets (as do the three forms below).
     ///
     /// # Example
     ///
@@ -349,20 +351,12 @@ impl RrpLayer {
     /// ```
     /// # use totem_rrp::{ReplicationStyle, RrpConfig, RrpLayer};
     /// let mut rrp = RrpLayer::new(RrpConfig::new(ReplicationStyle::Passive, 2)).unwrap();
-    /// let first = rrp.routes_for_message();
-    /// let second = rrp.routes_for_message();
+    /// let (mut first, mut second) = (Vec::new(), Vec::new());
+    /// rrp.routes_for_message_into(&mut first);
+    /// rrp.routes_for_message_into(&mut second);
     /// assert_eq!(first.len(), 1);
     /// assert_ne!(first, second);
     /// ```
-    pub fn routes_for_message(&mut self) -> Vec<NetworkId> {
-        let mut routes = Vec::new();
-        self.routes_for_message_into(&mut routes);
-        routes
-    }
-
-    /// Allocation-free form of [`RrpLayer::routes_for_message`]:
-    /// clears `out` and fills it in place, so a caller on the send hot
-    /// path can recycle one route buffer across packets.
     pub fn routes_for_message_into(&mut self, out: &mut Vec<NetworkId>) {
         match &mut self.inner {
             Inner::Single => {
@@ -376,13 +370,6 @@ impl RrpLayer {
 
     /// Networks on which to send the next **token-class** packet
     /// (regular tokens).
-    pub fn routes_for_token(&mut self) -> Vec<NetworkId> {
-        let mut routes = Vec::new();
-        self.routes_for_token_into(&mut routes);
-        routes
-    }
-
-    /// Allocation-free form of [`RrpLayer::routes_for_token`].
     pub fn routes_for_token_into(&mut self, out: &mut Vec<NetworkId>) {
         match &mut self.inner {
             Inner::Single => {
@@ -397,14 +384,6 @@ impl RrpLayer {
     /// Networks for a **retransmission** this node serves on another
     /// sender's behalf. Uses a rotation independent of the node's own
     /// data rotation so per-sender reception monitors stay unskewed.
-    pub fn routes_for_retransmission(&mut self) -> Vec<NetworkId> {
-        let mut routes = Vec::new();
-        self.routes_for_retransmission_into(&mut routes);
-        routes
-    }
-
-    /// Allocation-free form of
-    /// [`RrpLayer::routes_for_retransmission`].
     pub fn routes_for_retransmission_into(&mut self, out: &mut Vec<NetworkId>) {
         match &mut self.inner {
             Inner::Single => {
@@ -425,13 +404,6 @@ impl RrpLayer {
     /// not yet flagged, livelocking reformation. Replicating it keeps
     /// reconfiguration robust at negligible cost (the SRP's join and
     /// commit handlers are idempotent against duplicates).
-    pub fn routes_for_membership(&mut self) -> Vec<NetworkId> {
-        let mut routes = Vec::new();
-        self.routes_for_membership_into(&mut routes);
-        routes
-    }
-
-    /// Allocation-free form of [`RrpLayer::routes_for_membership`].
     pub fn routes_for_membership_into(&mut self, out: &mut Vec<NetworkId>) {
         out.clear();
         let nets = (0..self.cfg.networks as u8).map(NetworkId::new);
@@ -745,11 +717,23 @@ mod tests {
         Packet::Token(t)
     }
 
+    fn message_routes(l: &mut RrpLayer) -> Vec<NetworkId> {
+        let mut routes = Vec::new();
+        l.routes_for_message_into(&mut routes);
+        routes
+    }
+
+    fn token_routes(l: &mut RrpLayer) -> Vec<NetworkId> {
+        let mut routes = Vec::new();
+        l.routes_for_token_into(&mut routes);
+        routes
+    }
+
     #[test]
     fn single_is_transparent_passthrough() {
         let mut l = RrpLayer::new(RrpConfig::new(ReplicationStyle::Single, 1)).unwrap();
-        assert_eq!(l.routes_for_message(), vec![NetworkId::new(0)]);
-        assert_eq!(l.routes_for_token(), vec![NetworkId::new(0)]);
+        assert_eq!(message_routes(&mut l), vec![NetworkId::new(0)]);
+        assert_eq!(token_routes(&mut l), vec![NetworkId::new(0)]);
         let ev = l.on_packet(0, NetworkId::new(0), token(1).into(), true);
         assert!(matches!(ev.as_slice(), [RrpEvent::Deliver(p, _)] if p.is_token_class()));
         assert!(l.next_deadline().is_none());
@@ -760,8 +744,8 @@ mod tests {
     #[test]
     fn active_sends_messages_and_tokens_everywhere() {
         let mut l = RrpLayer::new(RrpConfig::new(ReplicationStyle::Active, 3)).unwrap();
-        assert_eq!(l.routes_for_message().len(), 3);
-        assert_eq!(l.routes_for_token().len(), 3);
+        assert_eq!(message_routes(&mut l).len(), 3);
+        assert_eq!(token_routes(&mut l).len(), 3);
         assert_eq!(l.stats().message_copies_sent, 3);
         assert_eq!(l.stats().token_copies_sent, 3);
         assert_eq!(l.replication_k(), Some(3));
@@ -781,8 +765,8 @@ mod tests {
     #[test]
     fn passive_alternates_and_buffers_tokens_behind_gaps() {
         let mut l = RrpLayer::new(RrpConfig::new(ReplicationStyle::Passive, 2)).unwrap();
-        let m1 = l.routes_for_message();
-        let m2 = l.routes_for_message();
+        let m1 = message_routes(&mut l);
+        let m2 = message_routes(&mut l);
         assert_eq!(m1.len(), 1);
         assert_ne!(m1, m2);
 
@@ -906,9 +890,9 @@ mod tests {
         assert!(!l.set_k(0, 4), "K>N is rejected");
         assert!(l.set_k(0, 3));
         assert_eq!(l.replication_k(), Some(3));
-        assert_eq!(l.routes_for_message().len(), 3, "K=N sends everywhere");
+        assert_eq!(message_routes(&mut l).len(), 3, "K=N sends everywhere");
         assert!(l.set_k(0, 1));
-        assert_eq!(l.routes_for_message().len(), 1, "K=1 sends one copy");
+        assert_eq!(message_routes(&mut l).len(), 1, "K=1 sends one copy");
         let ops: Vec<&str> = l
             .take_transitions()
             .iter()

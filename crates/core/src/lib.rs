@@ -31,8 +31,8 @@
 //! paper's evaluation compares against.
 //!
 //! The layer is sans-io: [`RrpLayer`] decides **routes** for outgoing
-//! packets ([`RrpLayer::routes_for_message`],
-//! [`RrpLayer::routes_for_token`]), **gates** incoming packets
+//! packets ([`RrpLayer::routes_for_message_into`],
+//! [`RrpLayer::routes_for_token_into`]), **gates** incoming packets
 //! ([`RrpLayer::on_packet`]), and reports network faults
 //! ([`RrpEvent::Fault`]). Composition with the SRP lives in
 //! `totem-cluster`.
@@ -48,7 +48,9 @@
 //! let mut rrp = RrpLayer::new(cfg)?;
 //!
 //! // Outgoing packets go to both networks.
-//! assert_eq!(rrp.routes_for_token().len(), 2);
+//! let mut routes = Vec::new();
+//! rrp.routes_for_token_into(&mut routes);
+//! assert_eq!(routes.len(), 2);
 //!
 //! // A token is handed to the SRP only once BOTH copies arrived...
 //! let t = Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1)));

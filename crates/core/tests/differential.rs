@@ -217,14 +217,18 @@ fn trace_digest(cfg: &RrpConfig, seed: u64) -> u64 {
             }
             // Route queries: every class, hashed in order.
             83..=92 => {
-                for (tag, routes) in [
-                    ("rm", l.routes_for_message()),
-                    ("rt", l.routes_for_token()),
-                    ("rr", l.routes_for_retransmission()),
-                    ("rb", l.routes_for_membership()),
-                ] {
+                type RouteQuery = fn(&mut RrpLayer, &mut Vec<NetworkId>);
+                let queries: [(&str, RouteQuery); 4] = [
+                    ("rm", RrpLayer::routes_for_message_into),
+                    ("rt", RrpLayer::routes_for_token_into),
+                    ("rr", RrpLayer::routes_for_retransmission_into),
+                    ("rb", RrpLayer::routes_for_membership_into),
+                ];
+                let mut routes = Vec::new();
+                for (tag, query) in queries {
+                    query(&mut l, &mut routes);
                     h.str(tag);
-                    for n in routes {
+                    for n in &routes {
                         h.u64(n.index() as u64);
                     }
                 }

@@ -26,14 +26,12 @@ use std::process::{Command, ExitCode};
 pub fn run(args: &[String]) -> ExitCode {
     let mut quick = false;
     let mut skip_micro = false;
-    let mut skip_udp = false;
     let mut skip_h2h = false;
     let mut capture = false;
     for arg in args {
         match arg.as_str() {
             "--quick" => quick = true,
             "--skip-micro" => skip_micro = true,
-            "--skip-udp" => skip_udp = true,
             "--skip-h2h" => skip_h2h = true,
             "--capture-baseline" => capture = true,
             other => {
@@ -73,106 +71,28 @@ pub fn run(args: &[String]) -> ExitCode {
 
     // 2. The macro gate binary (release build: wall-clock numbers in
     //    debug would be meaningless).
-    let out_path = root.join("target").join("bench_gate_current.json");
-    println!("bench: running macro gate (release)...");
-    let status = Command::new("cargo")
-        .current_dir(&root)
-        .args(["run", "--release", "-q", "-p", "totem-bench", "--bin", "bench_gate", "--"])
-        .args(if quick { &["--quick"][..] } else { &[][..] })
-        .args(["--out"])
-        .arg(&out_path)
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("error: bench_gate failed ({s})");
-            return ExitCode::from(1);
-        }
-        Err(e) => {
-            eprintln!("error: cannot run bench_gate: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    let current = match std::fs::read_to_string(&out_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", out_path.display());
-            return ExitCode::from(2);
+    let current = match run_gate(&root, "bench_gate", quick) {
+        Ok(json) => json,
+        Err(code) => return code,
+    };
+
+    // 3. The backend head-to-head gate (Totem vs Ring Paxos on the
+    //    identical saturating workload; all metrics are sim-time
+    //    derived, so its output is bit-stable across machines).
+    let h2h_current = if skip_h2h {
+        None
+    } else {
+        match run_gate(&root, "h2h_gate", quick) {
+            Ok(json) => Some(json),
+            Err(code) => return code,
         }
     };
 
-    // 2b. The loopback-UDP macro gate (real sockets, legacy vs
-    //     batched driver in one run).
-    let udp_out_path = root.join("target").join("udp_gate_current.json");
-    let mut udp_current: Option<String> = None;
-    if !skip_udp {
-        println!("bench: running loopback-UDP gate (release)...");
-        let status = Command::new("cargo")
-            .current_dir(&root)
-            .args(["run", "--release", "-q", "-p", "totem-bench", "--bin", "udp_gate", "--"])
-            .args(if quick { &["--quick"][..] } else { &[][..] })
-            .args(["--out"])
-            .arg(&udp_out_path)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("error: udp_gate failed ({s})");
-                return ExitCode::from(1);
-            }
-            Err(e) => {
-                eprintln!("error: cannot run udp_gate: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        match std::fs::read_to_string(&udp_out_path) {
-            Ok(s) => udp_current = Some(s),
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", udp_out_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // 2c. The backend head-to-head gate (Totem vs Ring Paxos on the
-    //     identical saturating workload; all metrics are sim-time
-    //     derived, so its output is bit-stable across machines).
-    let h2h_out_path = root.join("target").join("h2h_gate_current.json");
-    let mut h2h_current: Option<String> = None;
-    if !skip_h2h {
-        println!("bench: running backend head-to-head gate (release)...");
-        let status = Command::new("cargo")
-            .current_dir(&root)
-            .args(["run", "--release", "-q", "-p", "totem-bench", "--bin", "h2h_gate", "--"])
-            .args(if quick { &["--quick"][..] } else { &[][..] })
-            .args(["--out"])
-            .arg(&h2h_out_path)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("error: h2h_gate failed ({s})");
-                return ExitCode::from(1);
-            }
-            Err(e) => {
-                eprintln!("error: cannot run h2h_gate: {e}");
-                return ExitCode::from(2);
-            }
-        }
-        match std::fs::read_to_string(&h2h_out_path) {
-            Ok(s) => h2h_current = Some(s),
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", h2h_out_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
     if capture {
-        return match capture_baseline(&root, quick, udp_current.is_some()) {
+        return match capture_baseline(&root, quick) {
             Ok(()) => {
                 println!(
-                    "bench: captured baselines crates/bench/baseline/{{pr4,pr9}}_{}.json",
+                    "bench: captured baseline crates/bench/baseline/pr4_{}.json",
                     if quick { "quick" } else { "full" }
                 );
                 ExitCode::SUCCESS
@@ -184,7 +104,7 @@ pub fn run(args: &[String]) -> ExitCode {
         };
     }
 
-    // 3. Merge with the committed pre-change baseline.
+    // 4. Merge with the committed pre-change baseline.
     let baseline_name = if quick { "pr4_quick.json" } else { "pr4_full.json" };
     let baseline_path = root.join("crates/bench/baseline").join(baseline_name);
     let baseline = std::fs::read_to_string(&baseline_path).ok();
@@ -204,32 +124,6 @@ pub fn run(args: &[String]) -> ExitCode {
     println!("bench: wrote {}", bench_json.display());
     for line in &report.summary {
         println!("bench: {line}");
-    }
-
-    // 4. The UDP gate report: current run vs committed baseline, with
-    //    the >= 4x syscall-reduction acceptance criterion.
-    let mut udp_ok = true;
-    if let Some(udp) = &udp_current {
-        let baseline_name = if quick { "pr9_quick.json" } else { "pr9_full.json" };
-        let baseline_path = root.join("crates/bench/baseline").join(baseline_name);
-        let udp_baseline = std::fs::read_to_string(&baseline_path).ok();
-        if udp_baseline.is_none() {
-            println!(
-                "bench: no UDP baseline at {} (first run?); writing current only",
-                baseline_path.display()
-            );
-        }
-        let udp_report = merge_udp_report(udp_baseline.as_deref(), udp);
-        let udp_json = root.join("BENCH_PR9.json");
-        if let Err(e) = std::fs::write(&udp_json, &udp_report.json) {
-            eprintln!("error: cannot write {}: {e}", udp_json.display());
-            return ExitCode::from(2);
-        }
-        println!("bench: wrote {}", udp_json.display());
-        for line in &udp_report.summary {
-            println!("bench: {line}");
-        }
-        udp_ok = udp_report.ok;
     }
 
     // 5. The head-to-head report: the gate binary already performed
@@ -262,7 +156,7 @@ pub fn run(args: &[String]) -> ExitCode {
         println!("bench: wrote {}", h2h_json.display());
     }
 
-    if report.ok && udp_ok && h2h_ok {
+    if report.ok && h2h_ok {
         println!("bench: gate passed");
         ExitCode::SUCCESS
     } else {
@@ -271,77 +165,35 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// Minimum acceptable `legacy / batched` logical-syscalls-per-frame
-/// ratio on the loopback-UDP macro run (the PR's acceptance
-/// criterion: >= 4x reduction at broadcast fan-out).
-const MIN_SYSCALL_REDUCTION: f64 = 4.0;
-
-fn merge_udp_report(baseline: Option<&str>, current: &str) -> Report {
-    let mut summary = Vec::new();
-    let mut ok = true;
-
-    let reduction = field_f64(current, "syscall_reduction");
-    match reduction {
-        Some(r) if r >= MIN_SYSCALL_REDUCTION => {
-            summary.push(format!(
-                "udp syscalls/frame reduction: {r:.2}x (gate: >= {MIN_SYSCALL_REDUCTION:.0}x)"
-            ));
+/// Runs one gate binary of `totem-bench` in release mode, writing to
+/// `target/<bin>_current.json`, and returns what it wrote. The error
+/// is the exit code to stop with: `1` when the gate itself failed, `2`
+/// when it could not be run or its output could not be read.
+fn run_gate(root: &Path, bin: &str, quick: bool) -> Result<String, ExitCode> {
+    println!("bench: running {bin} (release)...");
+    let out_path = root.join("target").join(format!("{bin}_current.json"));
+    let status = Command::new("cargo")
+        .current_dir(root)
+        .args(["run", "--release", "-q", "-p", "totem-bench", "--bin", bin, "--"])
+        .args(if quick { &["--quick"][..] } else { &[][..] })
+        .args(["--out"])
+        .arg(&out_path)
+        .status();
+    match status {
+        Ok(s) if s.success() => {}
+        Ok(s) => {
+            eprintln!("error: {bin} failed ({s})");
+            return Err(ExitCode::from(1));
         }
-        Some(r) => {
-            summary.push(format!(
-                "udp syscalls/frame reduction: FAIL ({r:.2}x < {MIN_SYSCALL_REDUCTION:.0}x)"
-            ));
-            ok = false;
-        }
-        None => {
-            summary.push("udp syscalls/frame reduction: FAIL (missing from gate output)".into());
-            ok = false;
+        Err(e) => {
+            eprintln!("error: cannot run {bin}: {e}");
+            return Err(ExitCode::from(2));
         }
     }
-    if let Some(base) = baseline {
-        for (key, label) in
-            [("msgs_per_sec", "udp msgs/sec (batched)"), ("p99_latency_us", "udp p99 us (batched)")]
-        {
-            // Both files carry the key twice (legacy then batched);
-            // compare the batched (last) occurrences.
-            let b = last_field_f64(base, key);
-            let c = last_field_f64(current, key);
-            if let (Some(b), Some(c)) = (b, c) {
-                summary.push(format!("{label}: baseline {b:.0} -> current {c:.0}"));
-            }
-        }
-    }
-
-    let mut j = String::new();
-    j.push_str("{\n");
-    j.push_str("  \"schema\": \"totem-bench-pr9-v1\",\n");
-    j.push_str("  \"issue\": \"batched real-I/O fast path (PR 9)\",\n");
-    j.push_str(&format!("  \"min_syscall_reduction\": {MIN_SYSCALL_REDUCTION:.1},\n"));
-    j.push_str(&format!("  \"gate_ok\": {ok},\n"));
-    match baseline {
-        Some(base) => {
-            j.push_str("  \"baseline\":\n");
-            j.push_str(&indent(base));
-            j.push_str(",\n");
-        }
-        None => j.push_str("  \"baseline\": null,\n"),
-    }
-    j.push_str("  \"current\":\n");
-    j.push_str(&indent(current));
-    j.push_str("\n}\n");
-
-    Report { json: j, summary, ok }
-}
-
-/// Like [`field_f64`] but for the *last* occurrence of `key` (the
-/// udp gate emits the same keys for its legacy and batched sections;
-/// batched comes last).
-fn last_field_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = json.rfind(&pat)? + pat.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().trim_matches('"').parse().ok()
+    std::fs::read_to_string(&out_path).map_err(|e| {
+        eprintln!("error: cannot read {}: {e}", out_path.display());
+        ExitCode::from(2)
+    })
 }
 
 struct Report {
@@ -468,17 +320,12 @@ fn merge_report(baseline: Option<&str>, current: &str) -> Report {
 /// change is judged against (`cargo xtask bench --capture-baseline`
 /// is intentionally not exposed in USAGE: refreshing the baseline is
 /// a deliberate, reviewed act).
-pub fn capture_baseline(root: &Path, quick: bool, with_udp: bool) -> std::io::Result<()> {
+pub fn capture_baseline(root: &Path, quick: bool) -> std::io::Result<()> {
     let dir = root.join("crates/bench/baseline");
     std::fs::create_dir_all(&dir)?;
     let out = root.join("target").join("bench_gate_current.json");
     let name = if quick { "pr4_quick.json" } else { "pr4_full.json" };
     std::fs::copy(&out, dir.join(name))?;
-    if with_udp {
-        let out = root.join("target").join("udp_gate_current.json");
-        let name = if quick { "pr9_quick.json" } else { "pr9_full.json" };
-        std::fs::copy(&out, dir.join(name))?;
-    }
     Ok(())
 }
 
@@ -558,51 +405,5 @@ mod tests {
         let bad = SAMPLE.replace("\"repeat_identical\": true", "\"repeat_identical\": false");
         let r = merge_report(None, &bad);
         assert!(!r.ok);
-    }
-
-    const UDP_SAMPLE: &str = r#"{
-  "schema": "totem-udp-gate-v1",
-  "quick": true,
-  "nodes": 4,
-  "networks": 2,
-  "msg_size": 256,
-  "legacy": {
-    "msgs": 400,
-    "msgs_per_sec": 50000.000,
-    "syscalls_per_datagram": 1.000,
-    "p99_latency_us": 5000.000
-  },
-  "batched": {
-    "msgs": 400,
-    "msgs_per_sec": 60000.000,
-    "syscalls_per_datagram": 0.120,
-    "p99_latency_us": 4000.000
-  },
-  "syscall_reduction": 8.300
-}
-"#;
-
-    #[test]
-    fn udp_merge_passes_at_or_above_the_reduction_floor() {
-        let r = merge_udp_report(None, UDP_SAMPLE);
-        assert!(r.ok);
-        assert!(r.json.contains("\"gate_ok\": true"));
-        assert!(r.summary.iter().any(|l| l.contains("8.30x")));
-    }
-
-    #[test]
-    fn udp_merge_fails_below_the_reduction_floor() {
-        let slow =
-            UDP_SAMPLE.replace("\"syscall_reduction\": 8.300", "\"syscall_reduction\": 3.100");
-        let r = merge_udp_report(Some(UDP_SAMPLE), &slow);
-        assert!(!r.ok);
-        assert!(r.json.contains("\"gate_ok\": false"));
-        assert!(r.summary.iter().any(|l| l.contains("FAIL")));
-    }
-
-    #[test]
-    fn last_field_reads_the_batched_section() {
-        assert_eq!(last_field_f64(UDP_SAMPLE, "msgs_per_sec"), Some(60000.0));
-        assert_eq!(last_field_f64(UDP_SAMPLE, "p99_latency_us"), Some(4000.0));
     }
 }

@@ -147,22 +147,18 @@ commands:
         --markdown <path>   append the per-counter table as GitHub
                             markdown (append to $GITHUB_STEP_SUMMARY)
 
-  bench [--quick] [--skip-micro] [--skip-udp] [--skip-h2h]
+  bench [--quick] [--skip-micro] [--skip-h2h]
       Run the criterion micro-benches, the wall-clock macro gate
-      (BENCH_PR4.json), the loopback-UDP macro gate (BENCH_PR9.json:
-      legacy vs batched driver over real sockets, logical
-      syscalls/frame, allocs/frame, throughput, p99 delivery latency)
-      and the backend head-to-head gate (BENCH_PR10.json: Totem vs
-      Ring Paxos on the identical saturating workload, sweeping
-      message size x node count x loss rate, plus unloaded-latency
-      probes; all sim-time metrics, so the file is bit-stable).
-      Fails if fixed-seed sim runs diverge, or if the batched fast
-      path delivers less than a 4x reduction in logical syscalls per
-      frame at broadcast fan-out.
+      (BENCH_PR4.json) and the backend head-to-head gate
+      (BENCH_PR10.json: Totem vs Ring Paxos on the identical
+      saturating workload, sweeping message size x node count x loss
+      rate, plus unloaded-latency probes; all sim-time metrics, so the
+      file is bit-stable). Fails if fixed-seed sim runs diverge.
+      Real-socket figures come from the benchmark/ package (udp-sat,
+      udp-paced).
         --quick        short measurement windows (CI smoke); criterion
                        runs with TOTEM_QUICK=1
         --skip-micro   skip criterion
-        --skip-udp     skip the loopback-UDP gate
         --skip-h2h     skip the backend head-to-head gate";
 
 fn main() -> ExitCode {

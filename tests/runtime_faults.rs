@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use totem_cluster::{
-    collect_deliveries, spawn_node_with, RuntimeConfig, RuntimeEvent, RuntimeHandle, StartMode,
-    TotemNode,
+    collect_deliveries, spawn_node, RuntimeEvent, RuntimeHandle, StartMode, TotemNode,
 };
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_srp::SrpConfig;
@@ -22,13 +21,12 @@ use totem_wire::{
     Chunk, DataPacket, JoinMessage, NetworkId, NodeId, Packet, RingId, Seq, Token, Writer,
 };
 
-fn spawn_cluster(n: usize, config: RuntimeConfig) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
-    spawn_cluster_with(n, config, ReplicationStyle::Active)
+fn spawn_cluster(n: usize) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
+    spawn_cluster_with(n, ReplicationStyle::Active)
 }
 
 fn spawn_cluster_with(
     n: usize,
-    config: RuntimeConfig,
     style: ReplicationStyle,
 ) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
     // Keep one extra hub endpoint around just to retain a kill switch
@@ -49,7 +47,7 @@ fn spawn_cluster_with(
                 0,
             );
             let mode = if i == 0 { StartMode::Representative } else { StartMode::Member };
-            spawn_node_with(node, t, mode, config)
+            spawn_node(node, t, mode)
         })
         .collect();
     (handles, admin)
@@ -69,7 +67,7 @@ fn await_delivery(h: &RuntimeHandle, needle: &[u8], timeout: Duration) -> bool {
 
 #[test]
 fn live_network_death_is_reported_and_survived_then_reinstated() {
-    let (handles, admin) = spawn_cluster(3, RuntimeConfig::default());
+    let (handles, admin) = spawn_cluster(3);
 
     // Warm up: one round of traffic.
     handles[0].submit(Bytes::from_static(b"warmup"));
@@ -249,64 +247,58 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
         assert!(Packet::decode(d).is_ok(), "a forged frame must get past the decoder");
     }
 
-    for config in [RuntimeConfig::default(), RuntimeConfig { batch: false, ..Default::default() }] {
-        let (handles, attacker) = spawn_cluster(3, config);
-        let attacker = &attacker[0];
-        let mut feed = hostile.iter().cycle();
-        let mut forged_feed = forged.iter().cycle();
-        let per_submit = hostile.len().div_ceil(WAVES * PER_WAVE);
+    let (handles, attacker) = spawn_cluster(3);
+    let attacker = &attacker[0];
+    let mut feed = hostile.iter().cycle();
+    let mut forged_feed = forged.iter().cycle();
+    let per_submit = hostile.len().div_ceil(WAVES * PER_WAVE);
 
-        let mut orders: Vec<Vec<Bytes>> = vec![Vec::new(); handles.len()];
-        for wave in 0..WAVES {
-            for i in 0..PER_WAVE {
-                let n = wave * PER_WAVE + i;
-                handles[n % 3].submit(Bytes::from(format!("live-{n:03}")));
-                for k in 0..per_submit {
-                    let net = NetworkId::new(((n + k) % 2) as u8);
-                    let datagram = feed.next().expect("cycle never ends").clone();
-                    attacker.send(net, Destination::Broadcast, datagram).unwrap();
-                }
-                if i % 5 == 0 {
-                    // On both networks, as a replicated broadcast
-                    // would arrive.
-                    let datagram = forged_feed.next().expect("cycle never ends");
-                    for net in [NetworkId::new(0), NetworkId::new(1)] {
-                        attacker.send(net, Destination::Broadcast, datagram.clone()).unwrap();
-                    }
+    let mut orders: Vec<Vec<Bytes>> = vec![Vec::new(); handles.len()];
+    for wave in 0..WAVES {
+        for i in 0..PER_WAVE {
+            let n = wave * PER_WAVE + i;
+            handles[n % 3].submit(Bytes::from(format!("live-{n:03}")));
+            for k in 0..per_submit {
+                let net = NetworkId::new(((n + k) % 2) as u8);
+                let datagram = feed.next().expect("cycle never ends").clone();
+                attacker.send(net, Destination::Broadcast, datagram).unwrap();
+            }
+            if i % 5 == 0 {
+                // On both networks, as a replicated broadcast
+                // would arrive.
+                let datagram = forged_feed.next().expect("cycle never ends");
+                for net in [NetworkId::new(0), NetworkId::new(1)] {
+                    attacker.send(net, Destination::Broadcast, datagram.clone()).unwrap();
                 }
             }
-            // Each wave must get through before the next starts, so
-            // hostile datagrams sit between live ones in every inbox.
-            let (got, _) = collect_deliveries(&handles, PER_WAVE, Duration::from_secs(20));
-            for (order, got) in orders.iter_mut().zip(got) {
-                order.extend(got);
-            }
         }
+        // Each wave must get through before the next starts, so
+        // hostile datagrams sit between live ones in every inbox.
+        let (got, _) = collect_deliveries(&handles, PER_WAVE, Duration::from_secs(20));
+        for (order, got) in orders.iter_mut().zip(got) {
+            order.extend(got);
+        }
+    }
 
-        let mut expected: Vec<Bytes> =
-            (0..WAVES * PER_WAVE).map(|n| Bytes::from(format!("live-{n:03}"))).collect();
-        for (node, order) in orders.iter().enumerate() {
-            assert_eq!(order.len(), expected.len(), "{config:?}: node {node} stopped delivering");
-            assert_eq!(order, &orders[0], "{config:?}: node {node} broke total order");
-        }
-        let mut delivered = orders[0].clone();
-        delivered.sort();
-        expected.sort();
-        assert_eq!(delivered, expected, "{config:?}: exactly the live messages, once each");
+    let mut expected: Vec<Bytes> =
+        (0..WAVES * PER_WAVE).map(|n| Bytes::from(format!("live-{n:03}"))).collect();
+    for (node, order) in orders.iter().enumerate() {
+        assert_eq!(order.len(), expected.len(), "node {node} stopped delivering");
+        assert_eq!(order, &orders[0], "node {node} broke total order");
+    }
+    let mut delivered = orders[0].clone();
+    delivered.sort();
+    expected.sort();
+    assert_eq!(delivered, expected, "exactly the live messages, once each");
 
-        // `shutdown` joins the driver and panics if it had panicked.
-        // A far-ahead frame that got into a window would have shown
-        // as a phantom `high_seen` at the next token and reformed the
-        // ring; refused at the door, the ring never noticed.
-        for h in handles {
-            let node = h.shutdown();
-            assert_eq!(
-                node.srp().stats().gathers,
-                0,
-                "{config:?}: a forged frame reformed the ring"
-            );
-            assert_eq!(node.srp().members().map(<[NodeId]>::len), Some(3));
-        }
+    // `shutdown` joins the driver and panics if it had panicked.
+    // A far-ahead frame that got into a window would have shown
+    // as a phantom `high_seen` at the next token and reformed the
+    // ring; refused at the door, the ring never noticed.
+    for h in handles {
+        let node = h.shutdown();
+        assert_eq!(node.srp().stats().gathers, 0, "a forged frame reformed the ring");
+        assert_eq!(node.srp().members().map(<[NodeId]>::len), Some(3));
     }
 }
 
@@ -340,54 +332,52 @@ fn a_held_frames_header_on_a_corrupt_body_is_invisible_to_every_layer() {
         assert!(Packet::decode(d).is_err(), "the body must be one the decoder rejects");
     }
 
-    for config in [RuntimeConfig::default(), RuntimeConfig { batch: false, ..Default::default() }] {
-        // Passive replication keeps a reception monitor per sender, so
-        // a forged sender that was accounted for would show.
-        let (handles, attacker) = spawn_cluster_with(3, config, ReplicationStyle::Passive);
-        handles[0].submit(Bytes::from_static(b"sequence number one"));
-        for h in &handles {
-            assert!(await_delivery(h, b"sequence number one", Duration::from_secs(10)));
-        }
-        for round in 0..20 {
-            for d in &corrupt {
-                for net in [NetworkId::new(0), NetworkId::new(1)] {
-                    attacker[0].send(net, Destination::Broadcast, d.clone()).unwrap();
-                }
+    // Passive replication keeps a reception monitor per sender, so
+    // a forged sender that was accounted for would show.
+    let (handles, attacker) = spawn_cluster_with(3, ReplicationStyle::Passive);
+    handles[0].submit(Bytes::from_static(b"sequence number one"));
+    for h in &handles {
+        assert!(await_delivery(h, b"sequence number one", Duration::from_secs(10)));
+    }
+    for round in 0..20 {
+        for d in &corrupt {
+            for net in [NetworkId::new(0), NetworkId::new(1)] {
+                attacker[0].send(net, Destination::Broadcast, d.clone()).unwrap();
             }
-            handles[round % 3].submit(Bytes::from(format!("live-{round:02}")));
         }
-        let (orders, _) = collect_deliveries(&handles, 20, Duration::from_secs(20));
-        for (node, order) in orders.iter().enumerate() {
-            assert_eq!(order.len(), 20, "{config:?}: node {node} stopped delivering");
-            assert_eq!(order, &orders[0], "{config:?}: node {node} broke total order");
-        }
+        handles[round % 3].submit(Bytes::from(format!("live-{round:02}")));
+    }
+    let (orders, _) = collect_deliveries(&handles, 20, Duration::from_secs(20));
+    for (node, order) in orders.iter().enumerate() {
+        assert_eq!(order.len(), 20, "node {node} stopped delivering");
+        assert_eq!(order, &orders[0], "node {node} broke total order");
+    }
 
-        for h in handles {
-            let mut node = h.shutdown();
-            let heard_of_forger = |node: &TotemNode| {
-                node.rrp().monitor_report().iter().any(|(kind, _)| {
+    for h in handles {
+        let mut node = h.shutdown();
+        let heard_of_forger = |node: &TotemNode| {
+            node.rrp().monitor_report().iter().any(|(kind, _)| {
                     matches!(kind, totem_rrp::MonitorKind::Messages { sender } if *sender == FORGER)
                 })
-            };
-            assert!(!heard_of_forger(&node), "{config:?}: a rejected frame reached a monitor");
-            assert_eq!(node.srp().stats().gathers, 0);
+        };
+        assert!(!heard_of_forger(&node), "a rejected frame reached a monitor");
+        assert_eq!(node.srp().stats().gathers, 0);
 
-            // The driver has stopped, so the counters stand still.
-            let counters =
-                |node: &TotemNode| (node.rrp().stats().clone(), node.rrp().monitor_report().len());
-            let before = counters(&node);
-            let mut out = Vec::new();
-            for d in &corrupt {
-                node.on_datagram_into(u64::MAX / 2, NetworkId::new(1), d.clone(), &mut out);
-            }
-            assert!(out.is_empty());
-            assert_eq!(counters(&node), before, "{config:?}: a rejected frame was counted");
-            // The same header on a body that decodes is a plain
-            // redundant copy: dropped, and counted as one.
-            node.on_datagram_into(u64::MAX / 2, NetworkId::new(1), intact.clone(), &mut out);
-            assert!(out.is_empty());
-            assert_eq!(node.rrp().stats().received[1], before.0.received[1] + 1);
-            assert!(heard_of_forger(&node));
+        // The driver has stopped, so the counters stand still.
+        let counters =
+            |node: &TotemNode| (node.rrp().stats().clone(), node.rrp().monitor_report().len());
+        let before = counters(&node);
+        let mut out = Vec::new();
+        for d in &corrupt {
+            node.on_datagram_into(u64::MAX / 2, NetworkId::new(1), d.clone(), &mut out);
         }
+        assert!(out.is_empty());
+        assert_eq!(counters(&node), before, "a rejected frame was counted");
+        // The same header on a body that decodes is a plain
+        // redundant copy: dropped, and counted as one.
+        node.on_datagram_into(u64::MAX / 2, NetworkId::new(1), intact.clone(), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(node.rrp().stats().received[1], before.0.received[1] + 1);
+        assert!(heard_of_forger(&node));
     }
 }
