@@ -11,12 +11,16 @@
 //! 4. delivery disruption during a network failure: the worst
 //!    inter-delivery gap per style, quantifying the paper's claim
 //!    that active replication masks loss without retransmission
-//!    delay.
+//!    delay;
+//! 5. throughput vs number of saturated senders (the sender-count
+//!    axis of the Ring Paxos evaluation): what a ring keeps when only
+//!    some members have messages and the rest merely relay the token.
 //!
 //! Run with `cargo bench -p totem-bench --bench ablation`;
 //! set `TOTEM_QUICK=1` for shorter windows.
 
 use bytes::Bytes;
+use totem_bench::{measure, MeasureConfig};
 use totem_cluster::{ClusterConfig, SimCluster};
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_sim::{FaultCommand, NetworkConfig, SimConfig, SimDuration, SimTime};
@@ -138,6 +142,35 @@ fn main() {
     println!("(loss masked, no retransmission delay — the §4/§5 claim); passive");
     println!("stalls for token-retransmission intervals until its monitors");
     println!("declare the network faulty and route around it.");
+
+    println!();
+    println!("== Ablation 5: throughput vs number of saturated senders ==");
+    println!("   the first k members saturate, the rest only relay the token;");
+    println!("   msgs/sec (share of the all-senders rate)");
+    println!();
+    println!("| nodes | msg bytes | style | k = 1 | k = 2 | k = n |");
+    println!("|---:|---:|---|---:|---:|---:|");
+    for nodes in [3usize, 4, 6] {
+        for size in [100usize, 1000] {
+            for style in
+                [ReplicationStyle::Single, ReplicationStyle::Active, ReplicationStyle::Passive]
+            {
+                let rate = |senders| {
+                    let cfg = MeasureConfig::new(style, size).with_nodes(nodes).with_window(window);
+                    measure(&cfg.with_senders(senders)).msgs_per_sec
+                };
+                let all = rate(nodes);
+                let cell = |k| {
+                    let some = rate(k);
+                    format!("{some:.0} ({:.2})", some / all)
+                };
+                println!("| {nodes} | {size} | {style} | {} | {} | {all:.0} |", cell(1), cell(2));
+            }
+        }
+    }
+    println!();
+    println!("expected: a silent member costs a token hop, not an idle hold, so");
+    println!("one sender keeps most of the all-senders rate at every ring size.");
 }
 
 /// Returns (max inter-delivery gap around the fault, steady-state gap

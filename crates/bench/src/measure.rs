@@ -30,6 +30,10 @@ pub struct MeasureConfig {
     pub backend: BackendKind,
     /// Per-receiver packet loss in percent, applied to every network.
     pub loss_pct: f64,
+    /// How many nodes (the first `k`) run the saturating workload;
+    /// `None` saturates every node, as the paper did. The rest submit
+    /// nothing and only relay the token.
+    pub senders: Option<usize>,
 }
 
 impl MeasureConfig {
@@ -47,6 +51,7 @@ impl MeasureConfig {
             networks: None,
             backend: BackendKind::Totem,
             loss_pct: 0.0,
+            senders: None,
         }
     }
 
@@ -85,6 +90,13 @@ impl MeasureConfig {
         self.loss_pct = loss_pct;
         self
     }
+
+    /// Saturates only the first `senders` nodes (clamped to the
+    /// cluster size) instead of all of them.
+    pub fn with_senders(mut self, senders: usize) -> Self {
+        self.senders = Some(senders);
+        self
+    }
 }
 
 /// A measured operating point.
@@ -105,10 +117,11 @@ pub struct Throughput {
 
 /// Runs one saturating-workload measurement.
 ///
-/// Every node keeps its send queue full of `msg_size`-byte messages;
-/// after `warmup`, deliveries are counted for `window`. Because each
-/// node delivers every message exactly once, per-node deliveries are
-/// averaged to obtain the system-wide send rate.
+/// Every node (or the first [`MeasureConfig::senders`]) keeps its send
+/// queue full of `msg_size`-byte messages; after `warmup`, deliveries
+/// are counted for `window`. Because each node delivers every message
+/// exactly once, per-node deliveries are averaged to obtain the
+/// system-wide send rate.
 pub fn measure(cfg: &MeasureConfig) -> Throughput {
     let mut cluster_cfg = ClusterConfig::new(cfg.nodes, cfg.style)
         .counters_only()
@@ -124,7 +137,9 @@ pub fn measure(cfg: &MeasureConfig) -> Throughput {
         }
     }
     let mut cluster = SimCluster::new(cluster_cfg);
-    cluster.enable_saturation(cfg.msg_size);
+    for node in 0..cfg.senders.unwrap_or(cfg.nodes).min(cfg.nodes) {
+        cluster.enable_saturation_on(node, cfg.msg_size);
+    }
 
     cluster.run_until(SimTime::ZERO + cfg.warmup);
     let before = cluster.counters();

@@ -290,10 +290,10 @@ fn srp_steady_state_allocates_only_what_it_originates() {
     }
 }
 
-/// Two [`TotemNode`]s on a ring of two, fed the way the threaded
-/// driver feeds them — raw datagrams in, encoded frames out — with
-/// every call into a node, and the encoding of what it sends, metered.
-struct MeteredPair {
+/// Whole [`TotemNode`]s on one ring, fed the way the threaded driver
+/// feeds them — raw datagrams in, encoded frames out — with every call
+/// into a node, and the encoding of what it sends, metered.
+struct MeteredNodes {
     nodes: Vec<TotemNode>,
     now: u64,
     /// Datagrams in flight: (destination, network, bytes).
@@ -301,9 +301,9 @@ struct MeteredPair {
     out: Vec<NodeOutput>,
 }
 
-impl MeteredPair {
-    fn new(style: ReplicationStyle, networks: usize) -> Self {
-        let members = [NodeId::new(0), NodeId::new(1)];
+impl MeteredNodes {
+    fn new(members: u16, style: ReplicationStyle, networks: usize) -> Self {
+        let members: Vec<NodeId> = (0..members).map(NodeId::new).collect();
         let nodes = members
             .iter()
             .map(|&me| {
@@ -316,7 +316,7 @@ impl MeteredPair {
                 )
             })
             .collect();
-        let mut pair = MeteredPair {
+        let mut pair = MeteredNodes {
             nodes,
             now: 0,
             wire: VecDeque::with_capacity(64),
@@ -344,8 +344,11 @@ impl MeteredPair {
         }
         let (a1, _) = snapshot();
         for o in self.out.drain(..) {
-            if let NodeOutput::Send { net, pkt, .. } = o {
-                self.wire.push_back((1 - at, net, bytes::Bytes::copy_from_slice(pkt.encoded())));
+            if let NodeOutput::Send { net, dst, pkt } = o {
+                let peers = 0..self.nodes.len();
+                for to in peers.filter(|&to| dst.map_or(to != at, |d| d.index() == to)) {
+                    self.wire.push_back((to, net, bytes::Bytes::copy_from_slice(pkt.encoded())));
+                }
             }
         }
         a1 - a0
@@ -399,7 +402,7 @@ fn idle_token_visit_allocates_at_most_twice() {
         (ReplicationStyle::Passive, 2),
         (ReplicationStyle::ActivePassive { copies: 2 }, 3),
     ] {
-        let mut pair = MeteredPair::new(style, networks);
+        let mut pair = MeteredNodes::new(2, style, networks);
         pair.fire(0);
         // Warm up: event buffers, route buffers, the output buffer.
         for _ in 0..8 {
@@ -421,6 +424,83 @@ fn idle_token_visit_allocates_at_most_twice() {
     }
 }
 
+/// Pacing is for an idle *ring*, not an idle member: while node 0 has
+/// more queued than one visit sends, the two members with nothing of
+/// their own to send relay the token the moment it arrives — the wire
+/// never goes quiet, so no hold timer is ever needed — and once node 0
+/// reports an empty queue every member holds the token again. Counts
+/// and hand-cranked time only.
+#[test]
+fn silent_members_hold_the_token_only_when_the_ring_is_idle() {
+    let mut ring = MeteredNodes::new(3, ReplicationStyle::Active, 2);
+    let stat = |ring: &MeteredNodes, f: fn(&totem_srp::node::SrpStats) -> u64| -> Vec<u64> {
+        ring.nodes.iter().map(|n| f(n.srp().stats())).collect()
+    };
+    let handled = |ring: &MeteredNodes| stat(ring, |s| s.tokens_handled);
+    let held = |ring: &MeteredNodes| stat(ring, |s| s.tokens_held);
+    // One step of the world: the oldest datagram in flight, or — only
+    // when nothing is in flight — the earliest timer.
+    let step = |ring: &mut MeteredNodes, timers_fired: &mut u64| match ring.wire.pop_front() {
+        Some((to, net, datagram)) => {
+            ring.now += 1_000;
+            ring.metered(to, |n, now, out| n.on_datagram_into(now, net, datagram, out));
+        }
+        None => {
+            let at = (0..3).min_by_key(|&i| ring.nodes[i].next_deadline()).expect("three nodes");
+            ring.fire(at);
+            *timers_fired += 1;
+        }
+    };
+
+    // Loaded: node 0 always has more than a visit's worth (20 packets
+    // of one 1,000-byte message each) queued.
+    let top_up = |ring: &mut MeteredNodes| {
+        while ring.nodes[0].srp().send_queue_len() < 64 {
+            let data = bytes::Bytes::from(vec![0x5A; 1000]);
+            ring.metered(0, |n, now, out| out.extend(n.submit(now, data).expect("queue has room")));
+        }
+    };
+    // The first submission releases the bootstrap token parked at node
+    // 0 with one message aboard and an empty queue reported; node 0's
+    // next visit is the first to report a backlog.
+    let mut timers_fired = 0;
+    top_up(&mut ring);
+    while handled(&ring)[0] < 2 {
+        step(&mut ring, &mut timers_fired);
+    }
+    let (start, held_at_start) = (handled(&ring)[0], held(&ring));
+    timers_fired = 0;
+    while handled(&ring)[0] < start + 100 {
+        top_up(&mut ring);
+        step(&mut ring, &mut timers_fired);
+    }
+    assert_eq!(timers_fired, 0, "a loaded ring went quiet: some member sat on the token");
+    for silent in [1, 2] {
+        assert_eq!(held(&ring)[silent], held_at_start[silent], "node {silent} held a loaded token");
+        assert!(ring.nodes[silent].srp().stats().delivered_msgs >= 99 * 20);
+    }
+
+    // Node 0 stops submitting and drains; from the visit that reports
+    // its queue empty, every visit of every member is a hold.
+    while ring.nodes[0].srp().send_queue_len() > 0 {
+        step(&mut ring, &mut timers_fired);
+    }
+    assert_eq!(timers_fired, 0, "the ring was paced while node 0 still had messages queued");
+    let (handled_idle, held_idle) = (handled(&ring), held(&ring));
+    while handled(&ring).iter().zip(&handled_idle).any(|(now, then)| *now < then + 2) {
+        step(&mut ring, &mut timers_fired);
+    }
+    for node in 0..3 {
+        assert_eq!(
+            held(&ring)[node] - held_idle[node],
+            handled(&ring)[node] - handled_idle[node],
+            "node {node} did not hold on every visit of the idle ring"
+        );
+    }
+    assert!(timers_fired >= 3, "an idle ring moves on its hold timers");
+    assert_eq!(ring.nodes.iter().map(|n| n.srp().stats().gathers).sum::<u64>(), 0);
+}
+
 /// The copies replication delivers by design are dropped before they
 /// are decoded: the second copy of a token (it completes the gate with
 /// the handle already there), a data frame the window already holds,
@@ -428,7 +508,7 @@ fn idle_token_visit_allocates_at_most_twice() {
 /// reception counters like any other copy.
 #[test]
 fn redundant_copy_allocates_nothing() {
-    let mut pair = MeteredPair::new(ReplicationStyle::Active, 2);
+    let mut pair = MeteredNodes::new(2, ReplicationStyle::Active, 2);
     pair.fire(0);
     for _ in 0..8 {
         pair.idle_visit(1);
@@ -454,8 +534,8 @@ fn redundant_copy_allocates_nothing() {
         .encode_shared()
     };
     let (two, one) = (frame(2), frame(1));
-    let received = |pair: &MeteredPair| pair.nodes[1].rrp().stats().received.clone();
-    let feed = |pair: &mut MeteredPair, net: u8, datagram: &bytes::Bytes| {
+    let received = |pair: &MeteredNodes| pair.nodes[1].rrp().stats().received.clone();
+    let feed = |pair: &mut MeteredNodes, net: u8, datagram: &bytes::Bytes| {
         let datagram = bytes::Bytes::copy_from_slice(datagram);
         pair.metered(1, |n, now, out| n.on_datagram_into(now, NetworkId::new(net), datagram, out))
     };

@@ -510,13 +510,26 @@ impl SimCluster {
     /// assert!(cluster.counters().msgs > 1000, "the ring should be saturated");
     /// ```
     pub fn enable_saturation(&mut self, msg_size: usize) {
-        for i in 0..self.nodes() {
-            self.world.with_actor(NodeId::new(i as u16), |a, now, ctx| {
-                a.saturate = Some(msg_size);
-                a.pump(now, ctx);
-                a.arm(ctx);
-            });
+        for node in 0..self.nodes() {
+            self.enable_saturation_on(node, msg_size);
         }
+    }
+
+    /// Turns on the saturating workload of
+    /// [`SimCluster::enable_saturation`] on one node only, so a run
+    /// can saturate some members and leave the rest silent (the
+    /// single-proposer shape: the silent members only relay the
+    /// token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn enable_saturation_on(&mut self, node: usize, msg_size: usize) {
+        self.world.with_actor(NodeId::new(node as u16), |a, now, ctx| {
+            a.saturate = Some(msg_size);
+            a.pump(now, ctx);
+            a.arm(ctx);
+        });
     }
 
     /// Number of nodes.

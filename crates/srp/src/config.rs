@@ -32,10 +32,12 @@ pub struct SrpConfig {
     /// How often a node retransmits its last token while it has not
     /// yet observed evidence that the successor received it (paper §2).
     pub token_retransmit_interval: u64,
-    /// How long an idle token holder (nothing to send, no
-    /// retransmissions, no new sequence numbers) holds the token
-    /// before forwarding. Paces idle rings; zero restores continuous
-    /// circulation.
+    /// How long a token holder keeps the token before forwarding when
+    /// the ring is idle — it sent nothing, no retransmission is
+    /// requested and no member reports queued messages (the token's
+    /// `backlog` is zero). Paces idle rings only: while any member has
+    /// messages queued the token is forwarded at once. Zero restores
+    /// continuous circulation.
     pub idle_token_hold: u64,
     /// How often a node in the Gather state rebroadcasts its join
     /// message.

@@ -14,7 +14,8 @@
 //!   and every node delivers in sequence order;
 //! * **reliable delivery** via retransmission requests that ride on
 //!   the token, answered by whichever token holder has a copy;
-//! * **flow control** via the token's `fcc`/`backlog` fields;
+//! * **flow control** via the token's `fcc` field, and **idle pacing**
+//!   via its `backlog` field (a token is held only on an idle ring);
 //! * **fault detection**: token-loss timeouts trigger the
 //!   membership protocol (Gather → Commit → Recovery), which reforms
 //!   the ring and delivers transitional and regular configuration

@@ -98,8 +98,13 @@ pub struct SrpStats {
     pub retransmissions: u64,
     /// Retransmission requests this node placed on the token.
     pub retrans_requested: u64,
-    /// Tokens processed (held).
+    /// Token visits processed (fresh tokens accepted, Operational or
+    /// Recovery; duplicates and stale tokens are not counted).
     pub tokens_handled: u64,
+    /// Idle holds armed: visits that found the whole ring idle and kept
+    /// the token for [`SrpConfig::idle_token_hold`] instead of
+    /// forwarding it.
+    pub tokens_held: u64,
     /// Tokens this node retransmitted to its successor.
     pub token_retransmits: u64,
     /// Configuration changes delivered (regular + transitional).
@@ -150,6 +155,9 @@ pub(crate) struct TokenCtx {
     /// What this node added to the token's `fcc` on its previous
     /// visit.
     pub my_last_fcc: u32,
+    /// The send-queue length this node added to the token's `backlog`
+    /// on its previous visit.
+    pub my_last_backlog: u32,
     /// The last token sent — the forwarded handle itself, so a
     /// retransmission re-sends its cached encoding — kept until
     /// evidence of receipt (paper §2).
@@ -580,7 +588,11 @@ impl SrpNode {
         }
         t.fcc = (t.fcc + sent).saturating_sub(tok.my_last_fcc);
         tok.my_last_fcc = sent;
-        t.backlog = self.send_queue.len().min(u32::MAX as usize) as u32;
+        // Same replace-my-previous-share update as `fcc`, saturating
+        // both ways so a damaged share costs pacing, never a wrap.
+        let queued = self.send_queue.len().min(u32::MAX as usize) as u32;
+        t.backlog = t.backlog.saturating_sub(tok.my_last_backlog).saturating_add(queued);
+        tok.my_last_backlog = queued;
 
         // All-received-up-to bookkeeping. The aru must track the new
         // sequence numbers on every visit that sends, or it freezes
@@ -891,7 +903,6 @@ impl SrpNode {
         tok.loss_deadline = Some(now + self.cfg.token_loss_timeout);
         self.stats.tokens_handled += 1;
 
-        let old_seq = t.seq;
         ring.window.note_seq(t.seq);
 
         // 1. Serve retransmission requests from the local buffer.
@@ -945,11 +956,15 @@ impl SrpNode {
             t.rotation = t.rotation.next();
         }
 
-        // 7. Forward — or hold briefly if the ring is idle.
-        let idle = sent == 0 && t.rtr.is_empty() && t.seq == old_seq;
-        if idle && self.cfg.idle_token_hold > 0 {
+        // 7. Forward — or hold briefly if the whole ring is idle: this
+        //    visit sent nothing, nothing awaits retransmission and no
+        //    member reports queued messages. A member with nothing of
+        //    its own to send must not delay one that has.
+        let ring_idle = sent == 0 && t.rtr.is_empty() && t.backlog == 0;
+        if ring_idle && self.cfg.idle_token_hold > 0 {
             tok.hold = Some(pkt);
             tok.hold_deadline = Some(now + self.cfg.idle_token_hold);
+            self.stats.tokens_held += 1;
         } else {
             forward_token(self.me, &self.cfg, tok, ring, pkt, now, &mut events);
         }

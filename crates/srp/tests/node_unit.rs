@@ -1,6 +1,6 @@
 //! Direct single-node tests of the SRP state machine's §2 mechanics:
 //! token acceptance/duplication rules, the token-retransmission rule,
-//! idle-token pacing, aru arithmetic and stale-traffic filtering —
+//! idle-ring token pacing, aru arithmetic and stale-traffic filtering —
 //! asserted on the node's explicit outputs, no harness in between.
 
 use bytes::Bytes;
@@ -115,6 +115,66 @@ fn submit_releases_held_token_with_the_message_aboard() {
             .any(|e| matches!(e, SrpEvent::Broadcast(p) if p.data().is_some_and(|d| d.seq == Seq::new(1)))),
         "the message itself was broadcast"
     );
+}
+
+#[test]
+fn token_reporting_a_backlog_elsewhere_is_not_held() {
+    // Nothing of our own to send, but another member reports queued
+    // messages: the ring is not idle, so the token moves on at once.
+    let mut n = node(1, 3);
+    let mut t = token(0, 0, 0);
+    t.backlog = 7;
+    let events = n.handle_packet(0, Packet::Token(t).into());
+    let (succ, t) = sent_token(&events).expect("forwarded in the same call");
+    assert_eq!(*succ, NodeId::new(2));
+    assert_eq!(t.backlog, 7, "an empty queue adds nothing to the sum");
+    assert_eq!(n.stats().tokens_held, 0);
+    // Only the retransmit and loss timers are armed: no hold deadline
+    // sits 200 µs out.
+    let cfg = SrpConfig::default();
+    assert_eq!(n.next_deadline(), Some(cfg.token_retransmit_interval));
+}
+
+#[test]
+fn token_reporting_no_backlog_is_held_on_an_idle_ring() {
+    let mut n = node(1, 3);
+    let held = n.handle_packet(0, Packet::Token(token(0, 0, 0)).into());
+    assert!(sent_token(&held).is_none(), "idle ring: the token is held");
+    assert_eq!(n.stats().tokens_held, 1);
+    assert_eq!(n.next_deadline(), Some(SrpConfig::default().idle_token_hold));
+}
+
+/// A message that fills a packet by itself, so the queue drains by
+/// exactly one message per packet sent.
+fn full_frame_message() -> Bytes {
+    Bytes::from(vec![0u8; totem_wire::frame::MAX_UNFRAGMENTED_MSG])
+}
+
+#[test]
+fn backlog_share_is_replaced_on_every_visit_and_saturates() {
+    // Another member's share rides on the token. This node leaves 5,
+    // 5, 3, then 0 messages queued after its visits (the per-visit cap
+    // is 20 packets).
+    let mut n = node(1, 3);
+    let mut seq = 0;
+    let mut visit = |n: &mut SrpNode, rotation: u64, submit: usize, carried: u32| {
+        for _ in 0..submit {
+            n.submit(rotation, full_frame_message()).unwrap();
+        }
+        let mut t = token(rotation, seq, seq);
+        t.backlog = carried;
+        let events = n.handle_packet(rotation, Packet::Token(t).into());
+        let (_, t) = sent_token(&events).expect("a visit with a backlog aboard forwards");
+        seq = t.seq.as_u64();
+        (n.send_queue_len(), t.backlog)
+    };
+    assert_eq!(visit(&mut n, 0, 25, 7), (5, 12));
+    assert_eq!(visit(&mut n, 1, 20, 12), (5, 12), "the previous 5 is replaced, not added to");
+    // The token comes back carrying less than this node's previous
+    // share (a damaged field, or a ring that restarted the sum): the
+    // subtraction stops at zero and the node's own 3 is what is left.
+    assert_eq!(visit(&mut n, 2, 18, 2), (3, 3), "a stale share saturates, it does not wrap");
+    assert_eq!(visit(&mut n, 3, 0, 10), (0, 7), "an emptied queue withdraws its share");
 }
 
 #[test]

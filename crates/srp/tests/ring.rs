@@ -6,11 +6,24 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
+use proptest::prelude::*;
 use totem_srp::{ConfigKind, DeliveryGuarantee, SrpConfig, SrpEvent, SrpNode, SrpState};
-use totem_wire::{NodeId, Packet, SharedPacket};
+use totem_wire::{NodeId, Packet, RingId, SharedPacket};
 
 /// Decides whether a packet (src, dst, pkt) is delivered.
 type DropFilter = Box<dyn FnMut(NodeId, NodeId, &Packet) -> bool>;
+
+/// One regular-token forward, logged as the forwarder emitted it.
+struct Hop {
+    src: NodeId,
+    ring: RingId,
+    /// The `backlog` the forwarded token carries.
+    backlog: u32,
+    /// The forwarder's send-queue length at that moment.
+    queued: u32,
+    /// Whether the forwarder was Operational once the call returned.
+    operational: bool,
+}
 
 /// Deterministic single-network shuttle: FIFO delivery, optional
 /// drop filter, manual time for timers.
@@ -21,6 +34,8 @@ struct Harness {
     now: u64,
     delivered: Vec<Vec<(NodeId, Bytes)>>, // per node, in delivery order
     configs: Vec<Vec<(ConfigKind, Vec<NodeId>)>>,
+    /// Every regular-token forward, in emission order.
+    hops: Vec<Hop>,
     /// Returns false to drop the packet.
     drop_filter: DropFilter,
 }
@@ -60,6 +75,7 @@ impl Harness {
             now: 0,
             delivered: vec![Vec::new(); n],
             configs: vec![Vec::new(); n],
+            hops: Vec::new(),
             drop_filter: Box::new(|_, _, _| true),
         }
     }
@@ -75,7 +91,19 @@ impl Harness {
                         }
                     }
                 }
-                SrpEvent::ToSuccessor(dst, pkt) => self.queue.push_back((src, dst, pkt)),
+                SrpEvent::ToSuccessor(dst, pkt) => {
+                    if let Packet::Token(t) = pkt.packet() {
+                        let node = &self.nodes[src.index()];
+                        self.hops.push(Hop {
+                            src,
+                            ring: t.ring,
+                            backlog: t.backlog,
+                            queued: node.send_queue_len() as u32,
+                            operational: node.state() == SrpState::Operational,
+                        });
+                    }
+                    self.queue.push_back((src, dst, pkt));
+                }
                 SrpEvent::Deliver(d) => self.delivered[src.index()].push((d.sender, d.data)),
                 SrpEvent::Config(c) => self.configs[src.index()].push((c.kind, c.members)),
             }
@@ -129,6 +157,29 @@ impl Harness {
         let events =
             self.nodes[node].submit(self.now, Bytes::copy_from_slice(data)).expect("submit");
         self.enqueue(id, events);
+    }
+
+    /// Checks the rolling-sum rule over the logged hops of `ring`
+    /// (loss-free stretches only: a retransmitted token would be
+    /// logged twice): every token an Operational visit forwards
+    /// carries the sum of each member's queue length as of its last
+    /// Operational visit, and every Recovery visit forwards zero. A
+    /// member's first Operational-state hop on a ring the membership
+    /// protocol formed is the Recovery visit that completed the phase.
+    fn assert_backlog_is_the_rolling_sum(&self, ring: RingId) {
+        let mut share = vec![0u32; self.nodes.len()];
+        let mut settled = vec![ring.seq == 1; self.nodes.len()];
+        for (i, hop) in self.hops.iter().enumerate().filter(|(_, h)| h.ring == ring) {
+            let me = hop.src.index();
+            share[me] = if hop.operational && settled[me] { hop.queued } else { 0 };
+            settled[me] |= hop.operational;
+            assert_eq!(
+                hop.backlog,
+                share.iter().sum::<u32>(),
+                "hop {i} from {}: token backlog is not the sum of the shares {share:?}",
+                hop.src
+            );
+        }
     }
 
     fn alive_delivery_counts(&self) -> Vec<usize> {
@@ -278,6 +329,40 @@ fn token_loss_triggers_reformation_with_same_members() {
     // And the ring still works afterwards.
     h.submit(1, b"after");
     assert!(h.run_until(400_000, |h| h.all_alive_delivered(2)));
+    h.assert_same_order();
+}
+
+#[test]
+fn reformed_ring_starts_its_backlog_sum_from_zero() {
+    let mut h = Harness::operational(3, cfg());
+    let big = vec![0u8; totem_wire::frame::MAX_UNFRAGMENTED_MSG];
+    for node in 0..3 {
+        for _ in 0..45 {
+            h.submit(node, &big);
+        }
+    }
+    // One sending visit each: every member's share of the old ring's
+    // sum is nonzero when the ring breaks.
+    assert!(h.run_until(10_000, |h| h.nodes.iter().all(|n| (1..=25).contains(&n.send_queue_len()))));
+    let old_ring = h.nodes[0].ring_id().expect("on a ring");
+    assert!(h.hops.last().is_some_and(|hop| hop.backlog > 0));
+    h.drop_filter =
+        Box::new(move |_, _, pkt| !matches!(pkt, Packet::Token(t) if t.ring == old_ring));
+    assert!(
+        h.run_until(400_000, |h| h.nodes.iter().all(|n| {
+            n.state() == SrpState::Operational
+                && n.ring_id() != Some(old_ring)
+                && n.send_queue_len() == 0
+        })),
+        "the ring must reform and drain the queued messages"
+    );
+    let new_ring = h.nodes[0].ring_id().expect("on a ring");
+    // Recovery forwards zero, the first Operational visit adds exactly
+    // its own queue to it, and no old-ring share is ever subtracted.
+    h.assert_backlog_is_the_rolling_sum(new_ring);
+    let first = h.hops.iter().find(|hop| hop.ring == new_ring && hop.backlog > 0).expect("sent");
+    assert_eq!(first.backlog, first.queued, "the first share lands on a sum of zero");
+    assert!(h.run_until(400_000, |h| h.all_alive_delivered(135)));
     h.assert_same_order();
 }
 
@@ -504,4 +589,49 @@ fn two_simultaneous_partitions_heal_into_one_ring() {
         .delivered
         .iter()
         .all(|d| d.iter().any(|(_, b)| &b[..] == b"post-heal"))));
+}
+
+proptest! {
+    /// On a loss-free ring under an arbitrary submit schedule, every
+    /// forwarded token carries the sum of each member's queue length
+    /// as of its last visit; and once every queue has been reported
+    /// empty, every visit of every member holds the token again.
+    #[test]
+    fn token_backlog_tracks_the_queues_and_an_idle_ring_holds(
+        n in 2usize..6,
+        schedule in proptest::collection::vec((0usize..6, 0usize..70, any::<bool>(), 0usize..40), 0..24),
+    ) {
+        let mut h = Harness::operational(n, cfg());
+        let big = vec![0u8; totem_wire::frame::MAX_UNFRAGMENTED_MSG];
+        for (node, burst, large, steps) in schedule {
+            for _ in 0..burst {
+                h.submit(node % n, if large { &big } else { b"small" });
+            }
+            h.run_until(steps, |_| false);
+        }
+        let handled = |h: &Harness| -> Vec<u64> {
+            h.nodes.iter().map(|n| n.stats().tokens_handled).collect()
+        };
+        let visited_since = |h: &Harness, mark: &[u64], visits: u64| {
+            handled(h).iter().zip(mark).all(|(now, then)| *now >= then + visits)
+        };
+        prop_assert!(h.run_until(200_000, |h| h.nodes.iter().all(|n| n.send_queue_len() == 0)));
+        // One more visit each withdraws the last nonzero share.
+        let drained = handled(&h);
+        prop_assert!(h.run_until(10_000, |h| visited_since(h, &drained, 1)));
+        h.assert_backlog_is_the_rolling_sum(RingId::new(NodeId::new(0), 1));
+
+        let held = |h: &Harness| -> Vec<u64> {
+            h.nodes.iter().map(|n| n.stats().tokens_held).collect()
+        };
+        let (handled_idle, held_idle) = (handled(&h), held(&h));
+        prop_assert!(h.run_until(10_000, |h| visited_since(h, &handled_idle, 3)));
+        for i in 0..n {
+            prop_assert_eq!(
+                held(&h)[i] - held_idle[i],
+                handled(&h)[i] - handled_idle[i],
+                "node {} forwarded an idle ring's token without holding it", i
+            );
+        }
+    }
 }

@@ -37,7 +37,10 @@ pub struct Token {
     /// Flow control count: packets broadcast by all nodes during the
     /// last token rotation.
     pub fcc: u32,
-    /// Sum of the send-queue backlogs reported by nodes this rotation.
+    /// Rolling sum of the members' send-queue backlogs: each member's
+    /// queue length as of its last visit (a visit replaces the
+    /// member's previous share). Zero means no member reports a queued
+    /// message — the ring is idle.
     pub backlog: u32,
     /// Retransmission request list: sequence numbers some node is
     /// missing. A token holder that has a requested packet rebroadcasts
