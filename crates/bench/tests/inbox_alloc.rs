@@ -1,20 +1,26 @@
 //! Allocation-regression gate for the transport inbox arenas.
 //!
 //! The batched receive path's contract is one exact-size allocation
-//! per *batch*, none per datagram: a reader thread copies every
-//! datagram into one long-lived linear arena, seals the filled prefix
-//! into an immutable batch of exactly its own size (one channel
-//! send), and the driver carves frames off as zero-copy slices. These
-//! tests pin that with a counting global allocator (scoped to the
-//! test's own thread, see `common`) — if a per-datagram `Bytes`
-//! allocation, a per-frame queue node or a per-batch arena
-//! replacement sneaks back in, the assertions fail.
+//! per *batch*, none per datagram: the receiving thread copies every
+//! datagram into one long-lived linear arena per socket, seals the
+//! filled prefix into an immutable batch of exactly its own size, and
+//! carves frames off as zero-copy slices. The send path's is none at
+//! all on the submitting thread: a run handed to a network thread is
+//! refcount bumps into a queue that has already grown. These tests
+//! pin both with a counting global allocator (scoped to the test's
+//! own thread, see `common`) — if a per-datagram `Bytes` allocation,
+//! a per-frame queue node, a per-frame address list or a per-batch
+//! arena replacement sneaks back in, the assertions fail.
 
 mod common;
 
+use std::time::Duration;
+
+use bytes::Bytes;
 use common::snapshot;
 use totem_transport::inbox::{InboxArena, MAX_BATCH_FRAMES};
-use totem_wire::NetworkId;
+use totem_transport::{Destination, RecvBatch, SendBatch, Transport, UdpTopology};
+use totem_wire::{NetworkId, NodeId};
 
 /// Steady-state cost of the arena cycle: each batch (push × frames,
 /// seal, carve every frame) costs at most one allocation — the
@@ -73,4 +79,75 @@ fn carving_a_sealed_batch_allocates_nothing() {
     }
     assert_eq!(snapshot().0 - a0, 0, "carving must not allocate");
     assert_eq!(total, 32 * 256);
+}
+
+/// The same contract through real sockets: `UdpTransport::recv_batch`
+/// reads k datagrams off a socket into one sealed batch, so a fill
+/// costs one allocation per socket that had traffic, whatever k is.
+#[test]
+fn udp_recv_batch_allocates_once_per_sealed_batch() {
+    let mut ts = UdpTopology::bind_ephemeral(2, 2).expect("bind").into_transports().unwrap();
+    let b = ts.remove(1);
+    let a = ts.remove(0);
+    let payload = Bytes::from(vec![0xCDu8; 300]);
+    let mut out = RecvBatch::new();
+    // k = 1 is the idle ring's token; the first round is the warm-up
+    // that grows the arenas and the batch.
+    for (round, k) in [MAX_BATCH_FRAMES / 2, 1, 7, MAX_BATCH_FRAMES / 2].into_iter().enumerate() {
+        for _ in 0..k {
+            for net in 0..2 {
+                // A lone frame on an idle network is sent by this
+                // thread: it is in b's socket when `send` returns.
+                a.send(NetworkId::new(net), Destination::Broadcast, payload.clone()).unwrap();
+            }
+        }
+        let (a0, _) = snapshot();
+        let got = b.recv_batch(&mut out, Duration::from_secs(2));
+        let allocs = snapshot().0 - a0;
+        assert_eq!(got, 2 * k, "one fill takes both sockets' datagrams");
+        out.clear();
+        if round > 0 {
+            assert!(allocs <= 2, "a fill of 2 x {k} datagrams allocated {allocs} times");
+        }
+    }
+}
+
+/// Queueing a run for a network thread allocates nothing on the
+/// submitting thread once the queue has grown: frames go in as
+/// `(Destination, Bytes)` — a refcount bump each — and destinations
+/// are resolved on the sending thread, against the shared peer table.
+#[test]
+fn queueing_a_run_allocates_nothing_per_frame() {
+    let mut ts = UdpTopology::bind_ephemeral(3, 1).expect("bind").into_transports().unwrap();
+    let b = ts.remove(1);
+    let a = ts.remove(0);
+    let payload = Bytes::from(vec![0xEFu8; 300]);
+    let mut run = SendBatch::new();
+    let mut arrived = RecvBatch::new();
+    // The first rounds are the warm-up: the queue's two buffers (the
+    // one being filled and the one the network thread sends from,
+    // which trade places) each reach 40 frames.
+    for round in 0..8 {
+        run.clear();
+        for i in 0..40u16 {
+            let dst =
+                if i % 8 == 7 { Destination::Node(NodeId::new(1)) } else { Destination::Broadcast };
+            run.push(NetworkId::new(0), dst, payload.clone());
+        }
+        let (a0, _) = snapshot();
+        assert_eq!(a.send_batch(&mut run).expect("queued"), 40);
+        let allocs = snapshot().0 - a0;
+        if round >= 3 {
+            assert_eq!(allocs, 0, "queueing a 40-frame run must not allocate");
+        }
+        // The next round starts when node 1 has all of this one: the
+        // network thread is through its buffer.
+        let mut got = 0;
+        while got < 40 {
+            let n = b.recv_batch(&mut arrived, Duration::from_secs(2));
+            assert!(n > 0, "round {round}: {got} of 40 frames arrived");
+            got += n;
+            arrived.clear();
+        }
+    }
 }

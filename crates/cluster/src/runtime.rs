@@ -397,7 +397,7 @@ impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
     fn flush(&mut self) {
         // The node emits each frame's redundant copies net-by-net;
         // regrouping them per network turns the flush into one
-        // contiguous run (one sendmmsg submission) per network.
+        // contiguous run (one hand-off to its transmitter) per network.
         self.out_batch.group_by_net();
         while !self.out_batch.is_empty() {
             match self.transport.send_batch(&mut self.out_batch) {

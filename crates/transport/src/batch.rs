@@ -4,9 +4,9 @@
 //! The driver loop accumulates every frame produced by one wake into a
 //! [`SendBatch`] and hands the whole batch to
 //! [`Transport::send_batch`](crate::Transport::send_batch) once, so a
-//! batch-aware transport can amortize its per-submission cost
-//! (`sendmmsg` issues one syscall per `(network, batch)` group instead
-//! of one per datagram). Symmetrically, a [`RecvBatch`] carries every
+//! batch-aware transport can amortize its per-submission cost (the UDP
+//! transport hands each network's run to that network's thread in one
+//! queue operation). Symmetrically, a [`RecvBatch`] carries every
 //! datagram one wake drained out of the transport. Both types keep
 //! their allocations across `clear()`, so a driver in steady state
 //! reuses the same two buffers forever.
@@ -33,8 +33,8 @@ pub struct SendFrame {
 /// [`Transport::send_batch`](crate::Transport::send_batch) consumes
 /// frames from the front and advances the cursor past everything it
 /// submitted, so partial success (a full socket buffer mid-batch)
-/// leaves the unsent tail in place for a retry — the same contract as
-/// `sendmmsg(2)`, which reports how many messages it sent.
+/// leaves the unsent tail in place for a retry: the call reports how
+/// many frames it submitted.
 #[derive(Debug, Default)]
 pub struct SendBatch {
     frames: Vec<SendFrame>,
@@ -89,8 +89,8 @@ impl SendBatch {
     }
 
     /// Stable-groups the *pending* frames by network, so a batch-aware
-    /// transport sees one contiguous run per network (one `sendmmsg`
-    /// submission each) instead of one run per frame when a producer
+    /// transport sees one contiguous run per network (one submission
+    /// each) instead of one run per frame when a producer
     /// interleaves networks (the redundant-ring layer emits each
     /// frame's copies net-by-net).
     ///
@@ -110,7 +110,7 @@ impl SendBatch {
 ///
 /// `max` bounds how many frames one call may append so a saturated
 /// socket cannot starve the driver's timer handling; the default of
-/// [`RecvBatch::DEFAULT_MAX`] matches typical `recvmmsg` vector sizes.
+/// [`RecvBatch::DEFAULT_MAX`] is one full inbox arena.
 #[derive(Debug)]
 pub struct RecvBatch {
     frames: Vec<(NetworkId, Bytes)>,

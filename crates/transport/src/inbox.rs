@@ -1,12 +1,11 @@
 //! Single-writer inbox arenas: compact linear datagram buffers.
 //!
-//! Each UDP reader thread owns one [`InboxArena`] — a long-lived
-//! linear scratch buffer it copies every received datagram into, back
-//! to back, recording only the end offset of each frame. When the
+//! Each UDP socket has one [`InboxArena`] — a long-lived linear
+//! scratch buffer the receiving thread copies every datagram into,
+//! back to back, recording only the end offset of each frame. When the
 //! socket runs dry (or the arena hits its frame/byte caps) the writer
 //! [`seal`](InboxArena::seal)s the filled prefix into an immutable,
-//! *exact-size* [`SealedBatch`] and hands the *whole batch* to the
-//! driver in one channel send. The driver carves the batch into
+//! *exact-size* [`SealedBatch`]. The driver carves the batch into
 //! per-frame [`Bytes`] with zero-copy slices of the batch allocation,
 //! and the zero-copy decoder (`totem_wire::Packet::decode_shared`)
 //! slices payloads out of those — so socket → batch → decoded packet
@@ -14,13 +13,13 @@
 //!
 //! A batch costs one allocation of exactly its own size — the
 //! datagrams, followed by their end offsets when there is more than
-//! one — and one queue operation, however many frames it carries;
-//! every carved frame is a refcount bump. Because the batch
-//! is sized to its contents rather than to the arena, a payload the
-//! application holds on to pins at most the datagrams that arrived in
-//! the same batch — never a 16–256 KiB arena. The scratch buffer
-//! itself is never handed out, so it grows to the traffic's high-water
-//! mark once and is reused for the life of the reader. The design
+//! one — however many frames it carries; every carved frame is a
+//! refcount bump. Because the batch is sized to its contents rather
+//! than to the arena, a payload the application holds on to pins at
+//! most the datagrams that arrived in the same batch — never a
+//! 16–256 KiB arena. The scratch buffer itself is never handed out, so
+//! it grows to the traffic's high-water mark once and is reused for
+//! the life of the transport. The design
 //! follows the single-writer message inboxes in citybound's `kay`
 //! actor system (one linear buffer per writer → reader pair, messages
 //! appended back to back and consumed as slices).
@@ -29,8 +28,8 @@ use bytes::Bytes;
 
 use totem_wire::NetworkId;
 
-/// Soft cap on datagrams per sealed batch (matches common `recvmmsg`
-/// vector sizes; keeps one batch from monopolizing the driver).
+/// Soft cap on datagrams per sealed batch (keeps one socket's backlog
+/// from monopolizing the driver).
 pub const MAX_BATCH_FRAMES: usize = 64;
 
 /// Soft cap on arena bytes per sealed batch.

@@ -18,12 +18,13 @@
 //! everything queued into a [`RecvBatch`] — with default
 //! implementations that loop over the single-shot methods, so every
 //! transport is batch-callable and batch-aware transports (the UDP
-//! one, via [`inbox`] arenas and optionally `sendmmsg`/`recvmmsg`
-//! under the `mmsg` feature) amortize their per-datagram costs.
+//! one: [`inbox`] arenas filled by the receiving thread itself, runs
+//! handed to one transmitter thread per network) amortize their
+//! per-datagram costs.
 //!
 //! Unsafe code is denied crate-wide; the single audited exception is
-//! the `mmsg` syscall shim in `sys`, which exists only on Linux
-//! behind the `mmsg` cargo feature.
+//! the `ppoll(2)` shim in `sys`, which the UDP transport waits in and
+//! which is therefore part of the default build (unix only).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +33,7 @@ pub mod batch;
 pub mod counted;
 pub mod inbox;
 pub mod memory;
-#[cfg(all(feature = "mmsg", target_os = "linux"))]
-pub mod sys;
+mod sys;
 pub mod udp;
 
 pub use batch::{RecvBatch, SendBatch, SendFrame};
@@ -84,10 +84,10 @@ pub trait Transport: Send {
     fn recv_timeout(&self, timeout: Duration) -> Option<(NetworkId, Bytes)>;
 
     /// Submits every pending frame of `batch`, advancing its cursor
-    /// past what was sent, and returns how many frames went out —
-    /// `sendmmsg(2)` semantics: a transient failure mid-batch reports
-    /// the partial count (`Ok(n)`, unsent tail left pending) and only
-    /// a failure on the *first* pending frame surfaces as an error.
+    /// past what was sent, and returns how many frames went out: a
+    /// transient failure mid-batch reports the partial count (`Ok(n)`,
+    /// unsent tail left pending) and only a failure on the *first*
+    /// pending frame surfaces as an error.
     ///
     /// The default implementation loops over [`Transport::send`];
     /// batch-aware transports override it to amortize per-submission

@@ -1,306 +1,134 @@
-//! Audited `sendmmsg(2)`/`recvmmsg(2)` shim (Linux, feature `mmsg`).
+//! Audited `ppoll(2)` shim: wait on a few sockets with a timeout finer
+//! than a millisecond.
 //!
 //! This is the one module in the workspace allowed to use `unsafe`:
 //! the crate is `deny(unsafe_code)` and this file opts back in with a
-//! single audited `allow`. Everything unsafe is confined to (a) the
-//! two `extern "C"` declarations against the C library the Rust
-//! standard library already links, and (b) the two call sites, each
-//! with a SAFETY argument. No other module sees a raw pointer.
+//! single audited `allow`. The unsafe surface is one `extern "C"`
+//! declaration against the C library the standard library already
+//! links, and its one call site. No other module sees a raw pointer.
 //!
-//! The offline build vendors no `libc` crate, so the FFI structs are
-//! declared here for the one ABI this feature targets:
-//! `x86_64/aarch64-unknown-linux-gnu` (glibc field layout; the
-//! feature is compile-gated to `target_os = "linux"`). Only IPv4
-//! destinations are supported — the portable fallback in
-//! [`crate::udp`] handles everything else.
-//!
-//! Why bother: the batched fast path's whole point is that one
-//! submission syscall carries a vector of datagrams. `send_many`
-//! turns a same-socket run of frames into ⌈n/vlen⌉ `sendmmsg` calls
-//! and `recv_many` drains up to a vector of datagrams per `recvmmsg`
-//! wake, so the syscalls/frame figure drops with the batch size
-//! instead of being pinned at one-plus per frame.
+//! Why it exists: the driver thread waits for its sockets and its next
+//! protocol deadline in the same call, and that deadline is often the
+//! 200 µs idle-token hold. The standard library offers no wait on
+//! several sockets, and `poll(2)` counts in milliseconds — rounding
+//! 200 µs up to 1 ms would pace an idle ring five times slower.
+//! `ppoll` takes a `timespec`. Unix platforms without it fall back to
+//! `poll` with the timeout rounded up, the module's only `cfg` split.
 
 #![allow(unsafe_code)]
 
+use std::ffi::c_int;
 use std::io;
-use std::net::{SocketAddrV4, UdpSocket};
+use std::net::UdpSocket;
 use std::os::fd::AsRawFd;
+use std::time::Duration;
 
-/// `struct iovec` (POSIX; identical on every Linux ABI).
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+/// `struct pollfd` (POSIX; the same layout on every unix).
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-struct IoVec {
-    base: *mut u8,
-    len: usize,
+pub struct PollFd {
+    fd: c_int,
+    events: i16,
+    revents: i16,
 }
 
-/// `struct sockaddr_in` (network byte order for port and address).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default)]
-struct SockAddrIn {
-    family: u16,
-    port_be: u16,
-    addr_be: u32,
-    zero: [u8; 8],
-}
+impl PollFd {
+    /// Waits for `socket` to have a datagram to read.
+    pub fn readable(socket: &UdpSocket) -> Self {
+        PollFd { fd: socket.as_raw_fd(), events: POLLIN, revents: 0 }
+    }
 
-/// `struct msghdr` (glibc layout: `size_t` iov/control lengths).
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct MsgHdr {
-    name: *mut SockAddrIn,
-    namelen: u32,
-    iov: *mut IoVec,
-    iovlen: usize,
-    control: *mut u8,
-    controllen: usize,
-    flags: i32,
-}
-
-/// `struct mmsghdr`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct MMsgHdr {
-    hdr: MsgHdr,
-    len: u32,
-}
-
-const AF_INET: u16 = 2;
-/// `MSG_WAITFORONE`: block for the first datagram (subject to
-/// `SO_RCVTIMEO`), then return whatever else is already queued.
-const MSG_WAITFORONE: i32 = 0x10000;
-
-extern "C" {
-    fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
-    fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
-}
-
-fn sockaddr(addr: SocketAddrV4) -> SockAddrIn {
-    SockAddrIn {
-        family: AF_INET,
-        port_be: addr.port().to_be(),
-        addr_be: u32::from(*addr.ip()).to_be(),
-        zero: [0; 8],
+    /// Waits for `socket` to accept a datagram to send.
+    pub fn writable(socket: &UdpSocket) -> Self {
+        PollFd { fd: socket.as_raw_fd(), events: POLLOUT, revents: 0 }
     }
 }
 
-fn would_block(err: &io::Error) -> bool {
-    matches!(
-        err.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
+#[cfg(target_os = "linux")]
+mod ffi {
+    use std::ffi::{c_int, c_long, c_ulong, c_void};
+
+    /// `struct timespec` (`time_t` is `long` on every Linux ABI the
+    /// plain `ppoll` symbol serves).
+    #[repr(C)]
+    pub struct Timespec {
+        pub sec: c_long,
+        pub nsec: c_long,
+    }
+
+    extern "C" {
+        pub fn ppoll(
+            fds: *mut super::PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
 }
 
-/// Submits `msgs` — `(payload, destination)` pairs — on `socket` with
-/// one `sendmmsg` per `vlen`-sized chunk. Returns how many datagrams
-/// were accepted by the kernel; like `sendmmsg` itself, a transient
-/// failure after partial progress reports the partial count and only
-/// a failure on the first datagram surfaces as an error.
+#[cfg(not(target_os = "linux"))]
+mod ffi {
+    use std::ffi::{c_int, c_uint};
+
+    extern "C" {
+        pub fn poll(fds: *mut super::PollFd, nfds: c_uint, timeout_ms: c_int) -> c_int;
+    }
+}
+
+/// Blocks until one of `fds` is ready or `timeout` has passed; returns
+/// whether any is ready. The descriptors must stay open for the call,
+/// which holding the sockets they were built from guarantees.
 ///
 /// # Errors
 ///
-/// Returns the socket error when not a single datagram of this call
-/// could be submitted.
-pub fn send_many(socket: &UdpSocket, msgs: &[(&[u8], SocketAddrV4)]) -> io::Result<usize> {
-    if msgs.is_empty() {
-        return Ok(0);
-    }
-    let fd = socket.as_raw_fd();
-    let mut addrs: Vec<SockAddrIn> = msgs.iter().map(|&(_, a)| sockaddr(a)).collect();
-    let mut iovecs: Vec<IoVec> =
-        msgs.iter().map(|&(p, _)| IoVec { base: p.as_ptr().cast_mut(), len: p.len() }).collect();
-    let mut headers: Vec<MMsgHdr> = (0..msgs.len())
-        .map(|i| MMsgHdr {
-            hdr: MsgHdr {
-                name: addrs.as_mut_ptr().wrapping_add(i),
-                namelen: size_of::<SockAddrIn>() as u32,
-                iov: iovecs.as_mut_ptr().wrapping_add(i),
-                iovlen: 1,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            len: 0,
-        })
-        .collect();
-
-    let mut sent = 0usize;
-    while sent < headers.len() {
-        let vlen = (headers.len() - sent).min(1024) as u32;
-        // SAFETY: `headers[sent..sent+vlen]` is a live, initialized
-        // mmsghdr array; every name/iov pointer targets elements of
-        // `addrs`/`iovecs`, which outlive this call and are not
-        // resized after the pointers were taken; every iovec base
-        // targets a caller-owned payload slice that outlives the call.
-        let n = unsafe { sendmmsg(fd, headers.as_mut_ptr().wrapping_add(sent), vlen, 0) };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            return if sent > 0 { Ok(sent) } else { Err(err) };
-        }
-        if n == 0 {
-            break;
-        }
-        sent += n as usize;
-    }
-    Ok(sent)
-}
-
-/// Fixed receive vector for `recvmmsg`: `slots` datagram buffers plus
-/// the header/iovec/source-address arrays the kernel fills in.
-///
-/// All internal pointers target heap allocations owned by this
-/// struct's `Vec`s, which are never resized after construction, so
-/// moving the struct (e.g. into a reader thread) cannot invalidate
-/// them.
-#[derive(Debug)]
-pub struct RecvSlots {
-    bufs: Vec<Vec<u8>>,
-    // `addrs`/`iovecs` are "never read" by Rust code — the kernel
-    // reads them through the raw pointers wired into `headers`; they
-    // exist to keep that memory owned and alive.
-    #[allow(dead_code)]
-    addrs: Vec<SockAddrIn>,
-    #[allow(dead_code)]
-    iovecs: Vec<IoVec>,
-    headers: Vec<MMsgHdr>,
-}
-
-// SAFETY: the raw pointers inside `iovecs`/`headers` reference only
-// heap memory owned by the same struct; there is no shared mutable
-// state, so transferring ownership across threads is sound.
-unsafe impl Send for RecvSlots {}
-
-impl RecvSlots {
-    /// Allocates `slots` buffers of `buf_size` bytes each and wires
-    /// up the header arrays once; every [`recv_many`] call reuses
-    /// them.
-    pub fn new(slots: usize, buf_size: usize) -> Self {
-        assert!(slots > 0 && buf_size > 0, "recv slots and buffer size must be positive");
-        let mut bufs: Vec<Vec<u8>> = (0..slots).map(|_| vec![0u8; buf_size]).collect();
-        let mut addrs: Vec<SockAddrIn> = vec![SockAddrIn::default(); slots];
-        let mut iovecs: Vec<IoVec> =
-            bufs.iter_mut().map(|b| IoVec { base: b.as_mut_ptr(), len: b.len() }).collect();
-        let headers: Vec<MMsgHdr> = (0..slots)
-            .map(|i| MMsgHdr {
-                hdr: MsgHdr {
-                    name: addrs.as_mut_ptr().wrapping_add(i),
-                    namelen: size_of::<SockAddrIn>() as u32,
-                    iov: iovecs.as_mut_ptr().wrapping_add(i),
-                    iovlen: 1,
-                    control: std::ptr::null_mut(),
-                    controllen: 0,
-                    flags: 0,
-                },
-                len: 0,
-            })
-            .collect();
-        RecvSlots { bufs, addrs, iovecs, headers }
-    }
-
-    /// Number of slots in the vector.
-    pub fn slots(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// The datagram the kernel wrote into slot `i` on the last
-    /// [`recv_many`] call (valid for `i < n` where `n` was its return
-    /// value).
-    pub fn datagram(&self, i: usize) -> &[u8] {
-        let len = (self.headers[i].len as usize).min(self.bufs[i].len());
-        &self.bufs[i][..len]
-    }
-}
-
-/// Drains up to `slots.slots()` datagrams from `socket` in one
-/// `recvmmsg` call. With `wait_for_one` the call blocks for the first
-/// datagram (bounded by the socket's `SO_RCVTIMEO`) and returns
-/// whatever else is already queued; a timeout reports `Ok(0)`.
-///
-/// # Errors
-///
-/// Returns any non-transient socket error.
-pub fn recv_many(
-    socket: &UdpSocket,
-    slots: &mut RecvSlots,
-    wait_for_one: bool,
-) -> io::Result<usize> {
-    let fd = socket.as_raw_fd();
-    let flags = if wait_for_one { MSG_WAITFORONE } else { 0 };
-    // SAFETY: `slots.headers` is a live, initialized mmsghdr array of
-    // exactly `slots.slots()` entries; every name/iov pointer targets
-    // same-struct heap arrays sized in `RecvSlots::new` and never
-    // resized; every iovec spans a full `buf_size` buffer, so the
-    // kernel cannot write out of bounds. A null timeout defers the
-    // blocking bound to `SO_RCVTIMEO`.
-    let n = unsafe {
-        recvmmsg(
-            fd,
-            slots.headers.as_mut_ptr(),
-            slots.headers.len() as u32,
-            flags,
-            std::ptr::null_mut(),
-        )
+/// Returns the OS error, `Interrupted` included (the caller knows how
+/// much of its wait is left).
+pub fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<bool> {
+    // SAFETY: `fds` is a live, exclusively borrowed array of exactly
+    // `fds.len()` initialized `pollfd`s, the only memory the kernel
+    // writes (their `revents`); the timeout is a local that outlives
+    // the call; a null signal mask leaves the mask alone.
+    #[cfg(target_os = "linux")]
+    let ready = unsafe {
+        let timeout = ffi::Timespec {
+            sec: timeout.as_secs().min(i32::MAX as u64) as _,
+            nsec: timeout.subsec_nanos() as _,
+        };
+        ffi::ppoll(fds.as_mut_ptr(), fds.len() as _, &timeout, std::ptr::null())
     };
-    if n < 0 {
-        let err = io::Error::last_os_error();
-        if would_block(&err) {
-            return Ok(0);
-        }
-        return Err(err);
+    // SAFETY: as above, with the timeout passed by value.
+    #[cfg(not(target_os = "linux"))]
+    let ready = unsafe {
+        let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128);
+        ffi::poll(fds.as_mut_ptr(), fds.len() as _, ms as c_int)
+    };
+    if ready < 0 {
+        return Err(io::Error::last_os_error());
     }
-    Ok(n as usize)
+    Ok(ready > 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::SocketAddr;
-    use std::time::Duration;
+    use std::time::Instant;
 
-    fn pair() -> (UdpSocket, UdpSocket, SocketAddrV4) {
+    #[test]
+    fn an_idle_socket_times_out_and_a_loaded_one_is_ready() {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
         let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        b.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
-        let dst = match b.local_addr().unwrap() {
-            SocketAddr::V4(v4) => v4,
-            SocketAddr::V6(_) => unreachable!("bound to an IPv4 loopback"),
-        };
-        (a, b, dst)
-    }
+        let mut fds = [PollFd::readable(&a), PollFd::readable(&b)];
 
-    #[test]
-    fn send_many_then_recv_many_round_trips() {
-        let (a, b, dst) = pair();
-        let payloads: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; (i as usize + 1) * 7]).collect();
-        let msgs: Vec<(&[u8], SocketAddrV4)> =
-            payloads.iter().map(|p| (p.as_slice(), dst)).collect();
-        assert_eq!(send_many(&a, &msgs).unwrap(), 10);
+        let started = Instant::now();
+        assert!(!wait(&mut fds, Duration::from_micros(300)).unwrap());
+        assert!(started.elapsed() >= Duration::from_micros(300), "never early");
 
-        let mut slots = RecvSlots::new(16, 2048);
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        while got.len() < 10 {
-            let n = recv_many(&b, &mut slots, true).unwrap();
-            assert!(n > 0, "timed out before all datagrams arrived");
-            for i in 0..n {
-                got.push(slots.datagram(i).to_vec());
-            }
-        }
-        // Loopback UDP between two sockets preserves order.
-        assert_eq!(got, payloads);
-    }
-
-    #[test]
-    fn recv_many_times_out_to_zero() {
-        let (_a, b, _dst) = pair();
-        b.set_read_timeout(Some(Duration::from_millis(30))).unwrap();
-        let mut slots = RecvSlots::new(4, 512);
-        assert_eq!(recv_many(&b, &mut slots, true).unwrap(), 0);
-    }
-
-    #[test]
-    fn empty_send_is_a_no_op() {
-        let (a, _b, _dst) = pair();
-        assert_eq!(send_many(&a, &[]).unwrap(), 0);
+        a.send_to(b"x", b.local_addr().unwrap()).unwrap();
+        assert!(wait(&mut fds, Duration::from_secs(2)).unwrap());
+        // A socket with room in its send buffer is writable at once.
+        assert!(wait(&mut [PollFd::writable(&a)], Duration::ZERO).unwrap());
     }
 }
