@@ -4,13 +4,16 @@
 //! per *batch*, none per datagram: the receiving thread copies every
 //! datagram into one long-lived linear arena per socket, seals the
 //! filled prefix into an immutable batch of exactly its own size, and
-//! carves frames off as zero-copy slices. The send path's is none at
-//! all on the submitting thread: a run handed to a network thread is
-//! refcount bumps into a queue that has already grown. These tests
-//! pin both with a counting global allocator (scoped to the test's
-//! own thread, see `common`) — if a per-datagram `Bytes` allocation,
-//! a per-frame queue node, a per-frame address list or a per-batch
-//! arena replacement sneaks back in, the assertions fail.
+//! carves frames off as zero-copy slices — a segment train read whole
+//! included, which splits into one arena frame per segment. The send
+//! path's is none at all on the submitting thread: a run handed to a
+//! network thread is refcount bumps into a queue that has already
+//! grown, and the network thread cuts it into trains whose iovecs live
+//! on its stack. These tests pin both with a counting global allocator
+//! (scoped to the test's own thread, see `common`) — if a per-datagram
+//! `Bytes` allocation, a per-frame queue node, a per-frame address
+//! list, a per-train iovec vector or a per-batch arena replacement
+//! sneaks back in, the assertions fail.
 
 mod common;
 
@@ -19,6 +22,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use common::snapshot;
 use totem_transport::inbox::{InboxArena, MAX_BATCH_FRAMES};
+use totem_transport::udp::for_each_train;
 use totem_transport::{Destination, RecvBatch, SendBatch, Transport, UdpTopology};
 use totem_wire::{NetworkId, NodeId};
 
@@ -110,6 +114,75 @@ fn udp_recv_batch_allocates_once_per_sealed_batch() {
             assert!(allocs <= 2, "a fill of 2 x {k} datagrams allocated {allocs} times");
         }
     }
+}
+
+/// The same contract when the datagrams arrive as segment trains: a
+/// 40-frame run per network goes through `send_batch` to the network
+/// threads, which send it to the peer as one train each; the fill
+/// splits every train back into its frames and costs at most one
+/// allocation per socket that had traffic.
+#[test]
+fn udp_recv_batch_of_a_train_allocates_once_per_socket() {
+    let mut ts = UdpTopology::bind_ephemeral(2, 2).expect("bind").into_transports().unwrap();
+    let b = ts.remove(1);
+    let a = ts.remove(0);
+    let payload = Bytes::from(vec![0x5Au8; 300]);
+    let mut run = SendBatch::new();
+    let mut out = RecvBatch::new();
+    // The first round is the warm-up: arenas and the fill grow.
+    for round in 0..4 {
+        run.clear();
+        for net in 0..2 {
+            for _ in 0..40 {
+                run.push(NetworkId::new(net), Destination::Broadcast, payload.clone());
+            }
+        }
+        assert_eq!(a.send_batch(&mut run).expect("queued"), 80);
+        let mut got = 0;
+        while got < 80 {
+            let (a0, _) = snapshot();
+            let n = b.recv_batch(&mut out, Duration::from_secs(2));
+            let allocs = snapshot().0 - a0;
+            assert!(n > 0, "round {round}: {got} of 80 frames arrived");
+            let sockets = (0..2).filter(|net| out.iter().any(|(n, _)| n.as_u8() == *net)).count();
+            if round > 0 {
+                assert!(
+                    allocs <= sockets as u64,
+                    "a fill of {n} frames from {sockets} sockets allocated {allocs} times"
+                );
+            }
+            got += n;
+            out.clear();
+        }
+        assert_eq!(got, 80, "round {round}: nothing more than was sent");
+    }
+}
+
+/// Cutting a batch into trains and building their iovecs allocates
+/// nothing: the iovecs live on the cutter's stack, and a train borrows
+/// the frames it carries.
+#[test]
+fn cutting_trains_allocates_nothing() {
+    let frame = |len: usize| Bytes::from(vec![0x77u8; len]);
+    let token = (Destination::Node(NodeId::new(1)), frame(40));
+    let frames: Vec<(Destination, Bytes)> =
+        std::iter::repeat_with(|| (Destination::Broadcast, frame(300)))
+            .take(40)
+            .chain([token])
+            .chain(std::iter::repeat_with(|| (Destination::Broadcast, frame(120))).take(70))
+            .chain(std::iter::repeat_with(|| (Destination::Broadcast, frame(1_400))).take(50))
+            .collect();
+    let (mut trains, mut segments) = (0, 0);
+    let (a0, _) = snapshot();
+    assert!(for_each_train(&frames, |_, train| {
+        trains += 1;
+        segments += train.len();
+        true
+    }));
+    assert_eq!(snapshot().0 - a0, 0, "cutting must not allocate");
+    assert_eq!(segments, frames.len());
+    // 40 data frames; the token; 64 + 6 frames; 46 + 4 frames.
+    assert_eq!(trains, 6);
 }
 
 /// Queueing a run for a network thread allocates nothing on the

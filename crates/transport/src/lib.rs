@@ -23,8 +23,10 @@
 //! per-datagram costs.
 //!
 //! Unsafe code is denied crate-wide; the single audited exception is
-//! the `ppoll(2)` shim in `sys`, which the UDP transport waits in and
-//! which is therefore part of the default build (unix only).
+//! the socket shim in `sys` — the `ppoll(2)` the UDP transport waits
+//! in, and the `sendmsg(2)`/`recvmsg(2)`/`setsockopt(2)` it sends and
+//! receives segment trains with — which is therefore part of the
+//! default build (unix only).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,24 +17,35 @@
 //! `ppoll(2)` over all of them, for the caller's timeout at nanosecond
 //! precision (the 200 µs idle-token hold depends on it). So the thread
 //! the kernel wakes for a datagram is the thread that runs the
-//! protocol on it: one wake-up per token hop.
+//! protocol on it: one wake-up per token hop. Each socket asks for
+//! `UDP_GRO`, so a segment train (below) arrives as one read; the read
+//! reports the train's segment size and is split back into the
+//! datagrams it was sent as, one arena frame each — every layer above
+//! sees exactly the frames a datagram-per-frame sender would produce.
 //!
 //! **Send path: one transmitter thread per network.** Each socket has
 //! a `totem-udp-<net>` thread, the software stand-in for that
 //! network's NIC. [`Transport::send_batch`] cuts a batch into
 //! contiguous same-network runs and hands each run to its network's
 //! thread through a FIFO queue, then returns: the driver is back at
-//! its sockets while the datagrams go out on another core. The one
-//! exception is a run of at most [`INLINE_RUN_MAX`] frames on a
-//! network whose thread has nothing queued or in flight, which the
-//! caller sends itself — forwarding a token must not cost a thread
-//! wake-up. Either way a network's datagrams leave in submission
-//! order: the token never overtakes the data it covers. A send that
-//! would block is the network thread's to wait out (`POLLOUT`); it is
-//! never a dropped datagram and never a stalled driver.
+//! its sockets while the datagrams go out on another core. The thread
+//! cuts what it takes into *segment trains* ([`for_each_train`]) and
+//! sends each train to each of its peers in one `sendmsg` that the
+//! kernel cuts into datagrams (`UDP_SEGMENT`): on loopback one packet
+//! per train and peer instead of one per frame. The one exception is a
+//! run of at most [`INLINE_RUN_MAX`] frames on a network whose thread
+//! has nothing queued or in flight, which the caller sends itself, one
+//! `send_to` per datagram — forwarding a token must not cost a thread
+//! wake-up. Either way a network's datagrams reach each peer in
+//! submission order: the token never overtakes the data it covers. A
+//! send that would block is the network thread's to wait out
+//! (`POLLOUT`); it is never a dropped datagram and never a stalled
+//! driver. Any other failure is the loss of that one datagram (or
+//! train) to that one peer — the fan-out goes on — and a train the
+//! kernel refuses is sent again one datagram per frame.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, IoSlice};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -49,8 +60,17 @@ use crate::sys::{self, PollFd};
 use crate::{Destination, RecvBatch, SendBatch, SendFrame, Transport};
 
 /// Maximum datagram the transport accepts (a Totem frame plus slack
-/// for recovery encapsulation).
+/// for recovery encapsulation), and so the longest train a read can
+/// return whole.
 const MAX_DATAGRAM: usize = 64 * 1024;
+
+/// Most frames one segment train carries: the lowest
+/// `UDP_MAX_SEGMENTS` of the kernels that have `UDP_SEGMENT`.
+const TRAIN_MAX_SEGMENTS: usize = 64;
+
+/// Most bytes one segment train carries: the largest UDP payload over
+/// IPv4 — the kernel builds a train as one datagram before cutting it.
+const TRAIN_MAX_BYTES: usize = 65_507;
 
 /// Longest run the caller of a send sends itself when its network's
 /// thread is idle: a token, or one frame and the token behind it.
@@ -289,6 +309,80 @@ impl Link {
         let _ = sys::wait(&mut [PollFd::writable(&self.socket)], WRITABLE_POLL);
         true
     }
+
+    /// Sends one train (see [`for_each_train`]) to `to`: one datagram
+    /// the kernel cuts into the train's frames — or, for a lone frame
+    /// and for a train the kernel refuses, one datagram per frame. A
+    /// full socket is waited out and the send resumed where it
+    /// stopped; any other failure is the loss of that datagram, which
+    /// the protocol repairs. Returns `false` when the transport stopped
+    /// during a wait.
+    fn send_train(&self, to: SocketAddr, train: &[IoSlice<'_>]) -> bool {
+        let mut whole = train.len() > 1;
+        let mut at = 0;
+        while at < train.len() {
+            let sent = if whole {
+                sys::send_segments(&self.socket, to, &train[at..])
+            } else {
+                self.socket.send_to(&train[at], to).map(|_| 1)
+            };
+            match sent {
+                Ok(frames) => at += frames,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if !self.wait_writable() {
+                        return false;
+                    }
+                }
+                // Refused (no checksum offload, a segment above the
+                // path MTU, ...): this train only goes frame by frame.
+                Err(_) if whole => whole = false,
+                Err(_) => at += 1,
+            }
+        }
+        true
+    }
+}
+
+/// Cuts `frames` into segment trains, in order, and hands each to
+/// `send` with its destination and its frames as iovecs — built on this
+/// function's stack: cutting allocates nothing. Returns `false` as soon
+/// as `send` does.
+///
+/// A train is a maximal run of consecutive frames with the same
+/// destination, every one as long as the first except a shorter last
+/// one, capped at 64 frames (the lowest `UDP_MAX_SEGMENTS` of the
+/// kernels that have `UDP_SEGMENT`) and at one UDP datagram's 65,507
+/// bytes. An empty frame, or one no frame can follow, is a train of
+/// one.
+pub fn for_each_train<'a>(
+    frames: &'a [(Destination, Bytes)],
+    mut send: impl FnMut(&Destination, &[IoSlice<'a>]) -> bool,
+) -> bool {
+    let mut iov = [IoSlice::new(&[]); TRAIN_MAX_SEGMENTS];
+    let mut rest = frames;
+    while let Some((dst, first)) = rest.first() {
+        let (size, mut len, mut bytes) = (first.len(), 0, 0);
+        for (slot, (next, frame)) in iov.iter_mut().zip(rest) {
+            let joins = next == dst
+                && !frame.is_empty()
+                && frame.len() <= size
+                && bytes + frame.len() <= TRAIN_MAX_BYTES;
+            if len > 0 && !joins {
+                break;
+            }
+            *slot = IoSlice::new(frame);
+            len += 1;
+            bytes += frame.len();
+            if frame.len() < size {
+                break; // a shorter frame ends its train
+            }
+        }
+        if !send(dst, &iov[..len]) {
+            return false;
+        }
+        rest = &rest[len..];
+    }
+    true
 }
 
 /// What the driver's side of a transport shares with its network
@@ -311,45 +405,46 @@ impl Shared {
         }
     }
 
+    /// Where `node` listens on network `net`: `None` for a node the
+    /// topology does not have, whose datagrams are lost like any other.
+    fn addr(&self, node: NodeId, net: usize) -> Option<SocketAddr> {
+        self.topology.addrs.get(node.index()).map(|row| row[net])
+    }
+
     /// Sends `payload` on network `net` to each node `dst` stands for,
-    /// starting with the `from`-th. An error names the datagram that
-    /// did not go, so a send that would block resumes exactly there.
-    fn transmit(
-        &self,
-        net: usize,
-        dst: &Destination,
-        payload: &[u8],
-        from: usize,
-    ) -> Result<(), (usize, io::Error)> {
+    /// one `send_to` each. A datagram that fails is lost to that one
+    /// peer and the fan-out goes on; only a full socket stops it, and
+    /// the error is the index of the datagram that did not go, so the
+    /// send resumes exactly there.
+    fn transmit(&self, net: usize, dst: &Destination, payload: &[u8]) -> Result<(), usize> {
         let socket = &self.links[net].socket;
-        for (i, node) in self.targets(dst).iter().enumerate().skip(from) {
-            let sent = match self.topology.addrs.get(node.index()) {
-                Some(row) => socket.send_to(payload, row[net]),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "no such node")),
-            };
-            if let Err(e) = sent {
-                return Err((i, e));
+        for (i, node) in self.targets(dst).iter().enumerate() {
+            let Some(to) = self.addr(*node, net) else { continue };
+            if socket.send_to(payload, to).is_err_and(|e| e.kind() == io::ErrorKind::WouldBlock) {
+                return Err(i);
             }
         }
         Ok(())
     }
 
-    /// A network thread: transmits what the driver queues, in order.
+    /// A network thread: transmits what the driver queues, in order,
+    /// train by train.
     fn run_link(&self, net: usize) {
         let link = &self.links[net];
         let mut batch = VecDeque::new();
         while link.take(&mut batch) {
-            for (dst, payload) in batch.drain(..) {
-                let mut from = 0;
-                while let Err((at, e)) = self.transmit(net, &dst, &payload, from) {
-                    // A full socket is waited out and the send resumed;
-                    // any other failure is packet loss, which the
-                    // protocol repairs.
-                    if e.kind() != io::ErrorKind::WouldBlock || !link.wait_writable() {
-                        break;
-                    }
-                    from = at;
-                }
+            // A train reaches every peer before the next train starts,
+            // so each peer gets this network's frames in submission
+            // order, and the token after the data it covers.
+            let running = for_each_train(batch.make_contiguous(), |dst, train| {
+                self.targets(dst)
+                    .iter()
+                    .filter_map(|node| self.addr(*node, net))
+                    .all(|to| link.send_train(to, train))
+            });
+            batch.clear();
+            if !running {
+                return;
             }
         }
     }
@@ -428,6 +523,9 @@ impl UdpTransport {
         let nets = sockets.len();
         for socket in &sockets {
             socket.set_nonblocking(true)?;
+            // A kernel that cannot deliver trains whole splits them
+            // itself, so the reader sees the same datagrams either way.
+            let _ = sys::enable_gro(socket);
         }
         let inbox = Inbox {
             carved: VecDeque::new(),
@@ -468,30 +566,21 @@ impl UdpTransport {
         &self.shared.topology
     }
 
-    /// Submits one contiguous same-network run of frames. Returns the
-    /// number of *frames* submitted — sent, or queued for the network
-    /// thread, which does not give up on them.
-    fn send_run(&self, net: NetworkId, frames: &[SendFrame]) -> io::Result<usize> {
+    /// Submits one contiguous same-network run of frames, all of them:
+    /// sent, or queued for the network thread, which does not give up
+    /// on them.
+    fn send_run(&self, net: NetworkId, frames: &[SendFrame]) {
         let link = &self.shared.links[net.index()];
         if frames.len() > INLINE_RUN_MAX || !link.idle() {
             link.enqueue(frames.iter().map(|f| (f.dst, f.payload.clone())));
-            return Ok(frames.len());
+            return;
         }
         for (i, f) in frames.iter().enumerate() {
-            match self.shared.transmit(net.index(), &f.dst, &f.payload, 0) {
-                Ok(()) => {}
-                Err((at, e)) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.hand_over(net, &frames[i..], at);
-                    return Ok(frames.len());
-                }
-                // A frame is "sent" only when all its datagrams went;
-                // surface the error so the caller can apply
-                // first-frame-vs-partial semantics.
-                Err((0, e)) if i == 0 => return Err(e),
-                Err(_) => return Ok(i),
+            if let Err(at) = self.shared.transmit(net.index(), &f.dst, &f.payload) {
+                self.hand_over(net, &frames[i..], at);
+                return;
             }
         }
-        Ok(frames.len())
     }
 
     /// An inline send found the socket full at the `at`-th datagram of
@@ -535,8 +624,16 @@ impl UdpTransport {
                 while !arena.full() {
                     // Any error ends this socket's turn: it is dry, or
                     // it has reported (and so cleared) a failure.
-                    let Ok(len) = socket.recv(&mut drain.scratch) else { break };
-                    arena.push(&drain.scratch[..len]);
+                    let Ok((len, segment)) = sys::recv_segments(socket, &mut drain.scratch) else {
+                        break;
+                    };
+                    let datagram = &drain.scratch[..len];
+                    // A train delivered whole splits back into the
+                    // datagrams it was sent as.
+                    match segment {
+                        Some(size) => datagram.chunks(size.get()).for_each(|f| arena.push(f)),
+                        None => arena.push(datagram),
+                    }
                 }
                 if let Some(batch) = arena.seal() {
                     got += batch.frames();
@@ -566,7 +663,8 @@ impl Transport for UdpTransport {
     }
 
     fn send(&self, net: NetworkId, dst: Destination, payload: Bytes) -> io::Result<()> {
-        self.send_run(net, &[SendFrame { net, dst, payload }]).map(|_| ())
+        self.send_run(net, &[SendFrame { net, dst, payload }]);
+        Ok(())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Option<(NetworkId, Bytes)> {
@@ -579,22 +677,13 @@ impl Transport for UdpTransport {
     }
 
     fn send_batch(&self, batch: &mut SendBatch) -> io::Result<usize> {
-        let mut total = 0usize;
+        let total = batch.remaining();
         while !batch.is_empty() {
             let pending = batch.pending();
             let net = pending[0].net;
             let run = pending.iter().take_while(|f| f.net == net).count();
-            match self.send_run(net, &pending[..run]) {
-                Ok(sent) => {
-                    batch.advance(sent);
-                    total += sent;
-                    if sent < run {
-                        break; // partial run: the failed frame stays pending
-                    }
-                }
-                Err(e) if total == 0 => return Err(e),
-                Err(_) => break,
-            }
+            self.send_run(net, &pending[..run]);
+            batch.advance(run);
         }
         Ok(total)
     }
@@ -898,5 +987,221 @@ mod tests {
         for net in 0..2 {
             assert_eq!(numbers(&got, net), (0..per_net).collect::<Vec<_>>(), "network {net}");
         }
+    }
+
+    /// A peer the kernel will not send to (port 0: `EINVAL`) loses its
+    /// own datagrams and no one else's: the broadcast still reaches the
+    /// peer after it, sent inline by the caller and sent as a train by
+    /// the network thread.
+    #[test]
+    fn a_refused_peer_does_not_silence_the_broadcast_for_the_others() {
+        let bind = || UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (sa, sc) = (bind(), bind());
+        let refused = SocketAddr::from(([127, 0, 0, 1], 0));
+        let topology = UdpTopology::new(vec![
+            vec![sa.local_addr().unwrap()],
+            vec![refused],
+            vec![sc.local_addr().unwrap()],
+        ]);
+        let a = UdpTransport::from_sockets(NodeId::new(0), topology.clone(), vec![sa]).unwrap();
+        let c = UdpTransport::from_sockets(NodeId::new(2), topology, vec![sc]).unwrap();
+        let net = NetworkId::new(0);
+
+        a.send(net, Destination::Broadcast, numbered(0)).expect("a refused datagram is loss");
+        assert_eq!(numbers(&receive(&c, 1), 0), [0], "inline broadcast");
+
+        let mut run = SendBatch::new();
+        for i in 1..=40 {
+            run.push(net, Destination::Broadcast, numbered(i));
+        }
+        assert_eq!(a.send_batch(&mut run).unwrap(), 40);
+        assert_eq!(numbers(&receive(&c, 40), 0), (1..=40).collect::<Vec<_>>(), "queued run");
+    }
+
+    /// Frame `i`, `len` (≥ 2) bytes long: `i`, then its low byte.
+    fn sized(i: u16, len: usize) -> Bytes {
+        let mut frame = vec![i as u8; len];
+        frame[..2].copy_from_slice(&i.to_be_bytes());
+        Bytes::from(frame)
+    }
+
+    /// What a [`sized`] frame says about itself: its number and length,
+    /// after checking the rest of it.
+    fn label(frame: &[u8]) -> (u16, usize) {
+        let i = u16::from_be_bytes([frame[0], frame[1]]);
+        assert!(frame[2..].iter().all(|b| *b == i as u8), "frame {i} arrived damaged");
+        (i, frame.len())
+    }
+
+    fn labels(frames: &[(NetworkId, Bytes)], net: u8) -> Vec<(u16, usize)> {
+        frames.iter().filter(|(n, _)| n.as_u8() == net).map(|(_, d)| label(d)).collect()
+    }
+
+    #[test]
+    fn trains_are_cut_at_a_new_destination_a_longer_frame_and_the_caps() {
+        let (all, one) = (Destination::Broadcast, Destination::Node(NodeId::new(1)));
+        let mut frames: Vec<(Destination, Bytes)> =
+            [(all, 300), (all, 300), (all, 200), (all, 300), (all, 400), (one, 400), (one, 0)]
+                .into_iter()
+                .chain([(one, 5), (all, 100)])
+                .chain(std::iter::repeat_n((all, 10), 70))
+                .chain(std::iter::repeat_n((all, 1_400), 47))
+                .map(|(dst, len)| (dst, Bytes::from(vec![0; len])))
+                .collect();
+        let mut cut = Vec::new();
+        assert!(for_each_train(&frames, |dst, train| {
+            cut.push((*dst, train.len(), train[0].len(), train[train.len() - 1].len()));
+            true
+        }));
+        let want = [
+            (all, 3, 300, 200), // a shorter frame ends its train
+            (all, 1, 300, 300), // a longer one starts the next
+            (all, 1, 400, 400), // a new destination too
+            (one, 1, 400, 400),
+            (one, 1, 0, 0), // an empty frame is a train of one
+            (one, 1, 5, 5),
+            (all, 2, 100, 10),
+            (all, 64, 10, 10), // UDP_MAX_SEGMENTS
+            (all, 5, 10, 10),
+            (all, 46, 1_400, 1_400), // one datagram's 65,507 bytes
+            (all, 1, 1_400, 1_400),
+        ];
+        assert_eq!(cut, want);
+
+        let mut trains = 0;
+        assert!(!for_each_train(&frames, |_, _| {
+            trains += 1;
+            false
+        }));
+        assert_eq!(trains, 1, "cutting stops when the sender does");
+        frames.clear();
+        assert!(for_each_train(&frames, |_, _| unreachable!("no frames, no train")));
+    }
+
+    /// Every shape of run the transmitter cuts into trains: each peer
+    /// gets exactly its frames, whole, in submission order per network.
+    #[test]
+    fn trains_reach_every_peer_whole_and_in_submission_order() {
+        let mut ts = UdpTopology::bind_ephemeral(3, 2).expect("bind").into_transports().unwrap();
+        let c = ts.remove(2);
+        let b = ts.remove(1);
+        let a = ts.remove(0);
+        let all = Destination::Broadcast;
+        let (to_b, to_c) = (Destination::Node(NodeId::new(1)), Destination::Node(NodeId::new(2)));
+        let rounds: [Vec<(Destination, usize)>; 5] = [
+            // A shorter frame ends a train; a longer one starts the next.
+            [300, 300, 300, 200, 300, 300, 500, 500, 100, 100, 100].map(|len| (all, len)).to_vec(),
+            // More frames than one train carries.
+            vec![(all, 120); 100],
+            // More bytes than one datagram carries.
+            vec![(all, 1_400); 60],
+            // Broadcast and unicast interleaved.
+            (0..30).map(|i| ([all, all, to_b, to_c][i % 4], 200)).collect(),
+            // A token right behind its train, twice.
+            [vec![(all, 256); 20], vec![(to_b, 40)], vec![(all, 256); 20], vec![(to_c, 40)]]
+                .concat(),
+        ];
+        let mut next = 0u16;
+        for (round, script) in rounds.iter().enumerate() {
+            let mut batch = SendBatch::new();
+            // want[peer][net]: what peer 1 + `peer` must see on `net`.
+            let mut want = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
+            for net in 0..2u8 {
+                for &(dst, len) in script {
+                    batch.push(NetworkId::new(net), dst, sized(next, len));
+                    for (peer, seen) in want.iter_mut().enumerate() {
+                        if dst == all || dst == Destination::Node(NodeId::new(peer as u16 + 1)) {
+                            seen[net as usize].push((next, len));
+                        }
+                    }
+                    next += 1;
+                }
+            }
+            assert_eq!(a.send_batch(&mut batch).unwrap(), batch.len());
+            for (peer, t) in [&b, &c].into_iter().enumerate() {
+                let got = receive(t, want[peer][0].len() + want[peer][1].len());
+                for net in 0..2 {
+                    assert_eq!(
+                        labels(&got, net),
+                        want[peer][net as usize],
+                        "round {round}, node {}, network {net}",
+                        peer + 1
+                    );
+                }
+            }
+        }
+    }
+
+    /// A peer that never asked for `UDP_GRO` — a plain socket, an older
+    /// kernel, another platform — gets a train as the datagrams it was
+    /// cut from.
+    #[test]
+    fn a_socket_without_gro_receives_a_train_as_its_datagrams() {
+        let mut bound = UdpTopology::bind_ephemeral(2, 1).expect("bind");
+        let plain = bound.sockets.remove(1).remove(0);
+        plain.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let a = UdpTransport::from_sockets(NodeId::new(0), bound.topology, bound.sockets.remove(0))
+            .unwrap();
+        let script: Vec<(u16, usize)> =
+            (0..11).map(|i| (i, if i < 10 { 300 } else { 100 })).collect();
+        let mut batch = SendBatch::new();
+        for &(i, len) in &script {
+            batch.push(NetworkId::new(0), Destination::Broadcast, sized(i, len));
+        }
+        a.send_batch(&mut batch).unwrap();
+        let mut buf = [0u8; MAX_DATAGRAM];
+        let got: Vec<(u16, usize)> = script
+            .iter()
+            .map(|_| {
+                let len = plain.recv(&mut buf).expect("a datagram per frame");
+                label(&buf[..len])
+            })
+            .collect();
+        assert_eq!(got, script);
+    }
+
+    #[test]
+    fn a_train_crosses_ipv6_loopback() {
+        let bind = || UdpSocket::bind("[::1]:0");
+        let (Ok(sa), Ok(sb)) = (bind(), bind()) else {
+            eprintln!("skipped: [::1] cannot be bound here");
+            return;
+        };
+        let topology =
+            UdpTopology::new(vec![vec![sa.local_addr().unwrap()], vec![sb.local_addr().unwrap()]]);
+        let a = UdpTransport::from_sockets(NodeId::new(0), topology.clone(), vec![sa]).unwrap();
+        let b = UdpTransport::from_sockets(NodeId::new(1), topology, vec![sb]).unwrap();
+        let net = NetworkId::new(0);
+        let mut want: Vec<(u16, usize)> = (0..40).map(|i| (i, 1_000)).collect();
+        want.extend([(40, 500), (41, 40)]);
+        let mut batch = SendBatch::new();
+        for &(i, len) in &want {
+            let dst =
+                if i == 41 { Destination::Node(NodeId::new(1)) } else { Destination::Broadcast };
+            batch.push(net, dst, sized(i, len));
+        }
+        a.send_batch(&mut batch).unwrap();
+        assert_eq!(labels(&receive(&b, want.len()), 0), want);
+    }
+
+    /// The fallback, driven by a train the kernel really refuses: more
+    /// segments than any kernel's `UDP_MAX_SEGMENTS` (64, later 128).
+    /// Only Linux refuses; elsewhere every train goes frame by frame.
+    #[test]
+    #[cfg_attr(not(target_os = "linux"), ignore = "only Linux sends trains whole")]
+    fn a_train_the_kernel_refuses_goes_frame_by_frame() {
+        let mut ts = UdpTopology::bind_ephemeral(2, 1).expect("bind").into_transports().unwrap();
+        let b = ts.remove(1);
+        let a = ts.remove(0);
+        let to = b.topology().addr(NodeId::new(1), NetworkId::new(0));
+        let frames: Vec<Bytes> = (0..150).map(|i| sized(i, 8)).collect();
+        let train: Vec<IoSlice<'_>> = frames.iter().map(|f| IoSlice::new(f)).collect();
+        let link = &a.shared.links[0];
+
+        let refusal = sys::send_segments(&link.socket, to, &train).expect_err("too long a train");
+        assert_ne!(refusal.kind(), io::ErrorKind::WouldBlock);
+        assert!(link.send_train(to, &train));
+        let want: Vec<(u16, usize)> = (0..150).map(|i| (i, 8)).collect();
+        assert_eq!(labels(&receive(&b, want.len()), 0), want);
     }
 }
