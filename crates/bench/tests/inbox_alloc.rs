@@ -158,6 +158,38 @@ fn udp_recv_batch_of_a_train_allocates_once_per_socket() {
     }
 }
 
+/// A fill carves a sealed batch whole once any room is left, so it can
+/// run past the cap by one batch less one frame. The fill's own vector
+/// is sized for that from the start: a fill left with one slot that
+/// takes a full batch costs that batch's allocation and nothing else,
+/// however the kernel split the traffic into earlier fills.
+#[test]
+fn a_full_batch_into_the_last_slot_allocates_only_the_batch() {
+    let mut ts = UdpTopology::bind_ephemeral(2, 1).expect("bind").into_transports().unwrap();
+    let b = ts.remove(1);
+    let a = ts.remove(0);
+    let payload = Bytes::from(vec![0x3Cu8; 200]);
+    // The first round is the warm-up: the arena grows.
+    for round in 0..2 {
+        // A lone frame on an idle network is sent by this thread, so
+        // all of them are in b's socket before the fill starts.
+        for _ in 0..MAX_BATCH_FRAMES {
+            a.send(NetworkId::new(0), Destination::Broadcast, payload.clone()).unwrap();
+        }
+        let mut out = RecvBatch::new();
+        for _ in 1..out.max() {
+            out.push(NetworkId::new(0), payload.clone());
+        }
+        let (a0, _) = snapshot();
+        let got = b.recv_batch(&mut out, Duration::from_secs(2));
+        let allocs = snapshot().0 - a0;
+        assert_eq!(got, MAX_BATCH_FRAMES, "one fill takes the whole batch");
+        if round > 0 {
+            assert_eq!(allocs, 1, "a full batch into the last slot allocated {allocs} times");
+        }
+    }
+}
+
 /// Cutting a batch into trains and building their iovecs allocates
 /// nothing: the iovecs live on the cutter's stack, and a train borrows
 /// the frames it carries.

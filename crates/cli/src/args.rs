@@ -63,7 +63,7 @@ impl Flags {
     ///
     /// Rejects unknown style names.
     pub fn style(&self) -> Result<ReplicationStyle, String> {
-        parse_style(self.values.get("replication").map_or("active", String::as_str))
+        self.values.get("replication").map_or("active", String::as_str).parse()
     }
 
     /// The atomic-broadcast backend from `--backend`, defaulting to
@@ -77,32 +77,6 @@ impl Flags {
             None | Some("totem") => Ok(BackendKind::Totem),
             Some("ring-paxos") => Ok(BackendKind::RingPaxos),
             Some(other) => Err(format!("unknown backend `{other}` (use totem or ring-paxos)")),
-        }
-    }
-}
-
-/// Parses `single`, `active`, `passive`, `ap:K` or `k-of-n:K`.
-///
-/// # Errors
-///
-/// Returns a description of valid styles for anything else.
-pub fn parse_style(raw: &str) -> Result<ReplicationStyle, String> {
-    match raw {
-        "single" | "none" => Ok(ReplicationStyle::Single),
-        "active" => Ok(ReplicationStyle::Active),
-        "passive" => Ok(ReplicationStyle::Passive),
-        other => {
-            if let Some(k) = other.strip_prefix("ap:") {
-                let copies: u8 = k.parse().map_err(|_| format!("invalid K in `ap:{k}`"))?;
-                Ok(ReplicationStyle::ActivePassive { copies })
-            } else if let Some(k) = other.strip_prefix("k-of-n:") {
-                let copies: u8 = k.parse().map_err(|_| format!("invalid K in `k-of-n:{k}`"))?;
-                Ok(ReplicationStyle::KOfN { copies })
-            } else {
-                Err(format!(
-                    "unknown style `{other}` (use single, active, passive, ap:K, or k-of-n:K)"
-                ))
-            }
         }
     }
 }
@@ -138,14 +112,16 @@ mod tests {
 
     #[test]
     fn styles_parse() {
-        assert_eq!(parse_style("single").unwrap(), ReplicationStyle::Single);
-        assert_eq!(parse_style("active").unwrap(), ReplicationStyle::Active);
-        assert_eq!(parse_style("passive").unwrap(), ReplicationStyle::Passive);
-        assert_eq!(parse_style("ap:2").unwrap(), ReplicationStyle::ActivePassive { copies: 2 });
-        assert_eq!(parse_style("k-of-n:2").unwrap(), ReplicationStyle::KOfN { copies: 2 });
-        assert!(parse_style("turbo").is_err());
-        assert!(parse_style("ap:x").is_err());
-        assert!(parse_style("k-of-n:x").is_err());
+        let style = |raw: &str| Flags::parse(&argv(&["--replication", raw])).unwrap().style();
+        assert_eq!(style("single").unwrap(), ReplicationStyle::Single);
+        assert_eq!(style("active").unwrap(), ReplicationStyle::Active);
+        assert_eq!(style("passive").unwrap(), ReplicationStyle::Passive);
+        assert_eq!(style("ap:2").unwrap(), ReplicationStyle::ActivePassive { copies: 2 });
+        assert_eq!(style("k-of-n:2").unwrap(), ReplicationStyle::KOfN { copies: 2 });
+        assert!(style("none").is_err());
+        assert!(style("turbo").is_err());
+        assert!(style("ap:x").is_err());
+        assert!(style("k-of-n:x").is_err());
     }
 
     #[test]

@@ -5,8 +5,7 @@ use bytes::Bytes;
 use totem_bench::{fig6, fig7, fig8, fig9, measure, run_figure, MeasureConfig};
 use totem_cluster::chaos::{par as chaos_par, soak as chaos_soak};
 use totem_cluster::{
-    collect_deliveries, spawn_node_with, BackendKind, ClusterConfig, PollMode, RuntimeConfig,
-    SimCluster, StartMode, TotemNode,
+    collect_deliveries, spawn_node, BackendKind, ClusterConfig, SimCluster, StartMode, TotemNode,
 };
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_sim::{FaultCommand, NetworkConfig, SimConfig, SimDuration, SimTime};
@@ -38,10 +37,9 @@ usage:
   totem scale      [--replication S] [--backend B] [--size BYTES] [--max-nodes N]
         ring-size sweep: throughput and latency as the ring grows
   totem udp        [--nodes N] [--networks M] [--replication S] [--msgs K]
-                   [--size BYTES] [--busy-poll US]
+                   [--size BYTES]
         real sockets: a loopback UDP cluster under the threaded
-        runtime (--busy-poll spins US µs before blocking); verifies
-        one agreed total order, prints msgs/sec
+        runtime; verifies one agreed total order, prints msgs/sec
 
 replication styles (--replication):
   single | active | passive | ap:K | k-of-n:K     (default: active)
@@ -202,7 +200,6 @@ pub fn udp(args: &[String]) -> Result<(), String> {
     let networks: usize = flags.get("networks", 2)?;
     let msgs: u64 = flags.get("msgs", 300)?;
     let size: usize = flags.get("size", 256)?;
-    let spin_us: u64 = flags.get("busy-poll", 0)?;
     let style = flags.style()?;
     if nodes < 2 {
         return Err("--nodes must be at least 2".into());
@@ -210,16 +207,11 @@ pub fn udp(args: &[String]) -> Result<(), String> {
     if networks == 0 {
         return Err("--networks must be at least 1".into());
     }
-    let config = RuntimeConfig {
-        poll: if spin_us > 0 { PollMode::BusyPoll { spin_us } } else { PollMode::Wait },
-    };
 
     let bound = UdpTopology::bind_ephemeral(nodes, networks)
         .map_err(|e| format!("binding loopback sockets: {e}"))?;
     println!(
-        "{style}, {nodes} nodes x {networks} networks over loopback UDP \
-         (poll={:?}); node 0 net 0 at {}",
-        config.poll,
+        "{style}, {nodes} nodes x {networks} networks over loopback UDP; node 0 net 0 at {}",
         bound.topology().addr(NodeId::new(0), NetworkId::new(0))
     );
 
@@ -238,7 +230,7 @@ pub fn udp(args: &[String]) -> Result<(), String> {
                 0,
             );
             let mode = if i == 0 { StartMode::Representative } else { StartMode::Member };
-            spawn_node_with(node, transport, mode, config)
+            spawn_node(node, transport, mode)
         })
         .collect();
 

@@ -32,6 +32,7 @@ use totem_wire::{NetworkId, NodeId};
 
 use crate::backend::BackendKind;
 use crate::sim_cluster::{ClusterConfig, SimCluster};
+use crate::toml;
 use oracle::Violation;
 
 /// Gap between two traffic submissions (one schedule "step").
@@ -646,37 +647,8 @@ fn ddmin_corruptions(
 }
 
 // ---------------------------------------------------------------------------
-// TOML repro serialization (hand-rolled: the vendored serde stub has no
-// TOML backend, and the format is deliberately tiny).
+// TOML repro format, read with the shared subset reader (`crate::toml`).
 // ---------------------------------------------------------------------------
-
-fn style_name(style: ReplicationStyle) -> String {
-    match style {
-        ReplicationStyle::Single => "single".into(),
-        ReplicationStyle::Active => "active".into(),
-        ReplicationStyle::Passive => "passive".into(),
-        ReplicationStyle::ActivePassive { copies } => format!("active-passive-{copies}"),
-        ReplicationStyle::KOfN { copies } => format!("k-of-n-{copies}"),
-    }
-}
-
-fn style_from_name(name: &str) -> Result<ReplicationStyle, String> {
-    if let Some(copies) = name.strip_prefix("active-passive-") {
-        let copies =
-            copies.parse().map_err(|_| format!("bad active-passive copy count {copies:?}"))?;
-        return Ok(ReplicationStyle::ActivePassive { copies });
-    }
-    if let Some(copies) = name.strip_prefix("k-of-n-") {
-        let copies = copies.parse().map_err(|_| format!("bad k-of-n copy count {copies:?}"))?;
-        return Ok(ReplicationStyle::KOfN { copies });
-    }
-    match name {
-        "single" => Ok(ReplicationStyle::Single),
-        "active" => Ok(ReplicationStyle::Active),
-        "passive" => Ok(ReplicationStyle::Passive),
-        other => Err(format!("unknown replication style {other:?}")),
-    }
-}
 
 impl ChaosSchedule {
     /// Serializes the schedule as a small self-describing TOML
@@ -687,7 +659,7 @@ impl ChaosSchedule {
         out.push_str("#   cargo xtask chaos --replay <this file>\n");
         out.push_str(&format!("seed = {}\n", self.seed));
         out.push_str(&format!("nodes = {}\n", self.nodes));
-        out.push_str(&format!("style = \"{}\"\n", style_name(self.style)));
+        out.push_str(&format!("style = \"{}\"\n", self.style.spelling()));
         out.push_str(&format!("steps = {}\n", self.steps));
         if self.start_seq != 0 {
             out.push_str(&format!("start_seq = {}\n", self.start_seq));
@@ -769,223 +741,84 @@ impl ChaosSchedule {
     /// header line and the field) where the problem is, so a
     /// hand-edited repro file points at its own mistake.
     pub fn from_toml(text: &str) -> Result<Self, String> {
-        #[derive(Clone, Copy)]
-        enum BlockKind {
-            Command,
-            KFlip,
-            Corrupt,
-        }
-        impl BlockKind {
-            fn name(self) -> &'static str {
-                match self {
-                    BlockKind::Command => "[[command]]",
-                    BlockKind::KFlip => "[[kflip]]",
-                    BlockKind::Corrupt => "[[corrupt]]",
-                }
-            }
-        }
-        let mut seed = None;
-        let mut nodes = None;
-        let mut style = None;
-        let mut steps = None;
-        let mut start_seq = 0u64;
-        let mut backend = BackendKind::Totem;
-        let mut commands = Vec::new();
-        let mut kflips = Vec::new();
-        let mut corruptions = Vec::new();
-        // (kind, header line number, fields)
-        let mut current: Option<(BlockKind, usize, std::collections::HashMap<String, String>)> =
-            None;
-
-        let finish =
-            |block: Option<(BlockKind, usize, std::collections::HashMap<String, String>)>,
-             commands: &mut Vec<ScheduledCommand>,
-             kflips: &mut Vec<KFlip>,
-             corruptions: &mut Vec<ScheduledCorruption>|
-             -> Result<(), String> {
-                let Some((kind, header_line, block)) = block else { return Ok(()) };
-                let context = |e: String| format!("{} at line {header_line}: {e}", kind.name());
-                match kind {
-                    BlockKind::Command => commands.push(parse_command(&block).map_err(context)?),
-                    BlockKind::KFlip => kflips.push(parse_kflip(&block).map_err(context)?),
-                    BlockKind::Corrupt => {
-                        corruptions.push(parse_corrupt(&block).map_err(context)?);
-                    }
-                }
-                Ok(())
-            };
-
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let header = match line {
-                "[[command]]" => Some(BlockKind::Command),
-                "[[kflip]]" => Some(BlockKind::KFlip),
-                "[[corrupt]]" => Some(BlockKind::Corrupt),
-                _ => None,
-            };
-            if let Some(kind) = header {
-                finish(current.take(), &mut commands, &mut kflips, &mut corruptions)?;
-                current = Some((kind, lineno, std::collections::HashMap::new()));
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {lineno}: expected `key = value`, got {line:?}"))?;
-            let (key, value) = (key.trim(), value.trim());
-            if let Some((_, _, block)) = current.as_mut() {
-                block.insert(key.to_string(), value.to_string());
-            } else {
-                let at = |e: String| format!("line {lineno}: `{key}`: {e}");
-                match key {
-                    "seed" => seed = Some(parse_u64(value).map_err(at)?),
-                    "nodes" => nodes = Some(parse_u64(value).map_err(at)? as usize),
-                    "style" => {
-                        style = Some(parse_str(value).and_then(style_from_name).map_err(at)?);
-                    }
-                    "steps" => steps = Some(parse_u64(value).map_err(at)?),
-                    "start_seq" => start_seq = parse_u64(value).map_err(at)?,
-                    "backend" => {
-                        backend =
-                            parse_str(value).and_then(|s| s.parse::<BackendKind>()).map_err(at)?;
-                    }
-                    other => return Err(format!("line {lineno}: unknown header key {other:?}")),
-                }
-            }
-        }
-        finish(current.take(), &mut commands, &mut kflips, &mut corruptions)?;
-
-        Ok(ChaosSchedule {
-            seed: seed.ok_or("missing `seed`")?,
-            nodes: nodes.ok_or("missing `nodes`")?,
-            style: style.ok_or("missing `style`")?,
-            steps: steps.ok_or("missing `steps`")?,
-            commands,
-            kflips,
-            corruptions,
-            start_seq,
+        let doc = toml::parse(text)?;
+        let top = &doc.top;
+        top.only(&["seed", "nodes", "style", "steps", "start_seq", "backend"], "header")?;
+        let style = top.get::<&str>("style")?.parse().map_err(|e| top.error("style", e))?;
+        let backend = match top.get_opt::<&str>("backend")? {
+            Some(name) => name.parse().map_err(|e| top.error("backend", e))?,
+            None => BackendKind::Totem,
+        };
+        let mut schedule = ChaosSchedule {
+            seed: top.get("seed")?,
+            nodes: top.get::<u64>("nodes")? as usize,
+            style,
+            steps: top.get("steps")?,
+            commands: Vec::new(),
+            kflips: Vec::new(),
+            corruptions: Vec::new(),
+            start_seq: top.get_opt("start_seq")?.unwrap_or(0),
             backend,
-        })
+        };
+        for t in &doc.tables {
+            match (t.array, t.name.as_str()) {
+                (true, "command") => {
+                    schedule
+                        .commands
+                        .push(ScheduledCommand { at_ns: t.get("at_ns")?, cmd: command(t)? });
+                }
+                (true, "kflip") => schedule.kflips.push(KFlip {
+                    at_ns: t.get("at_ns")?,
+                    node: node(t)?,
+                    k: t.get::<u64>("k")? as usize,
+                }),
+                (true, "corrupt") => schedule.corruptions.push(ScheduledCorruption {
+                    at_ns: t.get("at_ns")?,
+                    node: node(t)?,
+                    target: target(t)?,
+                    salt: t.get("salt")?,
+                }),
+                _ => return Err(format!("line {}: unknown table `{}`", t.line, t.name)),
+            }
+        }
+        Ok(schedule)
     }
 }
 
-fn parse_u64(value: &str) -> Result<u64, String> {
-    value.parse().map_err(|_| format!("expected an integer, got {value:?}"))
-}
-
-fn parse_bool(value: &str) -> Result<bool, String> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("expected true/false, got {other:?}")),
-    }
-}
-
-fn parse_str(value: &str) -> Result<&str, String> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a quoted string, got {value:?}"))
-}
-
-fn field<'a>(
-    block: &'a std::collections::HashMap<String, String>,
-    key: &str,
-) -> Result<&'a str, String> {
-    block.get(key).map(String::as_str).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// Fetches `key` from the block and parses it as a `u64`, naming the
-/// field in the error.
-fn field_u64(block: &std::collections::HashMap<String, String>, key: &str) -> Result<u64, String> {
-    parse_u64(field(block, key)?).map_err(|e| format!("field `{key}`: {e}"))
-}
-
-/// Fetches `key` from the block and parses it as a bool, naming the
-/// field in the error.
-fn field_bool(
-    block: &std::collections::HashMap<String, String>,
-    key: &str,
-) -> Result<bool, String> {
-    parse_bool(field(block, key)?).map_err(|e| format!("field `{key}`: {e}"))
-}
-
-fn parse_command(
-    block: &std::collections::HashMap<String, String>,
-) -> Result<ScheduledCommand, String> {
-    let at_ns = field_u64(block, "at_ns")?;
-    let node = || -> Result<NodeId, String> { Ok(NodeId::new(field_u64(block, "node")? as u16)) };
-    let net =
-        || -> Result<NetworkId, String> { Ok(NetworkId::new(field_u64(block, "net")? as u8)) };
-    let cmd = match parse_str(field(block, "kind")?)? {
-        "send-fault" => FaultCommand::SendFault {
-            node: node()?,
-            net: net()?,
-            failed: field_bool(block, "failed")?,
-        },
-        "recv-fault" => FaultCommand::RecvFault {
-            node: node()?,
-            net: net()?,
-            failed: field_bool(block, "failed")?,
-        },
-        "net-down" => FaultCommand::NetworkDown { net: net()?, down: field_bool(block, "down")? },
+/// The fault command of one `[[command]]` block.
+fn command(t: &toml::Table) -> Result<FaultCommand, String> {
+    let net = || t.get::<u64>("net").map(|n| NetworkId::new(n as u8));
+    Ok(match t.get::<&str>("kind")? {
+        "send-fault" => {
+            FaultCommand::SendFault { node: node(t)?, net: net()?, failed: t.get("failed")? }
+        }
+        "recv-fault" => {
+            FaultCommand::RecvFault { node: node(t)?, net: net()?, failed: t.get("failed")? }
+        }
+        "net-down" => FaultCommand::NetworkDown { net: net()?, down: t.get("down")? },
         "partition" => {
-            let raw = field(block, "groups")?;
-            let inner = raw
-                .strip_prefix('[')
-                .and_then(|v| v.strip_suffix(']'))
-                .ok_or_else(|| format!("field `groups`: expected `[..]`, got {raw:?}"))?;
-            let groups = inner
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|s| parse_u64(s).map(|g| g as u8))
-                .collect::<Result<Vec<u8>, String>>()
-                .map_err(|e| format!("field `groups`: {e}"))?;
+            let groups = t.get::<Vec<u64>>("groups")?.into_iter().map(|g| g as u8).collect();
             FaultCommand::Partition { net: net()?, groups }
         }
-        "crash" => FaultCommand::CrashNode { node: node()? },
-        "restart" => FaultCommand::RestartNode { node: node()? },
-        "dup-net" => FaultCommand::DuplicateNet { net: net()?, on: field_bool(block, "on")? },
-        "corrupt-state" => FaultCommand::CorruptState {
-            node: node()?,
-            target: field_target(block)?,
-            salt: field_u64(block, "salt")?,
-        },
-        other => return Err(format!("unknown command kind {other:?}")),
-    };
-    Ok(ScheduledCommand { at_ns, cmd })
-}
-
-/// Fetches and parses the `target` field of a corruption block.
-fn field_target(
-    block: &std::collections::HashMap<String, String>,
-) -> Result<CorruptionTarget, String> {
-    let raw = parse_str(field(block, "target")?).map_err(|e| format!("field `target`: {e}"))?;
-    CorruptionTarget::parse(raw)
-        .ok_or_else(|| format!("field `target`: unknown corruption target {raw:?}"))
-}
-
-fn parse_corrupt(
-    block: &std::collections::HashMap<String, String>,
-) -> Result<ScheduledCorruption, String> {
-    Ok(ScheduledCorruption {
-        at_ns: field_u64(block, "at_ns")?,
-        node: NodeId::new(field_u64(block, "node")? as u16),
-        target: field_target(block)?,
-        salt: field_u64(block, "salt")?,
+        "crash" => FaultCommand::CrashNode { node: node(t)? },
+        "restart" => FaultCommand::RestartNode { node: node(t)? },
+        "dup-net" => FaultCommand::DuplicateNet { net: net()?, on: t.get("on")? },
+        "corrupt-state" => {
+            FaultCommand::CorruptState { node: node(t)?, target: target(t)?, salt: t.get("salt")? }
+        }
+        other => return Err(t.error("kind", format!("unknown command kind {other:?}"))),
     })
 }
 
-fn parse_kflip(block: &std::collections::HashMap<String, String>) -> Result<KFlip, String> {
-    Ok(KFlip {
-        at_ns: field_u64(block, "at_ns")?,
-        node: NodeId::new(field_u64(block, "node")? as u16),
-        k: field_u64(block, "k")? as usize,
-    })
+fn node(t: &toml::Table) -> Result<NodeId, String> {
+    t.get::<u64>("node").map(|n| NodeId::new(n as u16))
+}
+
+/// The `target` of a corruption block or command.
+fn target(t: &toml::Table) -> Result<CorruptionTarget, String> {
+    let name = t.get::<&str>("target")?;
+    CorruptionTarget::parse(name)
+        .ok_or_else(|| t.error("target", format!("unknown corruption target {name:?}")))
 }
 
 #[cfg(test)]

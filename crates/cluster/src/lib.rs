@@ -54,6 +54,7 @@ pub mod node;
 pub mod runtime;
 pub mod scenarios;
 pub mod sim_cluster;
+pub mod toml;
 
 pub use backend::{BackendKind, BackendNode, Broadcast};
 pub use backends::RingPaxosNode;
@@ -61,8 +62,8 @@ pub use chaos::{ChaosReport, ChaosSchedule, ScheduledCommand};
 pub use mc::{Counterexample, McOptions, McReport};
 pub use node::{NodeOutput, TotemNode};
 pub use runtime::{
-    collect_deliveries, spawn_node, spawn_node_with, PollMode, RuntimeConfig, RuntimeEvent,
-    RuntimeHandle, StartMode,
+    collect_deliveries, spawn_node, spawn_node_with, RuntimeConfig, RuntimeEvent, RuntimeHandle,
+    StartMode,
 };
 pub use scenarios::{run_all, ScenarioReport};
 pub use sim_cluster::{ClusterConfig, ClusterCounters, SimCluster};

@@ -23,29 +23,13 @@ use totem_wire::NetworkId;
 use crate::backend::Broadcast;
 use crate::node::{NodeOutput, TotemNode};
 
-/// How the driver waits for traffic.
+/// Tuning for the driver loop (see [`spawn_node_with`]). It has no
+/// knobs left: the driver always blocks in the transport until traffic
+/// or its next deadline. The type stays because callers built against
+/// [`spawn_node_with`], the benchmark among them, pass
+/// `RuntimeConfig::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollMode {
-    /// Block in the transport until traffic or the next protocol
-    /// deadline (the default; zero CPU while idle).
-    #[default]
-    Wait,
-    /// Spin on zero-timeout drains for up to `spin_us` microseconds
-    /// before blocking for the remainder of the deadline. Shaves the
-    /// wake-up latency off the token hot path at the cost of burning
-    /// a core while traffic is expected momentarily.
-    BusyPoll {
-        /// Spin budget per wait, in microseconds.
-        spin_us: u64,
-    },
-}
-
-/// Tuning knobs for the driver loop (see [`spawn_node_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RuntimeConfig {
-    /// How to wait for traffic.
-    pub poll: PollMode,
-}
+pub struct RuntimeConfig;
 
 /// How a node enters the ring at startup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +192,7 @@ where
     B: Broadcast + Send + 'static,
     T: Transport + 'static,
 {
-    spawn_node_with(node, transport, start, RuntimeConfig::default())
+    spawn_node_with(node, transport, start, RuntimeConfig)
 }
 
 /// Like [`spawn_node`], with explicit [`RuntimeConfig`] tuning.
@@ -216,7 +200,7 @@ pub fn spawn_node_with<B, T>(
     mut node: B,
     transport: T,
     start: StartMode,
-    config: RuntimeConfig,
+    _config: RuntimeConfig,
 ) -> RuntimeHandle<B>
 where
     B: Broadcast + Send + 'static,
@@ -227,7 +211,7 @@ where
     let join = std::thread::Builder::new()
         .name(format!("totem-{}", node.id()))
         .spawn(move || {
-            drive(&mut node, &transport, start, config, &cmd_rx, &events_tx);
+            drive(&mut node, &transport, start, &cmd_rx, &events_tx);
             node
         })
         .expect("spawn totem driver thread");
@@ -238,7 +222,6 @@ fn drive<B: Broadcast, T: Transport>(
     node: &mut B,
     transport: &T,
     start: StartMode,
-    config: RuntimeConfig,
     cmd_rx: &Receiver<Cmd>,
     events_tx: &Sender<RuntimeEvent>,
 ) {
@@ -248,7 +231,7 @@ fn drive<B: Broadcast, T: Transport>(
     // first pass, which only settles what `start` produced.
     let mut received = RecvBatch::new();
     while driver.wake(&mut received) {
-        recv_wait(transport, &mut received, driver.wait_budget(), config.poll);
+        transport.recv_batch(&mut received, driver.wait_budget());
     }
 }
 
@@ -421,34 +404,6 @@ impl<'a, B: Broadcast, T: Transport> Driver<'a, B, T> {
     }
 }
 
-/// Waits for inbound traffic per `poll`: either one blocking
-/// [`Transport::recv_batch`], or zero-timeout spins for up to
-/// `spin_us` before blocking for whatever remains of `timeout`.
-fn recv_wait<T: Transport>(transport: &T, out: &mut RecvBatch, timeout: Duration, poll: PollMode) {
-    match poll {
-        PollMode::Wait => {
-            transport.recv_batch(out, timeout);
-        }
-        PollMode::BusyPoll { spin_us } => {
-            let spin = Duration::from_micros(spin_us).min(timeout);
-            let start = Instant::now();
-            loop {
-                if transport.recv_batch(out, Duration::ZERO) > 0 {
-                    return;
-                }
-                if start.elapsed() >= spin {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            let rest = timeout.saturating_sub(start.elapsed());
-            if !rest.is_zero() {
-                transport.recv_batch(out, rest);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,15 +413,6 @@ mod tests {
     use totem_wire::NodeId;
 
     fn cluster(n: usize, style: ReplicationStyle, networks: usize) -> Vec<RuntimeHandle> {
-        cluster_with(n, style, networks, RuntimeConfig::default())
-    }
-
-    fn cluster_with(
-        n: usize,
-        style: ReplicationStyle,
-        networks: usize,
-        config: RuntimeConfig,
-    ) -> Vec<RuntimeHandle> {
         let members: Vec<NodeId> = (0..n as u16).map(NodeId::new).collect();
         let transports = InMemoryHub::new(n, networks);
         transports
@@ -482,7 +428,7 @@ mod tests {
                     0,
                 );
                 let mode = if i == 0 { StartMode::Representative } else { StartMode::Member };
-                spawn_node_with(node, t, mode, config)
+                spawn_node_with(node, t, mode, RuntimeConfig)
             })
             .collect()
     }
@@ -510,29 +456,27 @@ mod tests {
         }
     }
 
+    /// `RuntimeConfig` has one value, the one `cluster` spawns with.
     #[test]
     fn every_runtime_config_delivers() {
-        for poll in [PollMode::Wait, PollMode::BusyPoll { spin_us: 50 }] {
-            let config = RuntimeConfig { poll };
-            let handles = cluster_with(3, ReplicationStyle::Active, 2, config);
-            handles[2].submit(Bytes::from_static(b"any mode"));
-            for (i, h) in handles.iter().enumerate() {
-                let mut got = false;
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while Instant::now() < deadline {
-                    match h.next_event(Duration::from_millis(200)) {
-                        Some(RuntimeEvent::Delivered(d)) if &d.data[..] == b"any mode" => {
-                            got = true;
-                            break;
-                        }
-                        _ => {}
+        let handles = cluster(3, ReplicationStyle::Active, 2);
+        handles[2].submit(Bytes::from_static(b"any mode"));
+        for (i, h) in handles.iter().enumerate() {
+            let mut got = false;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Instant::now() < deadline {
+                match h.next_event(Duration::from_millis(200)) {
+                    Some(RuntimeEvent::Delivered(d)) if &d.data[..] == b"any mode" => {
+                        got = true;
+                        break;
                     }
+                    _ => {}
                 }
-                assert!(got, "node {i} never delivered under {config:?}");
             }
-            for h in handles {
-                h.shutdown();
-            }
+            assert!(got, "node {i} never delivered");
+        }
+        for h in handles {
+            h.shutdown();
         }
     }
 
@@ -676,14 +620,7 @@ mod tests {
         let (events_tx, _events_rx) = unbounded();
         let transport = Scripted { cmd_tx, waits: std::cell::Cell::new(0) };
         let mut node = Recorder::default();
-        drive(
-            &mut node,
-            &transport,
-            StartMode::Member,
-            RuntimeConfig::default(),
-            &cmd_rx,
-            &events_tx,
-        );
+        drive(&mut node, &transport, StartMode::Member, &cmd_rx, &events_tx);
         assert_eq!(transport.waits.get(), 2);
         assert_eq!(
             node.calls,

@@ -55,6 +55,40 @@ impl ReplicationStyle {
             }
         }
     }
+
+    /// The spelling [`FromStr`](core::str::FromStr) reads back:
+    /// `single`, `active`, `passive`, `ap:K` or `k-of-n:K` — what the
+    /// command lines take and the repro files record. `Display` is the
+    /// figure-legend text.
+    pub fn spelling(self) -> String {
+        match self {
+            ReplicationStyle::Single => "single".into(),
+            ReplicationStyle::Active => "active".into(),
+            ReplicationStyle::Passive => "passive".into(),
+            ReplicationStyle::ActivePassive { copies } => format!("ap:{copies}"),
+            ReplicationStyle::KOfN { copies } => format!("k-of-n:{copies}"),
+        }
+    }
+}
+
+impl core::str::FromStr for ReplicationStyle {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let copies = |k: &str| k.parse().map_err(|_| format!("invalid K in `{s}`"));
+        match s {
+            "single" => Ok(ReplicationStyle::Single),
+            "active" => Ok(ReplicationStyle::Active),
+            "passive" => Ok(ReplicationStyle::Passive),
+            _ => match (s.strip_prefix("ap:"), s.strip_prefix("k-of-n:")) {
+                (Some(k), _) => Ok(ReplicationStyle::ActivePassive { copies: copies(k)? }),
+                (_, Some(k)) => Ok(ReplicationStyle::KOfN { copies: copies(k)? }),
+                (None, None) => Err(format!(
+                    "unknown style `{s}` (use single, active, passive, ap:K, or k-of-n:K)"
+                )),
+            },
+        }
+    }
 }
 
 impl core::fmt::Display for ReplicationStyle {
@@ -428,5 +462,22 @@ mod tests {
             "active-passive replication (K=2)"
         );
         assert_eq!(ReplicationStyle::KOfN { copies: 2 }.to_string(), "k-of-n replication (K=2)");
+    }
+
+    #[test]
+    fn spellings_parse_back() {
+        for style in [
+            ReplicationStyle::Single,
+            ReplicationStyle::Active,
+            ReplicationStyle::Passive,
+            ReplicationStyle::ActivePassive { copies: 2 },
+            ReplicationStyle::KOfN { copies: 3 },
+        ] {
+            assert_eq!(style.spelling().parse(), Ok(style));
+        }
+        assert_eq!(ReplicationStyle::KOfN { copies: 2 }.spelling(), "k-of-n:2");
+        for bad in ["none", "turbo", "ap:x", "k-of-n:", "k-of-n:300", "k-of-n-2", "Active"] {
+            assert!(bad.parse::<ReplicationStyle>().is_err(), "{bad} parsed");
+        }
     }
 }

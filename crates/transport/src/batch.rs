@@ -15,6 +15,7 @@ use bytes::Bytes;
 
 use totem_wire::NetworkId;
 
+use crate::inbox::MAX_BATCH_FRAMES;
 use crate::Destination;
 
 /// One outgoing datagram in a [`SendBatch`].
@@ -128,12 +129,16 @@ impl RecvBatch {
 
     /// An empty batch capped at `max` frames per fill.
     ///
+    /// A fill carves a sealed inbox batch whole once any room is left,
+    /// so it can hold up to `max - 1 + MAX_BATCH_FRAMES` frames; the
+    /// buffer is reserved for that, so no fill shape ever grows it.
+    ///
     /// # Panics
     ///
     /// Panics if `max` is zero.
     pub fn with_max(max: usize) -> Self {
         assert!(max > 0, "recv batch cap must be positive");
-        RecvBatch { frames: Vec::with_capacity(max), max }
+        RecvBatch { frames: Vec::with_capacity(max - 1 + MAX_BATCH_FRAMES), max }
     }
 
     /// The per-fill frame cap.

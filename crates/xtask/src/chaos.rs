@@ -233,7 +233,7 @@ fn fuzz(opts: &Options) -> ExitCode {
         );
         println!(
             "{:<10} {:>6} {:>9} {:>8} {:>8} {:>10} {:>11}  {}",
-            style_label(*style),
+            style.spelling(),
             seed,
             schedule.commands.len(),
             report.crashes,
@@ -258,16 +258,6 @@ fn fuzz(opts: &Options) -> ExitCode {
     } else {
         println!("chaos: {failures} schedule(s) violated the oracle");
         ExitCode::from(1)
-    }
-}
-
-fn style_label(style: ReplicationStyle) -> &'static str {
-    match style {
-        ReplicationStyle::Single => "single",
-        ReplicationStyle::Active => "active",
-        ReplicationStyle::Passive => "passive",
-        ReplicationStyle::ActivePassive { .. } => "act-pass",
-        ReplicationStyle::KOfN { .. } => "k-of-n",
     }
 }
 
@@ -303,7 +293,9 @@ fn write_repro(
         BackendKind::Totem => String::new(),
         other => format!("{other}-"),
     };
-    let path = opts.repro_dir.join(format!("chaos-repro-{tag}{}-{seed}.toml", style_label(style)));
+    // CI uploads repros as artifacts, whose names may not hold a `:`.
+    let label = style.spelling().replace(':', "-");
+    let path = opts.repro_dir.join(format!("chaos-repro-{tag}{label}-{seed}.toml"));
     std::fs::write(&path, repro.to_toml())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("    repro written to {}", path.display());

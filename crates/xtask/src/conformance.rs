@@ -88,9 +88,8 @@ pub fn extract_sites(root: &Path) -> Result<Vec<CodeSite>, String> {
 
 /// Extracts call sites from one file's source text.
 fn extract_from_source(file: &str, src: &str, out: &mut Vec<CodeSite>) {
-    let lexed = lexer::lex(src);
-    let toks = &lexed.tokens;
-    let test_mask = rules::cfg_test_mask(toks);
+    let toks = lexer::lex(src);
+    let test_mask = rules::cfg_test_mask(&toks);
     let is = |i: usize, kind: Kind, text: &str| {
         toks.get(i).is_some_and(|t| t.kind == kind && t.text == text)
     };

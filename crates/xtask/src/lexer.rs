@@ -5,8 +5,7 @@
 //! produced here. The lexer understands exactly as much Rust as the
 //! rules need:
 //!
-//! * line/block comments (nested), including `// lint:allow(rule)`
-//!   suppression markers;
+//! * line/block comments (nested), which are dropped;
 //! * string, raw-string, byte-string, and char literals (so that
 //!   nothing inside a literal is ever mistaken for code); string
 //!   tokens carry their full source slice — quotes included, so a
@@ -21,8 +20,6 @@
 //!
 //! Multi-character operators (`::`, `=>`, `..`) are emitted as runs of
 //! single-character punctuation tokens; the rules match on those runs.
-
-use std::collections::{BTreeMap, BTreeSet};
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,22 +49,11 @@ pub struct Token {
     pub line: u32,
 }
 
-/// The result of lexing one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Tokens in source order; comments and whitespace are dropped.
-    pub tokens: Vec<Token>,
-    /// Lines covered by a `// lint:allow(rule, ...)` marker, mapped to
-    /// the rule names it names. A marker covers its own line and the
-    /// next line, so it can trail the offending expression or sit on
-    /// its own line directly above it.
-    pub allows: BTreeMap<u32, BTreeSet<String>>,
-}
-
-/// Lexes `src` into tokens plus suppression markers.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into tokens in source order; comments and whitespace
+/// are dropped.
+pub fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -80,16 +66,11 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_whitespace() => i += 1,
             '/' if chars.get(i + 1) == Some(&'/') => {
-                let start = i;
                 while i < chars.len() && chars[i] != '\n' {
                     i += 1;
                 }
-                let text: String = chars[start..i].iter().collect();
-                record_allows(&mut out, &text, line);
             }
             '/' if chars.get(i + 1) == Some(&'*') => {
-                let start = i;
-                let comment_line = line;
                 let mut depth = 1;
                 i += 2;
                 while i < chars.len() && depth > 0 {
@@ -106,18 +87,16 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                let text: String = chars[start..i.min(chars.len())].iter().collect();
-                record_allows(&mut out, &text, comment_line);
             }
             '"' => {
                 let tok_line = line;
                 let start = i;
                 i = skip_string(&chars, i, &mut line);
                 let text: String = chars[start..i.min(chars.len())].iter().collect();
-                out.tokens.push(Token { kind: Kind::Str, text, line: tok_line });
+                out.push(Token { kind: Kind::Str, text, line: tok_line });
             }
             '\'' => {
-                lex_quote(&chars, &mut i, &mut line, &mut out.tokens);
+                lex_quote(&chars, &mut i, &mut line, &mut out);
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -134,7 +113,7 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 let text: String = chars[start..i].iter().collect();
-                out.tokens.push(Token { kind: Kind::Num, text, line });
+                out.push(Token { kind: Kind::Num, text, line });
             }
             c if c.is_alphabetic() || c == '_' => {
                 let start = i;
@@ -153,22 +132,22 @@ pub fn lex(src: &str) -> Lexed {
                     let tok_line = line;
                     i = skip_raw_string(&chars, i, &mut line);
                     let text: String = chars[start..i.min(chars.len())].iter().collect();
-                    out.tokens.push(Token { kind: Kind::Str, text, line: tok_line });
+                    out.push(Token { kind: Kind::Str, text, line: tok_line });
                 } else if is_bytestr {
                     let tok_line = line;
                     i = skip_string(&chars, i, &mut line);
                     let text: String = chars[start..i.min(chars.len())].iter().collect();
-                    out.tokens.push(Token { kind: Kind::Str, text, line: tok_line });
+                    out.push(Token { kind: Kind::Str, text, line: tok_line });
                 } else if is_bytechar {
                     i += 1; // consume the opening quote
                     lex_quote_body(&chars, &mut i, &mut line);
-                    out.tokens.push(Token { kind: Kind::Char, text: String::new(), line });
+                    out.push(Token { kind: Kind::Char, text: String::new(), line });
                 } else {
-                    out.tokens.push(Token { kind: Kind::Ident, text, line });
+                    out.push(Token { kind: Kind::Ident, text, line });
                 }
             }
             c => {
-                out.tokens.push(Token { kind: Kind::Punct, text: c.to_string(), line });
+                out.push(Token { kind: Kind::Punct, text: c.to_string(), line });
                 i += 1;
             }
         }
@@ -301,26 +280,6 @@ pub fn str_body(lit: &str) -> &str {
     }
 }
 
-/// Extracts `lint:allow(a, b)` rule names from a comment.
-fn record_allows(out: &mut Lexed, comment: &str, line: u32) {
-    let mut rest = comment;
-    while let Some(pos) = rest.find("lint:allow(") {
-        let after = &rest[pos + "lint:allow(".len()..];
-        let Some(end) = after.find(')') else {
-            return;
-        };
-        for rule in after[..end].split(',') {
-            let rule = rule.trim().to_string();
-            if !rule.is_empty() {
-                // A marker covers its own line and the following line.
-                out.allows.entry(line).or_default().insert(rule.clone());
-                out.allows.entry(line + 1).or_default().insert(rule);
-            }
-        }
-        rest = &after[end..];
-    }
-}
-
 /// Parses the numeric value of a [`Kind::Num`] token, ignoring `_`
 /// separators and integer suffixes. Returns `None` for floats or
 /// malformed text.
@@ -350,7 +309,7 @@ mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
-        lex(src).tokens.into_iter().filter(|t| t.kind == Kind::Ident).map(|t| t.text).collect()
+        lex(src).into_iter().filter(|t| t.kind == Kind::Ident).map(|t| t.text).collect()
     }
 
     #[test]
@@ -369,7 +328,7 @@ mod tests {
 
     #[test]
     fn char_vs_lifetime() {
-        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; let q = '\\''; }").tokens;
+        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; let q = '\\''; }");
         let lifetimes: Vec<_> = toks.iter().filter(|t| t.kind == Kind::Lifetime).collect();
         let chars: Vec<_> = toks.iter().filter(|t| t.kind == Kind::Char).collect();
         assert_eq!(lifetimes.len(), 2);
@@ -378,17 +337,9 @@ mod tests {
 
     #[test]
     fn lines_are_tracked() {
-        let toks = lex("a\nb\n\nc").tokens;
+        let toks = lex("a\nb\n\nc");
         let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn allow_markers_cover_two_lines() {
-        let lexed = lex("x(); // lint:allow(no-panic-paths)\ny();");
-        assert!(lexed.allows[&1].contains("no-panic-paths"));
-        assert!(lexed.allows[&2].contains("no-panic-paths"));
-        assert!(!lexed.allows.contains_key(&3));
     }
 
     #[test]
@@ -403,23 +354,19 @@ mod tests {
     #[test]
     fn string_tokens_carry_their_source_and_body() {
         let lexed = lex(r##"f("Gather", r#"raw"#, b"bytes")"##);
-        let strs: Vec<&str> = lexed
-            .tokens
-            .iter()
-            .filter(|t| t.kind == Kind::Str)
-            .map(|t| str_body(&t.text))
-            .collect();
+        let strs: Vec<&str> =
+            lexed.iter().filter(|t| t.kind == Kind::Str).map(|t| str_body(&t.text)).collect();
         assert_eq!(strs, vec!["Gather", "raw", "bytes"]);
         // The raw slice keeps its quotes, so no literal can collide
         // with an identifier or punctuation comparison in the rules.
-        assert!(lexed.tokens.iter().filter(|t| t.kind == Kind::Str).all(|t| t.text.contains('"')));
+        assert!(lexed.iter().filter(|t| t.kind == Kind::Str).all(|t| t.text.contains('"')));
     }
 
     #[test]
     fn byte_literals() {
         let lexed = lex("let a = b\"by.unwrap()tes\"; let c = b'x';");
-        assert!(lexed.tokens.iter().any(|t| t.kind == Kind::Str));
-        assert!(lexed.tokens.iter().any(|t| t.kind == Kind::Char));
-        assert!(!lexed.tokens.iter().any(|t| t.text == "unwrap"));
+        assert!(lexed.iter().any(|t| t.kind == Kind::Str));
+        assert!(lexed.iter().any(|t| t.kind == Kind::Char));
+        assert!(!lexed.iter().any(|t| t.text == "unwrap"));
     }
 }

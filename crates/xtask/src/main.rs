@@ -23,12 +23,12 @@
 //!
 //! Exit codes are machine-readable for every subcommand:
 //!
-//! * `0` — clean (lint: suppressions within budget; conformance: zero
+//! * `0` — clean (lint: zero findings; conformance: zero
 //!   undocumented, zero unimplemented, every spec transition
 //!   exercised; chaos: every schedule passed the oracle),
 //! * `1` — at least one violation,
 //! * `2` — usage or I/O error (bad arguments, unreadable files,
-//!   malformed `lint-budget.toml` or `spec/protocol.toml`).
+//!   malformed `spec/protocol.toml` or `spec/counters.toml`).
 
 mod bench;
 mod chaos;
@@ -44,15 +44,14 @@ mod wrap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rules::{Budget, Finding, Rule};
+use rules::{Finding, Rule};
 
 const USAGE: &str = "usage: cargo xtask <command>
 
 commands:
   lint [--stats]
       Run the totem-lint static analysis pass over the workspace.
-        --stats   also print per-crate violation counts and the
-                  suppression budget utilization
+        --stats   also print per-crate violation counts
 
   conformance [--markdown <path>]
       Check note_transition call sites against spec/protocol.toml and
@@ -101,8 +100,8 @@ commands:
                             cores); output is bit-identical for any J
         --minutes M         simulated minutes per seed (default 30)
         --nodes K           cluster size (default 4)
-        --style S           single | active | passive | k-of-n
-                            (default active)
+        --style S           single | active | passive | ap:K |
+                            k-of-n:K (default active)
         --corrupt PCT       chance each corruption slot fires
                             (default 50)
         --window W          rolling-oracle retained-delivery window
@@ -143,7 +142,6 @@ commands:
       spec/counters.toml is checked for raw ordering, bare increments,
       and truncating casts according to its declared kind (serial /
       monotone / epoch), plus registry drift in both directions.
-      Suppressions budget: wrap-budget.toml.
         --markdown <path>   append the per-counter table as GitHub
                             markdown (append to $GITHUB_STEP_SUMMARY)
 
@@ -195,36 +193,27 @@ fn run_lint(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let budget = match Budget::load(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut findings = match rules::analyze_workspace(&root) {
+    let findings = match rules::analyze_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    findings.extend(rules::budget_violations(&findings, &budget));
 
-    let violations: Vec<&Finding> = findings.iter().filter(|f| !f.suppressed).collect();
-    for f in &violations {
+    for f in &findings {
         println!("{f}");
     }
     if stats {
-        print_stats(&findings, &budget);
+        print_stats(&findings);
     }
-    if violations.is_empty() {
+    if findings.is_empty() {
         if !stats {
             println!("totem-lint: workspace clean");
         }
         ExitCode::SUCCESS
     } else {
-        println!("totem-lint: {} violation(s)", violations.len());
+        println!("totem-lint: {} violation(s)", findings.len());
         ExitCode::from(1)
     }
 }
@@ -324,8 +313,8 @@ fn workspace_root() -> Option<PathBuf> {
     compiled.exists().then(|| compiled.to_path_buf())
 }
 
-/// `--stats`: per-crate counts plus suppression budget utilization.
-fn print_stats(findings: &[Finding], budget: &Budget) {
+/// `--stats`: per-crate, per-rule violation counts.
+fn print_stats(findings: &[Finding]) {
     let crates: Vec<String> = {
         let mut names: Vec<String> = findings.iter().map(|f| f.krate.clone()).collect();
         names.sort();
@@ -335,27 +324,15 @@ fn print_stats(findings: &[Finding], budget: &Budget) {
     println!();
     println!("totem-lint stats");
     println!("{:<18} {:>22} {:>12}", "crate", "rule", "violations");
-    let usage = rules::suppression_usage(findings);
     for krate in &crates {
         for rule in Rule::all() {
-            let open = findings
-                .iter()
-                .filter(|f| !f.suppressed && f.krate == *krate && f.rule == rule)
-                .count();
-            let used = usage.get(&(krate.clone(), rule)).copied().unwrap_or(0);
-            let allowance = budget.allowance(krate, rule);
-            if open == 0 && used == 0 && allowance == 0 {
-                continue;
+            let open = findings.iter().filter(|f| f.krate == *krate && f.rule == rule).count();
+            if open > 0 {
+                println!("{krate:<18} {:>22} {open:>12}", rule.name());
             }
-            let suppression = if used > 0 || allowance > 0 {
-                format!("  (suppressed {used}/{allowance})")
-            } else {
-                String::new()
-            };
-            println!("{krate:<18} {:>22} {open:>12}{suppression}", rule.name());
         }
     }
-    if findings.iter().all(|f| f.suppressed) {
+    if findings.is_empty() {
         println!("(no open violations)");
     }
 }

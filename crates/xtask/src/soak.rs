@@ -34,16 +34,6 @@ struct Options {
     repro_dir: PathBuf,
 }
 
-fn parse_style(s: &str) -> Result<ReplicationStyle, String> {
-    match s {
-        "single" => Ok(ReplicationStyle::Single),
-        "active" => Ok(ReplicationStyle::Active),
-        "passive" => Ok(ReplicationStyle::Passive),
-        "k-of-n" => Ok(ReplicationStyle::KOfN { copies: 2 }),
-        other => Err(format!("unknown style `{other}` (single|active|passive|k-of-n)")),
-    }
-}
-
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         seeds: 8,
@@ -85,7 +75,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--nodes needs an integer".to_string())?;
             }
-            "--style" => opts.style = parse_style(&value("--style")?)?,
+            "--style" => opts.style = value("--style")?.parse()?,
             "--corrupt" => {
                 opts.corrupt = value("--corrupt")?
                     .parse()

@@ -1,21 +1,19 @@
-//! Parser for `spec/protocol.toml`, the machine-readable protocol
-//! state-machine specification.
-//!
-//! The build container is offline, so no TOML crate is available; this
-//! is a hand-rolled parser for the deliberate subset the spec uses
-//! (documented at the top of `spec/protocol.toml`):
+//! Schema for `spec/protocol.toml`, the machine-readable protocol
+//! state-machine specification, read with the shared TOML-subset
+//! reader (`totem_cluster::toml`):
 //!
 //! * `[machine.<name>]` tables with a `states = ["..", ...]` array;
 //! * `[[transition.<name>]]` array-of-tables entries with `from`,
 //!   `event` and `to` string keys plus an optional free-text `paper`
-//!   provenance key;
-//! * `#` comments and blank lines.
+//!   provenance key.
 //!
 //! Every parsed entity keeps its 1-based source line so conformance
 //! diagnostics can point back into the spec file.
 
 use std::collections::BTreeMap;
 use std::path::Path;
+
+use totem_cluster::toml;
 
 /// One declared state machine.
 #[derive(Debug)]
@@ -57,23 +55,6 @@ pub struct Spec {
     pub transitions: Vec<SpecTransition>,
 }
 
-/// What section the parser is currently inside.
-enum Section {
-    None,
-    Machine(String),
-    Transition(usize),
-}
-
-/// A transition entry mid-parse: fields land one `key = value` line at
-/// a time and are validated together once the file is consumed.
-struct PartialTransition {
-    machine: String,
-    from: Option<String>,
-    event: Option<String>,
-    to: Option<String>,
-    line: u32,
-}
-
 /// Parses the spec, validating internal consistency (machines exist,
 /// states are declared, no duplicate edges).
 ///
@@ -81,99 +62,45 @@ struct PartialTransition {
 ///
 /// Returns a `"line N: reason"` description of the first problem.
 pub fn parse(text: &str) -> Result<Spec, String> {
-    let mut spec = Spec::default();
-    let mut section = Section::None;
-    // Transitions are collected with possibly-missing fields and
-    // validated at the end, so diagnostics can name the entry header.
-    let mut partial: Vec<PartialTransition> = Vec::new();
-
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx as u32 + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix("[[transition.").and_then(|r| r.strip_suffix("]]")) {
-            if name.is_empty() {
-                return Err(format!("line {lineno}: empty transition machine name"));
-            }
-            partial.push(PartialTransition {
-                machine: name.to_string(),
-                from: None,
-                event: None,
-                to: None,
-                line: lineno,
-            });
-            section = Section::Transition(partial.len() - 1);
-            continue;
-        }
-        if let Some(name) = line.strip_prefix("[machine.").and_then(|r| r.strip_suffix(']')) {
-            if name.is_empty() {
-                return Err(format!("line {lineno}: empty machine name"));
-            }
-            if spec.machines.contains_key(name) {
-                return Err(format!("line {lineno}: machine `{name}` declared twice"));
-            }
-            spec.machines.insert(name.to_string(), Machine { states: Vec::new(), line: lineno });
-            section = Section::Machine(name.to_string());
-            continue;
-        }
-        if line.starts_with('[') {
-            return Err(format!("line {lineno}: unrecognized section header `{line}`"));
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("line {lineno}: expected `key = value`, got `{line}`"));
-        };
-        let (key, value) = (key.trim(), value.trim());
-        match &mut section {
-            Section::None => {
-                return Err(format!("line {lineno}: `{key}` outside any section"));
-            }
-            Section::Machine(name) => {
-                if key != "states" {
-                    return Err(format!("line {lineno}: unknown machine key `{key}`"));
-                }
-                let states = parse_string_array(value)
-                    .ok_or_else(|| format!("line {lineno}: `states` must be [\"..\", ...]"))?;
-                if states.is_empty() {
-                    return Err(format!("line {lineno}: `states` must not be empty"));
-                }
-                if let Some(m) = spec.machines.get_mut(name.as_str()) {
-                    m.states = states;
-                }
-            }
-            Section::Transition(i) => {
-                let entry = &mut partial[*i];
-                let slot = match key {
-                    "from" => &mut entry.from,
-                    "event" => &mut entry.event,
-                    "to" => &mut entry.to,
-                    "paper" => {
-                        // Free-text provenance; validated as a string
-                        // but not retained.
-                        parse_string(value).ok_or_else(|| {
-                            format!("line {lineno}: `paper` must be a quoted string")
-                        })?;
-                        continue;
-                    }
-                    other => {
-                        return Err(format!("line {lineno}: unknown transition key `{other}`"));
-                    }
-                };
-                let s = parse_string(value)
-                    .ok_or_else(|| format!("line {lineno}: `{key}` must be a quoted string"))?;
-                if slot.replace(s).is_some() {
-                    return Err(format!("line {lineno}: `{key}` given twice in one transition"));
-                }
-            }
-        }
+    let doc = toml::parse(text)?;
+    if let Some(e) = doc.top.entries.first() {
+        return Err(format!("line {}: `{}` outside any section", e.line, e.key));
     }
-
-    for p in partial {
-        let (Some(from), Some(event), Some(to)) = (p.from, p.event, p.to) else {
-            return Err(format!("line {}: transition needs `from`, `event` and `to`", p.line));
-        };
-        spec.transitions.push(SpecTransition { machine: p.machine, from, event, to, line: p.line });
+    let mut spec = Spec::default();
+    for t in &doc.tables {
+        match (t.array, t.name.split_once('.')) {
+            (false, Some(("machine", name))) => {
+                t.only(&["states"], "machine")?;
+                let states: Vec<String> = t.get("states")?;
+                if states.is_empty() {
+                    return Err(t.error("states", "must not be empty"));
+                }
+                spec.machines.insert(name.to_string(), Machine { states, line: t.line });
+            }
+            (true, Some(("transition", machine))) => {
+                t.only(&["from", "event", "to", "paper"], "transition")?;
+                // Free-text provenance: checked to be a string, not kept.
+                t.get_opt::<&str>("paper")?;
+                let (Some(from), Some(event), Some(to)) = (
+                    t.get_opt::<&str>("from")?,
+                    t.get_opt::<&str>("event")?,
+                    t.get_opt::<&str>("to")?,
+                ) else {
+                    return Err(format!(
+                        "line {}: transition needs `from`, `event` and `to`",
+                        t.line
+                    ));
+                };
+                spec.transitions.push(SpecTransition {
+                    machine: machine.to_string(),
+                    from: from.to_string(),
+                    event: event.to_string(),
+                    to: to.to_string(),
+                    line: t.line,
+                });
+            }
+            _ => return Err(format!("line {}: unrecognized section header `{}`", t.line, t.name)),
+        }
     }
     validate(&spec)?;
     Ok(spec)
@@ -221,22 +148,6 @@ fn validate(spec: &Spec) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// `"text"` → `text`.
-fn parse_string(value: &str) -> Option<String> {
-    let inner = value.strip_prefix('"')?.strip_suffix('"')?;
-    // The spec subset forbids embedded quotes; escapes are not needed.
-    (!inner.contains('"')).then(|| inner.to_string())
-}
-
-/// `["a", "b"]` → `vec!["a", "b"]`.
-fn parse_string_array(value: &str) -> Option<Vec<String>> {
-    let inner = value.strip_prefix('[')?.strip_suffix(']')?.trim();
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    inner.split(',').map(|item| parse_string(item.trim())).collect()
 }
 
 #[cfg(test)]

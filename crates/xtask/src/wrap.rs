@@ -29,9 +29,7 @@
 //!   arithmetic within an epoch is legal.
 //!
 //! Four rules run over the token stream of the hand-rolled lexer
-//! ([`crate::lexer`]), sharing the `lint:allow(...)` suppression
-//! mechanism and the budget format of the lint pass (budget file:
-//! `wrap-budget.toml`):
+//! ([`crate::lexer`]):
 //!
 //! * **wrap-serial-compare** — raw ordering (`<` `>` `<=` `>=`,
 //!   `.min()`/`.max()`/`.cmp()`/`.sort*()`) adjacent to a registered
@@ -60,8 +58,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::lexer::{self, Kind, Lexed, Token};
-use crate::rules::{self, Budget, Finding, Rule, PROTOCOL_CRATES};
+use totem_cluster::toml;
+
+use crate::lexer::{self, Kind, Token};
+use crate::rules::{self, Finding, Rule, PROTOCOL_CRATES};
 use crate::{append_file, workspace_root, USAGE};
 
 /// Wrap semantics of one registered counter.
@@ -130,90 +130,55 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Parses the `[[counter]]` subset (see `spec/counters.toml` for
-    /// the grammar), validating that idents are unique, kinds are
-    /// known, and monotone entries carry a justification.
+    /// Parses the `[[counter]]` schema (see `spec/counters.toml`),
+    /// validating that idents are unique, kinds are known, and
+    /// monotone entries carry a justification.
     ///
     /// # Errors
     ///
     /// Returns a `"line N: reason"` description of the first problem.
     pub fn parse(text: &str) -> Result<Registry, String> {
-        struct Partial {
-            ident: Option<String>,
-            kind: Option<CounterKind>,
-            ty: Option<String>,
-            doc: Option<String>,
-            line: u32,
+        let doc = toml::parse(text)?;
+        if let Some(e) = doc.top.entries.first() {
+            return Err(format!("line {}: `{}` outside a [[counter]] entry", e.line, e.key));
         }
-        let mut partial: Vec<Partial> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx as u32 + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[[counter]]" {
-                partial.push(Partial {
-                    ident: None,
-                    kind: None,
-                    ty: None,
-                    doc: None,
-                    line: lineno,
-                });
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(format!("line {lineno}: unrecognized section header `{line}`"));
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("line {lineno}: expected `key = value`, got `{line}`"));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let Some(entry) = partial.last_mut() else {
-                return Err(format!("line {lineno}: `{key}` outside a [[counter]] entry"));
-            };
-            let s = parse_string(value)
-                .ok_or_else(|| format!("line {lineno}: `{key}` must be a quoted string"))?;
-            let slot = match key {
-                "ident" => &mut entry.ident,
-                "type" => &mut entry.ty,
-                "doc" => &mut entry.doc,
-                "kind" => {
-                    let kind = CounterKind::parse(&s).ok_or_else(|| {
-                        format!("line {lineno}: unknown kind `{s}` (serial | monotone | epoch)")
-                    })?;
-                    if entry.kind.replace(kind).is_some() {
-                        return Err(format!("line {lineno}: `kind` given twice in one counter"));
-                    }
-                    continue;
-                }
-                other => return Err(format!("line {lineno}: unknown counter key `{other}`")),
-            };
-            if slot.replace(s).is_some() {
-                return Err(format!("line {lineno}: `{key}` given twice in one counter"));
-            }
-        }
-
         let mut counters = Vec::new();
         let mut seen = BTreeSet::new();
-        for p in partial {
-            let (Some(ident), Some(kind), Some(ty)) = (p.ident, p.kind, p.ty) else {
-                return Err(format!("line {}: counter needs `ident`, `kind` and `type`", p.line));
+        for t in &doc.tables {
+            if !(t.array && t.name == "counter") {
+                return Err(format!("line {}: unrecognized section header `{}`", t.line, t.name));
+            }
+            t.only(&["ident", "kind", "type", "doc"], "counter")?;
+            let (Some(ident), Some(kind), Some(ty)) = (
+                t.get_opt::<&str>("ident")?,
+                t.get_opt::<&str>("kind")?,
+                t.get_opt::<&str>("type")?,
+            ) else {
+                return Err(format!("line {}: counter needs `ident`, `kind` and `type`", t.line));
             };
+            let kind = CounterKind::parse(kind).ok_or_else(|| {
+                t.error("kind", format!("unknown kind `{kind}` (serial | monotone | epoch)"))
+            })?;
             if ident.is_empty() || !ident.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                return Err(format!("line {}: `{ident}` is not an identifier", p.line));
+                return Err(format!("line {}: `{ident}` is not an identifier", t.line));
             }
-            if !seen.insert(ident.clone()) {
-                return Err(format!("line {}: counter `{ident}` declared twice", p.line));
+            if !seen.insert(ident) {
+                return Err(format!("line {}: counter `{ident}` declared twice", t.line));
             }
-            let doc = p.doc.unwrap_or_default();
+            let doc = t.get_opt::<&str>("doc")?.unwrap_or_default();
             if kind == CounterKind::Monotone && doc.is_empty() {
                 return Err(format!(
                     "line {}: monotone counter `{ident}` must carry a `doc` justifying why it cannot wrap",
-                    p.line
+                    t.line
                 ));
             }
-            counters.push(Counter { ident, kind, ty, doc, line: p.line });
+            counters.push(Counter {
+                ident: ident.to_string(),
+                kind,
+                ty: ty.to_string(),
+                doc: doc.to_string(),
+                line: t.line,
+            });
         }
         Ok(Registry { counters })
     }
@@ -281,12 +246,6 @@ impl Registry {
     }
 }
 
-/// `"text"` → `text` (the registry subset forbids embedded quotes).
-fn parse_string(value: &str) -> Option<String> {
-    let inner = value.strip_prefix('"')?.strip_suffix('"')?;
-    (!inner.contains('"')).then(|| inner.to_string())
-}
-
 /// Narrow integer types whose `as` casts truncate a 64-bit counter.
 const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "usize", "i8", "i16", "i32", "i64", "isize"];
 
@@ -309,13 +268,13 @@ const ORDERING_METHODS: &[&str] = &[
 /// Pure function over source text so the negative-fixture tests can
 /// feed known-bad snippets without touching the filesystem.
 pub fn analyze_source(reg: &Registry, krate: &str, file: &str, src: &str) -> Vec<Finding> {
-    let lexed = lexer::lex(src);
-    let test_mask = rules::cfg_test_mask(&lexed.tokens);
+    let toks = lexer::lex(src);
+    let test_mask = rules::cfg_test_mask(&toks);
     let mut findings = Vec::new();
-    serial_ordering(reg, krate, file, &lexed, &test_mask, &mut findings);
-    derive_ord_on_serial_newtypes(reg, krate, file, &lexed, &test_mask, &mut findings);
-    bare_increments(reg, krate, file, &lexed, &test_mask, &mut findings);
-    truncating_casts(reg, krate, file, &lexed, &test_mask, &mut findings);
+    serial_ordering(reg, krate, file, &toks, &test_mask, &mut findings);
+    derive_ord_on_serial_newtypes(reg, krate, file, &toks, &test_mask, &mut findings);
+    bare_increments(reg, krate, file, &toks, &test_mask, &mut findings);
+    truncating_casts(reg, krate, file, &toks, &test_mask, &mut findings);
     findings
 }
 
@@ -327,7 +286,7 @@ fn serial_ordering(
     reg: &Registry,
     krate: &str,
     file: &str,
-    lexed: &Lexed,
+    toks: &[Token],
     test_mask: &[bool],
     findings: &mut Vec<Finding>,
 ) {
@@ -335,7 +294,6 @@ fn serial_ordering(
     if serial.is_empty() {
         return;
     }
-    let toks = &lexed.tokens;
     // Angle brackets opened by a generic-argument position
     // (`Vec<...>`, `Foo::<...>`): their closing `>` is not an ordering
     // operator.
@@ -350,7 +308,7 @@ fn serial_ordering(
             if toks.get(i + 1).is_some_and(|d| d.text == ".")
                 && toks.get(i + 2).is_some_and(|m| ORDERING_METHODS.contains(&m.text.as_str()))
             {
-                rules::push(findings, Rule::WrapSerialCompare, krate, file, t.line, lexed,
+                rules::push(findings, Rule::WrapSerialCompare, krate, file, t.line,
                     format!("raw `.{}()` on serial counter `{}`; serial order needs `follows`/`serial_max` (RFC 1982)",
                         toks[i + 2].text, t.text));
             }
@@ -380,7 +338,7 @@ fn serial_ordering(
                     generic_depth += 1;
                     continue;
                 }
-                check_ordering_op(reg, krate, file, lexed, toks, i, findings);
+                check_ordering_op(reg, krate, file, toks, i, findings);
             }
             ">" => {
                 if generic_depth > 0 {
@@ -395,7 +353,7 @@ fn serial_ordering(
                 {
                     continue;
                 }
-                check_ordering_op(reg, krate, file, lexed, toks, i, findings);
+                check_ordering_op(reg, krate, file, toks, i, findings);
             }
             _ => {}
         }
@@ -408,7 +366,6 @@ fn check_ordering_op(
     reg: &Registry,
     krate: &str,
     file: &str,
-    lexed: &Lexed,
     toks: &[Token],
     i: usize,
     findings: &mut Vec<Finding>,
@@ -421,7 +378,7 @@ fn check_ordering_op(
         if side.kind == Kind::Ident && serial.contains(side.text.as_str()) {
             let op: String =
                 if op_len == 2 { format!("{}=", toks[i].text) } else { toks[i].text.clone() };
-            rules::push(findings, Rule::WrapSerialCompare, krate, file, toks[i].line, lexed,
+            rules::push(findings, Rule::WrapSerialCompare, krate, file, toks[i].line,
                 format!("raw `{op}` on serial counter `{}` inverts at the wrap; compare via `follows`/`at_or_after` (RFC 1982)",
                     side.text));
             return;
@@ -437,7 +394,7 @@ fn derive_ord_on_serial_newtypes(
     reg: &Registry,
     krate: &str,
     file: &str,
-    lexed: &Lexed,
+    toks: &[Token],
     test_mask: &[bool],
     findings: &mut Vec<Finding>,
 ) {
@@ -445,7 +402,6 @@ fn derive_ord_on_serial_newtypes(
     if newtypes.is_empty() {
         return;
     }
-    let toks = &lexed.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         let is_derive = !test_mask[i]
@@ -479,7 +435,7 @@ fn derive_ord_on_serial_newtypes(
         if let Some(name) = toks.get(j + 1).filter(|n| n.kind == Kind::Ident) {
             if newtypes.contains(name.text.as_str()) {
                 for (line, which) in &ord_lines {
-                    rules::push(findings, Rule::WrapSerialCompare, krate, file, *line, lexed,
+                    rules::push(findings, Rule::WrapSerialCompare, krate, file, *line,
                         format!("derive(`{which}`) on serial newtype `{}`: serial counters have no total order; use `SerialOrdKey` at container-key sites",
                             name.text));
                 }
@@ -496,7 +452,7 @@ fn bare_increments(
     reg: &Registry,
     krate: &str,
     file: &str,
-    lexed: &Lexed,
+    toks: &[Token],
     test_mask: &[bool],
     findings: &mut Vec<Finding>,
 ) {
@@ -504,7 +460,6 @@ fn bare_increments(
     if serial.is_empty() {
         return;
     }
-    let toks = &lexed.tokens;
     for i in 0..toks.len() {
         if test_mask[i] || toks[i].kind != Kind::Ident || !serial.contains(toks[i].text.as_str()) {
             continue;
@@ -512,14 +467,14 @@ fn bare_increments(
         let ident = &toks[i];
         if toks.get(i + 1).is_some_and(|n| n.text == "+") {
             let op = if toks.get(i + 2).is_some_and(|n| n.text == "=") { "+=" } else { "+" };
-            rules::push(findings, Rule::WrapBareIncrement, krate, file, ident.line, lexed,
+            rules::push(findings, Rule::WrapBareIncrement, krate, file, ident.line,
                 format!("bare `{op}` on serial counter `{}` skips the wrap/reserved-zero handling; advance via `next()`",
                     ident.text));
         }
         if toks.get(i + 1).is_some_and(|d| d.text == ".")
             && toks.get(i + 2).is_some_and(|m| m.text == "wrapping_add")
         {
-            rules::push(findings, Rule::WrapBareIncrement, krate, file, ident.line, lexed,
+            rules::push(findings, Rule::WrapBareIncrement, krate, file, ident.line,
                 format!("`.wrapping_add()` on serial counter `{}` bypasses `next()` (reserved-zero skip)",
                     ident.text));
         }
@@ -534,12 +489,11 @@ fn truncating_casts(
     reg: &Registry,
     krate: &str,
     file: &str,
-    lexed: &Lexed,
+    toks: &[Token],
     test_mask: &[bool],
     findings: &mut Vec<Finding>,
 ) {
     let idents = reg.all_idents();
-    let toks = &lexed.tokens;
     for i in 0..toks.len() {
         if test_mask[i] || toks[i].kind != Kind::Ident || toks[i].text != "as" {
             continue;
@@ -566,7 +520,7 @@ fn truncating_casts(
             j = p;
         }
         if let Some(counter) = hit {
-            rules::push(findings, Rule::WrapTruncatingCast, krate, file, toks[i].line, lexed,
+            rules::push(findings, Rule::WrapTruncatingCast, krate, file, toks[i].line,
                 format!("truncating cast of counter `{}` to `{}` drops high bits; keep the full 64-bit value",
                     counter.text, ty.text));
         }
@@ -587,7 +541,7 @@ fn counter_shaped(name: &str) -> bool {
 /// What a full-workspace audit produced.
 #[derive(Debug, Default)]
 pub struct AuditReport {
-    /// Every finding, suppressed or not.
+    /// Every finding.
     pub findings: Vec<Finding>,
     /// Identifier occurrences per registered counter, workspace-wide
     /// (drives the declared-but-unused drift direction and the
@@ -617,14 +571,14 @@ pub fn analyze_workspace(root: &Path, reg: &Registry) -> Result<AuditReport, Str
             let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
             report.findings.extend(analyze_source(reg, &krate.name, &rel, &src));
 
-            let lexed = lexer::lex(&src);
-            for t in lexed.tokens.iter().filter(|t| t.kind == Kind::Ident) {
+            let toks = lexer::lex(&src);
+            for t in toks.iter().filter(|t| t.kind == Kind::Ident) {
                 if let Some(n) = report.usage.get_mut(&t.text) {
                     *n += 1;
                 }
             }
             if PROTOCOL_CRATES.contains(&krate.name.as_str()) {
-                undeclared_raw_counters(reg, &krate.name, &rel, &lexed, &mut report.findings);
+                undeclared_raw_counters(reg, &krate.name, &rel, &toks, &mut report.findings);
             }
         }
     }
@@ -639,7 +593,6 @@ pub fn analyze_workspace(root: &Path, reg: &Registry) -> Result<AuditReport, Str
                     "counter `{}` is declared but its identifier appears nowhere in the workspace",
                     c.ident
                 ),
-                suppressed: false,
             });
         }
     }
@@ -653,10 +606,9 @@ fn undeclared_raw_counters(
     reg: &Registry,
     krate: &str,
     file: &str,
-    lexed: &Lexed,
+    toks: &[Token],
     findings: &mut Vec<Finding>,
 ) {
-    let toks = &lexed.tokens;
     let test_mask = rules::cfg_test_mask(toks);
     for i in 0..toks.len() {
         if test_mask[i] || toks[i].kind != Kind::Ident || !counter_shaped(&toks[i].text) {
@@ -671,7 +623,7 @@ fn undeclared_raw_counters(
                 .is_some_and(|t| matches!(t.text.as_str(), "u8" | "u16" | "u32" | "u64" | "usize"))
             && toks.get(i + 3).is_some_and(|e| e.text == "," || e.text == "}");
         if is_decl && reg.counter(&toks[i].text).is_none() {
-            rules::push(findings, Rule::WrapRegistryDrift, krate, file, toks[i].line, lexed,
+            rules::push(findings, Rule::WrapRegistryDrift, krate, file, toks[i].line,
                 format!("counter-shaped field `{}: {}` is not declared in spec/counters.toml; declare it with kind serial/monotone/epoch",
                     toks[i].text, toks[i + 2].text));
         }
@@ -708,25 +660,15 @@ pub fn run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let budget = match Budget::load_named(&root, "wrap-budget.toml") {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut report = match analyze_workspace(&root, &reg) {
+    let report = match analyze_workspace(&root, &reg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let over = rules::budget_violations_named(&report.findings, &budget, "wrap-budget.toml");
-    report.findings.extend(over);
 
-    let violations: Vec<&Finding> = report.findings.iter().filter(|f| !f.suppressed).collect();
-    for f in &violations {
+    for f in &report.findings {
         println!("{f}");
     }
     println!(
@@ -735,18 +677,18 @@ pub fn run(args: &[String]) -> ExitCode {
         reg.counters.iter().filter(|c| c.kind == CounterKind::Serial).count(),
         reg.counters.iter().filter(|c| c.kind == CounterKind::Monotone).count(),
         reg.counters.iter().filter(|c| c.kind == CounterKind::Epoch).count(),
-        violations.len()
+        report.findings.len()
     );
 
     if let Some(path) = &markdown_path {
-        let md = markdown(&reg, &report, &violations);
+        let md = markdown(&reg, &report);
         if let Err(e) = append_file(path, &md) {
             eprintln!("error: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
 
-    if violations.is_empty() {
+    if report.findings.is_empty() {
         println!("wrap-audit: counter discipline clean");
         ExitCode::SUCCESS
     } else {
@@ -756,7 +698,7 @@ pub fn run(args: &[String]) -> ExitCode {
 
 /// GitHub job-summary markdown: the per-counter registry table with
 /// workspace usage counts, plus any findings.
-fn markdown(reg: &Registry, report: &AuditReport, violations: &[&Finding]) -> String {
+fn markdown(reg: &Registry, report: &AuditReport) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
     let _ = writeln!(md, "## Wrap-safety audit (`cargo xtask wrap-audit`)\n");
@@ -774,11 +716,11 @@ fn markdown(reg: &Registry, report: &AuditReport, violations: &[&Finding]) -> St
             c.doc
         );
     }
-    if violations.is_empty() {
+    if report.findings.is_empty() {
         let _ = writeln!(md, "\nAll counters within discipline; zero findings.");
     } else {
-        let _ = writeln!(md, "\n**{} finding(s):**\n", violations.len());
-        for f in violations {
+        let _ = writeln!(md, "\n**{} finding(s):**\n", report.findings.len());
+        for f in &report.findings {
             let _ = writeln!(md, "- `{}:{}` {}: {}", f.file, f.line, f.rule, f.msg);
         }
     }
@@ -818,11 +760,8 @@ doc = "fixture: monotone, raw ordering legal"
         .expect("fixture registry parses")
     }
 
-    fn unsuppressed(krate: &str, src: &str) -> Vec<Finding> {
+    fn findings(krate: &str, src: &str) -> Vec<Finding> {
         analyze_source(&fixture_registry(), krate, "test.rs", src)
-            .into_iter()
-            .filter(|f| !f.suppressed)
-            .collect()
     }
 
     // ---- negative fixtures: exactly one finding each -------------------
@@ -830,7 +769,7 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn raw_serial_comparison_is_one_finding() {
         let bad = "fn fresh(a: u64) -> bool { seq_raw < a }";
-        let got = unsuppressed("totem-srp", bad);
+        let got = findings("totem-srp", bad);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].rule, Rule::WrapSerialCompare);
         assert_eq!(got[0].line, 1);
@@ -839,7 +778,7 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn bare_increment_is_one_finding() {
         let bad = "fn advance() { seq_raw += 1; }";
-        let got = unsuppressed("totem-srp", bad);
+        let got = findings("totem-srp", bad);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].rule, Rule::WrapBareIncrement);
     }
@@ -847,7 +786,7 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn truncating_cast_is_one_finding() {
         let bad = "fn shrink() -> u32 { max_ring_seq as u32 }";
-        let got = unsuppressed("totem-srp", bad);
+        let got = findings("totem-srp", bad);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].rule, Rule::WrapTruncatingCast);
     }
@@ -857,13 +796,13 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn monotone_raw_ordering_is_legal() {
         let ok = "fn f(x: u64) -> u64 { if x > max_ring_seq { x } else { max_ring_seq } }";
-        assert!(unsuppressed("totem-srp", ok).is_empty());
+        assert!(findings("totem-srp", ok).is_empty());
     }
 
     #[test]
     fn ordering_methods_on_serial_are_flagged() {
         let bad = "fn f(x: u64) -> u64 { seq_raw.max(x) }";
-        let got = unsuppressed("totem-srp", bad);
+        let got = findings("totem-srp", bad);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].rule, Rule::WrapSerialCompare);
     }
@@ -874,13 +813,13 @@ doc = "fixture: monotone, raw ordering legal"
             fn f(v: Vec<u64>, o: Option<u64>) -> u64 { g::<u64>(v); seq_raw << 1; h() }
             fn g(x: u64) -> Option<u64> { match x { 0 => None, n => Some(n) } }
         ";
-        assert!(unsuppressed("totem-srp", ok).is_empty());
+        assert!(findings("totem-srp", ok).is_empty());
     }
 
     #[test]
     fn wrapping_add_bypass_is_flagged() {
         let bad = "fn f() -> u64 { seq_raw.wrapping_add(1) }";
-        let got = unsuppressed("totem-srp", bad);
+        let got = findings("totem-srp", bad);
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].rule, Rule::WrapBareIncrement);
     }
@@ -888,7 +827,7 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn derive_ord_on_serial_newtype_is_flagged() {
         let bad = "#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]\npub struct Rotation(u64);";
-        let got = unsuppressed("totem-wire", bad);
+        let got = findings("totem-wire", bad);
         assert_eq!(got.len(), 2, "{got:?}"); // PartialOrd and Ord
         assert!(got.iter().all(|f| f.rule == Rule::WrapSerialCompare));
     }
@@ -896,7 +835,7 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn derive_ord_on_other_types_is_fine() {
         let ok = "#[derive(PartialOrd, Ord)]\npub struct SerialOrdKey(u64);";
-        assert!(unsuppressed("totem-wire", ok).is_empty());
+        assert!(findings("totem-wire", ok).is_empty());
     }
 
     #[test]
@@ -904,7 +843,7 @@ doc = "fixture: monotone, raw ordering legal"
         // `.as_u64()` / `.ord_key()` chains are deliberate, visible
         // escapes; only direct adjacency fires.
         let ok = "fn f(r: Rotation, s: Rotation) -> bool { r.ord_key() < s.ord_key() }";
-        assert!(unsuppressed("totem-srp", ok).is_empty());
+        assert!(findings("totem-srp", ok).is_empty());
     }
 
     #[test]
@@ -916,29 +855,15 @@ doc = "fixture: monotone, raw ordering legal"
                 fn t() { assert!(seq_raw < 5); seq_raw += 1; }
             }
         ";
-        assert!(unsuppressed("totem-srp", ok).is_empty());
-    }
-
-    #[test]
-    fn lint_allow_suppresses_and_counts_against_budget() {
-        let src = "fn f(a: u64) -> bool { seq_raw < a } // lint:allow(wrap-serial-compare)";
-        let all = analyze_source(&fixture_registry(), "totem-cluster", "t.rs", src);
-        assert_eq!(all.len(), 1);
-        assert!(all[0].suppressed);
-        let budget =
-            Budget::parse_named("[totem-cluster]\nwrap-serial-compare = 1\n", "wrap-budget.toml")
-                .unwrap();
-        assert!(rules::budget_violations_named(&all, &budget, "wrap-budget.toml").is_empty());
-        let zero = Budget::default();
-        assert_eq!(rules::budget_violations_named(&all, &zero, "wrap-budget.toml").len(), 1);
+        assert!(findings("totem-srp", ok).is_empty());
     }
 
     #[test]
     fn undeclared_counter_shaped_field_is_drift() {
         let src = "pub struct S { pub next_rotation_seq: u64, pub unrelated: u64 }";
-        let lexed = lexer::lex(src);
+        let toks = lexer::lex(src);
         let mut findings = Vec::new();
-        undeclared_raw_counters(&fixture_registry(), "totem-srp", "t.rs", &lexed, &mut findings);
+        undeclared_raw_counters(&fixture_registry(), "totem-srp", "t.rs", &toks, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, Rule::WrapRegistryDrift);
         assert!(findings[0].msg.contains("next_rotation_seq"));
@@ -947,9 +872,9 @@ doc = "fixture: monotone, raw ordering legal"
     #[test]
     fn declared_fields_are_not_drift() {
         let src = "pub struct S { pub max_ring_seq: u64 }";
-        let lexed = lexer::lex(src);
+        let toks = lexer::lex(src);
         let mut findings = Vec::new();
-        undeclared_raw_counters(&fixture_registry(), "totem-srp", "t.rs", &lexed, &mut findings);
+        undeclared_raw_counters(&fixture_registry(), "totem-srp", "t.rs", &toks, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

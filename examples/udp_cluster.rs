@@ -19,35 +19,17 @@ use totem_srp::SrpConfig;
 use totem_transport::UdpTopology;
 use totem_wire::NodeId;
 
-fn parse_style(raw: &str) -> Option<ReplicationStyle> {
-    match raw {
-        "active" => Some(ReplicationStyle::Active),
-        "passive" => Some(ReplicationStyle::Passive),
-        other => {
-            if let Some(k) = other.strip_prefix("ap:") {
-                k.parse().ok().map(|copies| ReplicationStyle::ActivePassive { copies })
-            } else if let Some(k) = other.strip_prefix("k-of-n:") {
-                k.parse().ok().map(|copies| ReplicationStyle::KOfN { copies })
-            } else {
-                None
-            }
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let style = match args.as_slice() {
         [] => ReplicationStyle::Active,
-        [flag, raw] if flag == "--replication" => {
-            match parse_style(raw) {
-                Some(s) => s,
-                None => {
-                    eprintln!("unknown replication style `{raw}` (use active, passive, ap:K, or k-of-n:K)");
-                    std::process::exit(2);
-                }
+        [flag, raw] if flag == "--replication" => match raw.parse() {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
             }
-        }
+        },
         _ => {
             eprintln!("usage: udp_cluster [--replication active|passive|ap:K|k-of-n:K]");
             std::process::exit(2);

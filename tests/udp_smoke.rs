@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use totem_cluster::{spawn_node_with, PollMode, RuntimeConfig, RuntimeEvent, StartMode, TotemNode};
+use totem_cluster::{spawn_node, RuntimeEvent, StartMode, TotemNode};
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_srp::SrpConfig;
 use totem_transport::{CountingTransport, Transport, TransportCounters, UdpTopology, UdpTransport};
@@ -20,9 +20,8 @@ fn spawn_cluster(
     style: ReplicationStyle,
     nodes: usize,
     networks: usize,
-    config: RuntimeConfig,
 ) -> Vec<totem_cluster::RuntimeHandle> {
-    spawn_cluster_over(style, nodes, networks, config, |transport| transport)
+    spawn_cluster_over(style, nodes, networks, |transport| transport)
 }
 
 /// Like [`spawn_cluster`], with each node's sockets behind `wrap`.
@@ -30,7 +29,6 @@ fn spawn_cluster_over<T: Transport + 'static>(
     style: ReplicationStyle,
     nodes: usize,
     networks: usize,
-    config: RuntimeConfig,
     mut wrap: impl FnMut(UdpTransport) -> T,
 ) -> Vec<totem_cluster::RuntimeHandle> {
     let bound = UdpTopology::bind_ephemeral(nodes, networks).expect("bind ephemeral cluster");
@@ -50,14 +48,14 @@ fn spawn_cluster_over<T: Transport + 'static>(
                 0,
             );
             let mode = if i == 0 { StartMode::Representative } else { StartMode::Member };
-            spawn_node_with(node, wrap(transport), mode, config)
+            spawn_node(node, wrap(transport), mode)
         })
         .collect()
 }
 
-fn run_cluster(style: ReplicationStyle, networks: usize, config: RuntimeConfig) {
+fn run_cluster(style: ReplicationStyle, networks: usize) {
     let nodes = 3;
-    let handles = spawn_cluster(style, nodes, networks, config);
+    let handles = spawn_cluster(style, nodes, networks);
 
     for (i, h) in handles.iter().enumerate() {
         h.submit(Bytes::from(format!("udp-{style}-{i}")));
@@ -85,25 +83,17 @@ fn run_cluster(style: ReplicationStyle, networks: usize, config: RuntimeConfig) 
 
 #[test]
 fn udp_active_replication_smoke() {
-    run_cluster(ReplicationStyle::Active, 2, RuntimeConfig::default());
+    run_cluster(ReplicationStyle::Active, 2);
 }
 
 #[test]
 fn udp_passive_replication_smoke() {
-    run_cluster(ReplicationStyle::Passive, 2, RuntimeConfig::default());
+    run_cluster(ReplicationStyle::Passive, 2);
 }
 
 #[test]
 fn udp_single_network_smoke() {
-    run_cluster(ReplicationStyle::Single, 1, RuntimeConfig::default());
-}
-
-/// Busy-poll mode: the driver spins briefly before blocking. Same
-/// total order, lower wake-up latency, one hot core.
-#[test]
-fn udp_busy_poll_smoke() {
-    let poll = PollMode::BusyPoll { spin_us: 100 };
-    run_cluster(ReplicationStyle::Active, 2, RuntimeConfig { poll });
+    run_cluster(ReplicationStyle::Single, 1);
 }
 
 /// What batching is for: under load the driver crosses the transport
@@ -120,12 +110,11 @@ fn udp_loaded_driver_batches_its_syscalls() {
     const IN_FLIGHT: usize = 256;
 
     let mut counters = Vec::new();
-    let handles =
-        spawn_cluster_over(ReplicationStyle::Active, NODES, 2, RuntimeConfig::default(), |t| {
-            let counted = CountingTransport::new(t, NODES - 1);
-            counters.push(counted.counters());
-            counted
-        });
+    let handles = spawn_cluster_over(ReplicationStyle::Active, NODES, 2, |t| {
+        let counted = CountingTransport::new(t, NODES - 1);
+        counters.push(counted.counters());
+        counted
+    });
 
     // An idle token hop is a call per datagram by nature, so the
     // count starts with the load and stops with the last delivery.
@@ -175,8 +164,7 @@ fn tally(counters: &[std::sync::Arc<TransportCounters>]) -> (u64, u64) {
 #[test]
 fn udp_set_k_reconfigures_a_live_cluster() {
     let nodes = 3;
-    let handles =
-        spawn_cluster(ReplicationStyle::KOfN { copies: 2 }, nodes, 2, RuntimeConfig::default());
+    let handles = spawn_cluster(ReplicationStyle::KOfN { copies: 2 }, nodes, 2);
 
     let collect =
         |handles: &[totem_cluster::RuntimeHandle], orders: &mut Vec<Vec<Bytes>>, want: usize| {
