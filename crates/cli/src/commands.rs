@@ -3,9 +3,8 @@
 use bytes::Bytes;
 
 use totem_bench::{fig6, fig7, fig8, fig9, measure, run_figure, MeasureConfig};
-use totem_cluster::chaos::{par as chaos_par, soak as chaos_soak};
 use totem_cluster::{
-    collect_deliveries, spawn_node, BackendKind, ClusterConfig, SimCluster, StartMode, TotemNode,
+    collect_deliveries, spawn_node, ClusterConfig, SimCluster, StartMode, TotemNode,
 };
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_sim::{FaultCommand, NetworkConfig, SimConfig, SimDuration, SimTime};
@@ -29,11 +28,9 @@ usage:
   totem failover   [--replication S] [--nodes N]
         kill a network mid-run; show transparency + fault reports
   totem soak       [--seconds S] [--loss PCT] [--replication S] [--backend B]
-                   [--seed X] [--corrupt PCT] [--seeds N] [--jobs N]
-        randomized lossy run with safety verification; with --corrupt
-        (or --seeds > 1) runs the self-stabilization soak engine: a
-        drip of chaos + state-corruption faults checked by the
-        rolling-window EVS oracle, seeds fanned across --jobs threads
+                   [--seed X]
+        randomized lossy run with safety verification (the
+        self-stabilization soak is `cargo xtask soak`)
   totem scale      [--replication S] [--backend B] [--size BYTES] [--max-nodes N]
         ring-size sweep: throughput and latency as the ring grows
   totem udp        [--nodes N] [--networks M] [--replication S] [--msgs K]
@@ -265,44 +262,20 @@ pub fn udp(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `totem soak`.
-///
-/// Two regimes share the flag set. The legacy single-seed lossy run
-/// (unchanged output) handles `--seconds/--loss/--seed`. Passing
-/// `--corrupt PCT` or `--seeds N > 1` switches to the
-/// self-stabilization soak engine in `totem_cluster::chaos::soak`:
-/// per seed, a deterministic drip of chaos faults and state
-/// corruptions under diurnal KV load, checked by the rolling-window
-/// EVS oracle and the reconvergence oracle, with seeds fanned across
-/// `--jobs` threads (report identical for any job count).
+/// `totem soak`: one seeded lossy run, checked for one agreed order
+/// with no duplicates and nothing lost. The self-stabilization soak
+/// (fault and corruption drip, rolling oracle) is `cargo xtask soak`.
 pub fn soak(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let seconds: u64 = flags.get("seconds", 10)?;
     let loss_pct: f64 = flags.get("loss", 1.0)?;
     let seed: u64 = flags.get("seed", 42)?;
-    let corrupt: u64 = flags.get("corrupt", 0)?;
-    let seeds: u64 = flags.get("seeds", 1)?;
     let style = flags.style()?;
     let backend = flags.backend()?;
-    if corrupt > 100 {
-        return Err("--corrupt is a percentage (0-100)".into());
-    }
-    if corrupt > 0 || seeds > 1 {
-        if backend != BackendKind::Totem {
-            return Err("the corruption soak engine drives the Totem backend only \
-                 (state corruption is a Totem hook; ring-paxos has none)"
-                .into());
-        }
-        let jobs: usize = flags.get("jobs", chaos_par::default_jobs())?;
-        if jobs == 0 || seeds == 0 {
-            return Err("--jobs and --seeds must be at least 1".into());
-        }
-        return soak_engine(style, seconds.max(30), loss_pct, seed, seeds, corrupt, jobs);
-    }
     let nodes = 4usize;
-    let networks = if style == ReplicationStyle::Single { 1 } else { 2 };
 
     let mut cfg = ClusterConfig::new(nodes, style).with_seed(seed).with_backend(backend);
+    let networks = cfg.networks;
     let mut sim = SimConfig::lan(nodes, networks);
     sim.networks = vec![NetworkConfig::ethernet_100mbit().with_rx_loss(loss_pct / 100.0); networks];
     sim.seed = seed;
@@ -352,54 +325,5 @@ pub fn soak(args: &[String]) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("{} messages missing", submitted - reference.len() as u64))
-    }
-}
-
-/// The corruption-enabled soak regime: fans the shared soak engine
-/// over `seeds` consecutive seeds starting at `seed_base`.
-fn soak_engine(
-    style: ReplicationStyle,
-    seconds: u64,
-    loss_pct: f64,
-    seed_base: u64,
-    seeds: u64,
-    corrupt_pct: u64,
-    jobs: usize,
-) -> Result<(), String> {
-    let opts =
-        chaos_soak::SoakOptions { nodes: 4, style, seconds, corrupt_pct, window: 256, loss_pct };
-    println!(
-        "{style}, 4 nodes, {seeds} seed(s) x {seconds}s simulated, {loss_pct}% loss, \
-         corrupt {corrupt_pct}%, {jobs} job(s)"
-    );
-    println!(
-        "{:>6} {:>7} {:>8} {:>10} {:>10}  result",
-        "seed", "faults", "corrupt", "submitted", "delivered"
-    );
-    let reports =
-        chaos_par::fan_out(jobs, seeds as usize, |i| chaos_soak::run(seed_base + i as u64, &opts));
-    let mut failed = 0u64;
-    for (i, report) in reports.iter().enumerate() {
-        println!(
-            "{:>6} {:>7} {:>8} {:>10} {:>10}  {}",
-            seed_base + i as u64,
-            report.faults,
-            report.corruptions.iter().sum::<u64>(),
-            report.submitted,
-            report.delivered,
-            if report.passed() { "ok" } else { "VIOLATION" }
-        );
-        for v in report.violations.iter().take(5) {
-            println!("    violation: {v}");
-        }
-        if !report.passed() {
-            failed += 1;
-        }
-    }
-    if failed == 0 {
-        println!("all seeds reconverged; rolling EVS oracle held for the whole horizon.");
-        Ok(())
-    } else {
-        Err(format!("{failed} soak seed(s) failed"))
     }
 }

@@ -41,6 +41,21 @@ fn failover_rejects_single_network() {
 #[test]
 fn soak_verifies_safety_under_loss() {
     commands::soak(&argv(&["--seconds", "2", "--loss", "1.5", "--seed", "7"])).unwrap();
+    // Three-network styles: the lossy simulator gets every network the
+    // style provisions.
+    for style in ["ap:2", "k-of-n:3"] {
+        commands::soak(&argv(&[
+            "--seconds",
+            "2",
+            "--loss",
+            "1.5",
+            "--seed",
+            "7",
+            "--replication",
+            style,
+        ]))
+        .unwrap_or_else(|e| panic!("{style}: {e}"));
+    }
 }
 
 #[test]

@@ -1,13 +1,14 @@
-//! The shared schedule executor behind `cargo xtask chaos` and
-//! `cargo xtask mc`.
+//! The one schedule executor, behind `cargo xtask chaos`, `cargo xtask
+//! mc` and `cargo xtask soak`.
 //!
-//! Both the chaos fuzzer ([`super::run_with`]) and the bounded model
-//! checker (`crate::mc`) execute a [`ChaosSchedule`] the same way:
-//! build a seeded cluster, arm every fault command, then drive one
-//! traffic tick at a time while applying runtime K-flips. Keeping that
-//! core in one place means the two drivers cannot drift — an mc
-//! counterexample replayed through `xtask chaos --replay` runs the
-//! exact event sequence the explorer saw.
+//! The chaos fuzzer ([`super::run_with`]), the bounded model checker
+//! (`crate::mc`) and the soak harness ([`super::soak::run`]) all
+//! execute a [`ChaosSchedule`] the same way: build a seeded cluster,
+//! arm every fault command, then advance it while applying runtime
+//! K-flips, and at the end wait for convergence and run a probe round.
+//! Keeping that core in one place means the drivers cannot drift — a
+//! counterexample or soak repro replayed through `xtask chaos --replay`
+//! runs the exact event sequence its harness saw.
 //!
 //! **Determinism contract:** the operation order here is byte-for-byte
 //! the order the pre-extraction `run_with` used (cluster construction,
@@ -17,10 +18,10 @@
 //! executions; any reordering is a breaking change.
 
 use bytes::Bytes;
-use totem_sim::{FaultCommand, SimTime};
+use totem_sim::{FaultCommand, SimDuration, SimTime};
 use totem_wire::{NetworkId, NodeId};
 
-use super::{networks_for, ChaosSchedule, KFlip, TICK};
+use super::{networks_for, ChaosSchedule, KFlip, CONVERGENCE_GRACE, TICK};
 use crate::sim_cluster::{ClusterConfig, SimCluster};
 
 /// One in-flight execution of a [`ChaosSchedule`]: the cluster with
@@ -92,16 +93,30 @@ impl Execution {
     }
 
     /// Applies every K-flip scheduled at or before `now_ns` that has
-    /// not fired yet (flips on dead or out-of-range nodes are dropped).
-    pub fn apply_flips_until(&mut self, now_ns: u64) {
+    /// not fired yet (flips on dead or out-of-range nodes are dropped),
+    /// and returns how many the cluster accepted.
+    pub fn apply_flips_until(&mut self, now_ns: u64) -> u64 {
+        let mut applied = 0;
         while self.kflips.get(self.next_flip).is_some_and(|f| f.at_ns <= now_ns) {
             let f = &self.kflips[self.next_flip];
             let node = f.node.as_u16() as usize;
-            if node < self.nodes && self.cluster.is_alive(node) {
-                let _ = self.cluster.set_k(node, f.k);
+            if node < self.nodes && self.cluster.is_alive(node) && self.cluster.set_k(node, f.k) {
+                applied += 1;
             }
             self.next_flip += 1;
         }
+        applied
+    }
+
+    /// Offers `payload` from `sender`; an accepted submission advances
+    /// the sender's counter and the submitted total.
+    pub fn submit(&mut self, sender: usize, payload: Bytes) -> bool {
+        let accepted = self.cluster.try_submit(sender, payload).is_ok();
+        if accepted {
+            self.counters[sender] += 1;
+            self.submitted += 1;
+        }
+        accepted
     }
 
     /// The traffic window: one submission attempt per [`TICK`] from a
@@ -114,10 +129,7 @@ impl Execution {
             let sender = (step as usize) % self.nodes;
             if self.cluster.is_alive(sender) {
                 let payload = Bytes::from(format!("s{sender}-{}", self.counters[sender]));
-                if self.cluster.try_submit(sender, payload).is_ok() {
-                    self.counters[sender] += 1;
-                    self.submitted += 1;
-                }
+                self.submit(sender, payload);
             }
         }
     }
@@ -158,5 +170,80 @@ impl Execution {
         for n in 0..self.nodes {
             self.cluster.fault_now(FaultCommand::RestartNode { node: NodeId::new(n as u16) });
         }
+    }
+
+    /// Whether every node is alive and operational in one ring holding
+    /// all of them.
+    pub fn converged(&self) -> bool {
+        let full: Vec<NodeId> = (0..self.nodes).map(|n| NodeId::new(n as u16)).collect();
+        (0..self.nodes).all(|n| {
+            self.cluster.is_alive(n)
+                && self.cluster.srp_state(n) == totem_srp::SrpState::Operational
+                && self.cluster.members(n).map(|mut m| {
+                    m.sort();
+                    m == full
+                }) == Some(true)
+        })
+    }
+
+    /// Runs from `now_ns` in 250 ms steps until [`Self::converged`]
+    /// holds; returns the instant it did, or `None` once
+    /// [`CONVERGENCE_GRACE`] has passed without it.
+    pub fn await_convergence(&mut self, mut now_ns: u64) -> Option<u64> {
+        let deadline = now_ns + CONVERGENCE_GRACE.as_nanos();
+        while !self.converged() {
+            if now_ns >= deadline {
+                return None;
+            }
+            now_ns += SimDuration::from_millis(250).as_nanos();
+            self.cluster.run_until(SimTime::from_nanos(now_ns));
+        }
+        Some(now_ns)
+    }
+
+    /// The probe round, from `now_ns` on a converged cluster: every
+    /// node submits `{prefix}s{node}-{counter}` (retrying every 50 ms,
+    /// up to 40 times), and every accepted probe must reach every node
+    /// within 5 s. Returns one liveness failure per refused probe, then
+    /// one per (node, probe) never delivered.
+    pub fn probe_round(&mut self, mut now_ns: u64, prefix: &str) -> Vec<String> {
+        let mut failures = Vec::new();
+        let mut probes = Vec::new();
+        for sender in 0..self.nodes {
+            let payload = Bytes::from(format!("{prefix}s{sender}-{}", self.counters[sender]));
+            let mut accepted = false;
+            for _ in 0..40 {
+                if self.submit(sender, payload.clone()) {
+                    accepted = true;
+                    break;
+                }
+                now_ns += SimDuration::from_millis(50).as_nanos();
+                self.cluster.run_until(SimTime::from_nanos(now_ns));
+            }
+            if accepted {
+                probes.push(payload);
+            } else {
+                failures.push(format!("node {sender} still refuses submissions"));
+            }
+        }
+        let delivered = |cluster: &SimCluster, n: usize, probe: &Bytes| {
+            cluster.delivered(n).iter().any(|d| d.data == *probe)
+        };
+        let deadline = now_ns + SimDuration::from_secs(5).as_nanos();
+        while now_ns < deadline
+            && !(0..self.nodes).all(|n| probes.iter().all(|p| delivered(&self.cluster, n, p)))
+        {
+            now_ns += SimDuration::from_millis(250).as_nanos();
+            self.cluster.run_until(SimTime::from_nanos(now_ns));
+        }
+        for n in 0..self.nodes {
+            for probe in probes.iter().filter(|p| !delivered(&self.cluster, n, p)) {
+                failures.push(format!(
+                    "probe {:?} never delivered at node {n}",
+                    String::from_utf8_lossy(probe)
+                ));
+            }
+        }
+        failures
     }
 }

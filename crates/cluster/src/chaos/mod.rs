@@ -15,19 +15,20 @@
 //! trims the traffic window, keeping each cut only if the same class
 //! of violation still reproduces. The result serializes to a small
 //! TOML file ([`ChaosSchedule::to_toml`]) that `cargo xtask chaos
-//! --replay` can run back.
+//! --replay` can run back through [`replay`], which also runs the
+//! long-horizon [`soak`] schedules: every harness executes a schedule
+//! through the one executor in `exec`.
 
 pub(crate) mod exec;
 pub mod oracle;
 pub mod par;
 pub mod soak;
 
-use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use totem_rrp::ReplicationStyle;
 pub use totem_sim::CorruptionTarget;
-use totem_sim::{FaultCommand, SimDuration, SimTime};
+use totem_sim::{FaultCommand, SimDuration};
 use totem_wire::{NetworkId, NodeId};
 
 use crate::backend::BackendKind;
@@ -38,8 +39,8 @@ use oracle::Violation;
 /// Gap between two traffic submissions (one schedule "step").
 pub const TICK: SimDuration = SimDuration::from_millis(5);
 
-/// How long [`run`] waits for re-convergence after the final heal
-/// before declaring the execution [`Violation::NotConverged`].
+/// How long a harness waits for re-convergence at the end of a run
+/// before declaring the execution unconverged.
 const CONVERGENCE_GRACE: SimDuration = SimDuration::from_secs(30);
 
 /// A fault command with the simulation time it fires at.
@@ -112,6 +113,42 @@ pub struct ChaosSchedule {
     /// the TOML repro format when Totem (the default), so legacy repro
     /// files parse — and serialize — unchanged.
     pub backend: BackendKind,
+    /// Which harness runs the schedule on [`replay`]. Omitted from the
+    /// TOML repro format for [`Harness::Chaos`], so chaos and mc repro
+    /// files parse — and serialize — unchanged.
+    pub harness: Harness,
+}
+
+/// The harness a schedule was written by, and that [`replay`] runs it
+/// under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Harness {
+    /// [`run`]: one submission per [`TICK`], heal, probe, and the
+    /// full-log EVS oracle (chaos and mc repros).
+    Chaos,
+    /// [`soak::run`]: diurnal KV traffic, the rolling oracle and the
+    /// stabilization bound (`harness = "soak"`).
+    Soak,
+}
+
+/// What [`replay`] observed, in the report type of the schedule's
+/// harness.
+#[derive(Debug)]
+pub enum Replay {
+    /// A [`Harness::Chaos`] schedule's report.
+    Chaos(ChaosReport),
+    /// A [`Harness::Soak`] schedule's report.
+    Soak(soak::SoakReport),
+}
+
+/// Runs a schedule under the harness that wrote it: [`run`] for chaos
+/// and mc repros, [`soak::run`] for soak repros. Repros written before
+/// the `harness` key existed carry none and run as chaos.
+pub fn replay(schedule: &ChaosSchedule) -> Replay {
+    match schedule.harness {
+        Harness::Chaos => Replay::Chaos(run(schedule)),
+        Harness::Soak => Replay::Soak(soak::run(schedule)),
+    }
 }
 
 impl ChaosSchedule {
@@ -192,59 +229,7 @@ pub fn generate(seed: u64, style: ReplicationStyle, nodes: usize, steps: u64) ->
     for _ in 0..events {
         let at = rng.gen_range(fault_from..fault_until);
         let dur = rng.gen_range(10 * tick..window / 2 + 10 * tick);
-        let node = NodeId::new(rng.gen_range(0..nodes as u64) as u16);
-        let net = NetworkId::new(rng.gen_range(0..networks as u64) as u8);
-        match rng.gen_range(0..100) {
-            0..=19 => {
-                commands
-                    .push(ScheduledCommand { at_ns: at, cmd: FaultCommand::CrashNode { node } });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::RestartNode { node },
-                });
-            }
-            20..=39 => {
-                let groups: Vec<u8> = (0..nodes).map(|_| rng.gen_range(0..2) as u8).collect();
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::Partition { net, groups },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::Partition { net, groups: Vec::new() },
-                });
-            }
-            40..=59 => {
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::NetworkDown { net, down: true },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::NetworkDown { net, down: false },
-                });
-            }
-            60..=79 => {
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::SendFault { node, net, failed: true },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::SendFault { node, net, failed: false },
-                });
-            }
-            _ => {
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::RecvFault { node, net, failed: true },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::RecvFault { node, net, failed: false },
-                });
-            }
-        }
+        draw_fault_pair(&mut commands, &mut rng, at, dur, nodes, networks);
     }
 
     commands.sort_by_key(|c| c.at_ns);
@@ -274,7 +259,49 @@ pub fn generate(seed: u64, style: ReplicationStyle, nodes: usize, steps: u64) ->
         corruptions: Vec::new(),
         start_seq: 0,
         backend: BackendKind::Totem,
+        harness: Harness::Chaos,
     }
+}
+
+/// Draws one transient fault — a crash, a partition, a network kill, or
+/// a send or receive fault burst, equally likely — and appends it at
+/// `at` with its heal at `at + dur`. [`generate`] and [`soak::plan`]
+/// both draw through here, so their per-seed schedules share one
+/// draw order.
+fn draw_fault_pair(
+    commands: &mut Vec<ScheduledCommand>,
+    rng: &mut SmallRng,
+    at: u64,
+    dur: u64,
+    nodes: usize,
+    networks: usize,
+) {
+    let node = NodeId::new(rng.gen_range(0..nodes as u64) as u16);
+    let net = NetworkId::new(rng.gen_range(0..networks as u64) as u8);
+    let (inject, heal) = match rng.gen_range(0..100) {
+        0..=19 => (FaultCommand::CrashNode { node }, FaultCommand::RestartNode { node }),
+        20..=39 => {
+            let groups: Vec<u8> = (0..nodes).map(|_| rng.gen_range(0..2) as u8).collect();
+            (
+                FaultCommand::Partition { net, groups },
+                FaultCommand::Partition { net, groups: Vec::new() },
+            )
+        }
+        40..=59 => (
+            FaultCommand::NetworkDown { net, down: true },
+            FaultCommand::NetworkDown { net, down: false },
+        ),
+        60..=79 => (
+            FaultCommand::SendFault { node, net, failed: true },
+            FaultCommand::SendFault { node, net, failed: false },
+        ),
+        _ => (
+            FaultCommand::RecvFault { node, net, failed: true },
+            FaultCommand::RecvFault { node, net, failed: false },
+        ),
+    };
+    commands.push(ScheduledCommand { at_ns: at, cmd: inject });
+    commands.push(ScheduledCommand { at_ns: at + dur, cmd: heal });
 }
 
 /// Like [`generate`], plus `events` state-corruption injections inside
@@ -342,18 +369,6 @@ fn fault_targets(schedule: &ChaosSchedule) -> (Vec<bool>, bool) {
     (targeted, any_crash)
 }
 
-fn converged(cluster: &SimCluster, nodes: usize) -> bool {
-    let full: Vec<NodeId> = (0..nodes).map(|n| NodeId::new(n as u16)).collect();
-    (0..nodes).all(|n| {
-        cluster.is_alive(n)
-            && cluster.srp_state(n) == totem_srp::SrpState::Operational
-            && cluster.members(n).map(|mut m| {
-                m.sort();
-                m == full
-            }) == Some(true)
-    })
-}
-
 /// Runs a schedule with the standard EVS safety oracle
 /// ([`oracle::check_safety`]).
 pub fn run(schedule: &ChaosSchedule) -> ChaosReport {
@@ -379,17 +394,10 @@ pub fn run_with(
 ) -> ChaosReport {
     let nodes = schedule.nodes;
 
-    // The schedule-application/traffic core is shared with the bounded
-    // model checker (`crate::mc`) — see [`exec::Execution`] for the
-    // determinism contract.
     let mut exec = exec::Execution::new(schedule, None);
     exec.run_traffic_window(schedule.steps);
     let settle = exec.settle(schedule);
     exec.heal_all(schedule);
-    let crashes = exec.crashes;
-    let mut submitted = exec.submitted;
-    let mut counters = std::mem::take(&mut exec.counters);
-    let mut cluster = exec.cluster;
 
     // Reconvergence-oracle horizon: anything delivered before the final
     // heal may have happened under corrupted state (including benign
@@ -399,16 +407,18 @@ pub fn run_with(
     // schedules.
     let corrupting = has_corruption(schedule);
     let horizon: Vec<usize> = if corrupting {
-        (0..nodes).map(|n| cluster.delivered(n).len()).collect()
+        (0..nodes).map(|n| exec.cluster.delivered(n).len()).collect()
     } else {
         Vec::new()
     };
 
-    let deadline = settle + CONVERGENCE_GRACE.as_nanos();
-    let mut now = settle;
     let mut violations = Vec::new();
-    while !converged(&cluster, nodes) {
-        if now >= deadline {
+    match exec.await_convergence(settle) {
+        Some(now) => violations.extend(
+            exec.probe_round(now, "").into_iter().map(|detail| Violation::NotConverged { detail }),
+        ),
+        None => {
+            let cluster = &exec.cluster;
             let states: Vec<String> = (0..nodes)
                 .map(|n| {
                     format!(
@@ -426,78 +436,28 @@ pub fn run_with(
                     states.join("; ")
                 ),
             });
-            break;
-        }
-        now += SimDuration::from_millis(250).as_nanos();
-        cluster.run_until(SimTime::from_nanos(now));
-    }
-
-    // Probe round: once converged, every node's next message must
-    // reach every node (liveness after healing).
-    if violations.is_empty() {
-        let mut probes = Vec::new();
-        for (sender, counter) in counters.iter_mut().enumerate() {
-            let payload = Bytes::from(format!("s{sender}-{counter}"));
-            let mut accepted = false;
-            for _ in 0..40 {
-                if cluster.try_submit(sender, payload.clone()).is_ok() {
-                    accepted = true;
-                    *counter += 1;
-                    submitted += 1;
-                    break;
-                }
-                now += SimDuration::from_millis(50).as_nanos();
-                cluster.run_until(SimTime::from_nanos(now));
-            }
-            if accepted {
-                probes.push(payload);
-            } else {
-                violations.push(Violation::NotConverged {
-                    detail: format!("node {sender} still refuses submissions after healing"),
-                });
-            }
-        }
-        let all_probes_delivered = |cluster: &SimCluster, probes: &[Bytes]| {
-            (0..nodes)
-                .all(|n| probes.iter().all(|p| cluster.delivered(n).iter().any(|d| d.data == *p)))
-        };
-        let probe_deadline = now + SimDuration::from_secs(5).as_nanos();
-        while now < probe_deadline && !all_probes_delivered(&cluster, &probes) {
-            now += SimDuration::from_millis(250).as_nanos();
-            cluster.run_until(SimTime::from_nanos(now));
-        }
-        for n in 0..nodes {
-            for probe in &probes {
-                if !cluster.delivered(n).iter().any(|d| d.data == *probe) {
-                    violations.push(Violation::NotConverged {
-                        detail: format!(
-                            "probe {:?} never delivered at node {n}",
-                            String::from_utf8_lossy(probe)
-                        ),
-                    });
-                }
-            }
         }
     }
 
+    let cluster = &exec.cluster;
     let (targeted, any_crash) = fault_targets(schedule);
     // Corruption amnesty: a scrambled monitor counter can legitimately
     // produce a fault report for a network nothing ever targeted, just
     // as a crash can — suppress the soundness check wholesale.
     violations.extend(oracle::check_fault_reports(
-        &cluster,
+        cluster,
         nodes,
         &targeted,
         any_crash || corrupting,
     ));
     if corrupting {
-        violations.extend(oracle::check_suffix_safety(&cluster, nodes, &horizon));
+        violations.extend(oracle::check_suffix_safety(cluster, nodes, &horizon));
     } else {
-        violations.extend(delivery_oracle(&cluster, nodes));
+        violations.extend(delivery_oracle(cluster, nodes));
     }
 
     let delivered = (0..nodes).map(|n| cluster.delivered(n).len()).collect();
-    ChaosReport { violations, submitted, delivered, crashes }
+    ChaosReport { violations, submitted: exec.submitted, delivered, crashes: exec.crashes }
 }
 
 /// Minimizes a violating schedule with delta debugging.
@@ -667,6 +627,9 @@ impl ChaosSchedule {
         if self.backend != BackendKind::Totem {
             out.push_str(&format!("backend = \"{}\"\n", self.backend.name()));
         }
+        if self.harness == Harness::Soak {
+            out.push_str("harness = \"soak\"\n");
+        }
         for sc in &self.commands {
             out.push_str("\n[[command]]\n");
             out.push_str(&format!("at_ns = {}\n", sc.at_ns));
@@ -743,11 +706,19 @@ impl ChaosSchedule {
     pub fn from_toml(text: &str) -> Result<Self, String> {
         let doc = toml::parse(text)?;
         let top = &doc.top;
-        top.only(&["seed", "nodes", "style", "steps", "start_seq", "backend"], "header")?;
+        top.only(
+            &["seed", "nodes", "style", "steps", "start_seq", "backend", "harness"],
+            "header",
+        )?;
         let style = top.get::<&str>("style")?.parse().map_err(|e| top.error("style", e))?;
         let backend = match top.get_opt::<&str>("backend")? {
             Some(name) => name.parse().map_err(|e| top.error("backend", e))?,
             None => BackendKind::Totem,
+        };
+        let harness = match top.get_opt::<&str>("harness")? {
+            None => Harness::Chaos,
+            Some("soak") => Harness::Soak,
+            Some(other) => return Err(top.error("harness", format!("unknown harness {other:?}"))),
         };
         let mut schedule = ChaosSchedule {
             seed: top.get("seed")?,
@@ -759,6 +730,7 @@ impl ChaosSchedule {
             corruptions: Vec::new(),
             start_seq: top.get_opt("start_seq")?.unwrap_or(0),
             backend,
+            harness,
         };
         for t in &doc.tables {
             match (t.array, t.name.as_str()) {
@@ -833,6 +805,32 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a.commands, c.commands);
         assert!(a.kflips.is_empty(), "fixed styles never schedule K flips");
+    }
+
+    /// CI windows, pinned digests and written repros all name schedules
+    /// by seed, so the draws are a contract: one FNV-1a digest over the
+    /// TOML of every generator's schedule for seeds 0–99 in six styles.
+    /// A soak plan is digested without its `harness` key, which is file
+    /// format, not a draw.
+    #[test]
+    fn per_seed_schedules_are_stable() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |text: String| {
+            for b in text.bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for style in ["single", "active", "passive", "ap:2", "k-of-n:2", "k-of-n:3"] {
+            let style: ReplicationStyle = style.parse().unwrap();
+            let soak_opts = soak::SoakOptions { style, ..soak::SoakOptions::default() };
+            for seed in 0..100 {
+                fold(generate(seed, style, 4, 200).to_toml());
+                fold(generate_corrupting(seed, style, 4, 200, 3).to_toml());
+                let plan = soak::plan(seed, &soak_opts);
+                fold(ChaosSchedule { harness: Harness::Chaos, ..plan }.to_toml());
+            }
+        }
+        assert_eq!(digest, 0x3148_bbab_a104_bb8a);
     }
 
     #[test]
@@ -983,6 +981,7 @@ mod tests {
             }],
             start_seq: 0,
             backend: BackendKind::Totem,
+            harness: Harness::Chaos,
         };
         let text = schedule.to_toml();
         assert!(text.contains("[[corrupt]]"), "missing corrupt block:\n{text}");
@@ -1030,6 +1029,11 @@ mod tests {
     fn toml_parse_rejects_malformed_input() {
         assert!(ChaosSchedule::from_toml("steps = 10").is_err());
         assert!(ChaosSchedule::from_toml("bogus = 1").is_err());
+        let err = ChaosSchedule::from_toml(
+            "seed = 1\nnodes = 3\nstyle = \"active\"\nsteps = 32\nharness = \"mc\"\n",
+        )
+        .unwrap_err();
+        assert!(err.contains("line 5") && err.contains("`harness`"), "got {err}");
         let text = "seed = 1\nnodes = 3\nstyle = \"active\"\nsteps = 32\n\n\
                     [[command]]\nat_ns = 5\nkind = \"teleport\"\nnode = 1\n";
         let err = ChaosSchedule::from_toml(text).unwrap_err();
@@ -1111,6 +1115,7 @@ mod tests {
             corruptions: Vec::new(),
             start_seq: 0,
             backend: BackendKind::Totem,
+            harness: Harness::Chaos,
         }
     }
 
@@ -1198,6 +1203,7 @@ mod tests {
             corruptions: Vec::new(),
             start_seq: 0,
             backend: BackendKind::Totem,
+            harness: Harness::Chaos,
         };
         let parsed = ChaosSchedule::from_toml(&schedule.to_toml()).expect("roundtrip parse");
         assert_eq!(schedule, parsed);
@@ -1272,6 +1278,8 @@ mod tests {
                 // Both backends round-trip (Totem is elided from the
                 // TOML form).
                 prop_oneof![Just(BackendKind::Totem), Just(BackendKind::RingPaxos)],
+                // Both harnesses round-trip (chaos is elided).
+                prop_oneof![Just(Harness::Chaos), Just(Harness::Soak)],
             )
                 .prop_map(
                     |(
@@ -1284,6 +1292,7 @@ mod tests {
                         corruptions,
                         start_seq,
                         backend,
+                        harness,
                     )| {
                         ChaosSchedule {
                             seed,
@@ -1305,6 +1314,7 @@ mod tests {
                             corruptions,
                             start_seq,
                             backend,
+                            harness,
                         }
                     },
                 )

@@ -8,31 +8,36 @@
 //! (60 simulated seconds — thousands of token rotations at the default
 //! timers; generous, but finite).
 //!
-//! Everything is a deterministic function of `(seed, SoakOptions)`:
-//! [`plan`] lays the whole drip out up front as a [`ChaosSchedule`]
-//! (so a failing seed's scenario serializes to the standard repro TOML
-//! and replays through `cargo xtask chaos --replay`), and [`run`]
-//! executes it tick by tick. Re-running a seed — on any number of
-//! worker threads — produces a bit-identical [`SoakReport`].
+//! [`plan`] lays a seed's whole drip out up front as a
+//! [`ChaosSchedule`] marked [`Harness::Soak`], and [`run`] executes it
+//! tick by tick through the shared executor. The report is a function
+//! of the schedule alone, so a failing seed's repro TOML replays the
+//! soak itself through `cargo xtask chaos --replay`, and re-running a
+//! seed — on any number of worker threads — produces a bit-identical
+//! [`SoakReport`].
 //!
 //! Memory stays bounded on arbitrarily long horizons: the rolling
 //! oracle consumes and prunes the per-node delivery logs as it goes,
-//! so peak retained state is O(nodes × window), not O(run length).
+//! so peak retained state is O(nodes × [`WINDOW`]), not O(run length).
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use totem_sim::{CorruptionTarget, FaultCommand, NetworkConfig, SimConfig, SimTime};
-use totem_wire::{NetworkId, NodeId};
+use totem_sim::{CorruptionTarget, SimTime};
+use totem_wire::NodeId;
 
+use super::exec::Execution;
 use super::oracle::RollingOracle;
 use super::{
-    converged, networks_for, ChaosSchedule, KFlip, ReplicationStyle, ScheduledCommand,
+    draw_fault_pair, networks_for, ChaosSchedule, Harness, KFlip, ReplicationStyle,
     ScheduledCorruption, TICK,
 };
-use crate::sim_cluster::{ClusterConfig, SimCluster};
 
 const NS: u64 = 1_000_000_000;
+
+/// Rolling-oracle window: deliveries retained per node. A duplicate or
+/// divergence further apart than this is invisible to the scans.
+pub const WINDOW: usize = 256;
 
 /// One drip round: a fault burst in the first half, a corruption slot
 /// in the second, spaced so stabilization windows never overlap the
@@ -50,8 +55,7 @@ const SCAN_NS: u64 = 10 * NS;
 /// Diurnal load period (one compressed "day").
 const PERIOD_NS: u64 = 600 * NS;
 
-/// Knobs of one soak run. All fields are plain data so option sets can
-/// be built by CLIs and tests alike.
+/// The shape of one seed's drip, as [`plan`] lays it out.
 #[derive(Debug, Clone)]
 pub struct SoakOptions {
     /// Cluster size.
@@ -63,23 +67,11 @@ pub struct SoakOptions {
     /// Percent chance that each corruption slot fires (0 disables the
     /// corruption plane entirely).
     pub corrupt_pct: u64,
-    /// Rolling-oracle window: retained deliveries per node.
-    pub window: usize,
-    /// Per-receiver packet loss percentage on every network (0 = clean
-    /// links; loss exercises the retransmission machinery all run).
-    pub loss_pct: f64,
 }
 
 impl Default for SoakOptions {
     fn default() -> Self {
-        SoakOptions {
-            nodes: 4,
-            style: ReplicationStyle::Active,
-            seconds: 1800,
-            corrupt_pct: 50,
-            window: 256,
-            loss_pct: 0.0,
-        }
+        SoakOptions { nodes: 4, style: ReplicationStyle::Active, seconds: 1800, corrupt_pct: 50 }
     }
 }
 
@@ -102,7 +94,7 @@ pub struct SoakReport {
     /// Rolling-oracle scans performed.
     pub scans: u64,
     /// Peak retained deliveries (oracle tails + pruned cluster logs) —
-    /// the O(window) bound.
+    /// the O([`WINDOW`]) bound.
     pub peak_retained: usize,
     /// The full drip, replayable via `cargo xtask chaos --replay`.
     pub schedule: ChaosSchedule,
@@ -136,59 +128,7 @@ pub fn plan(seed: u64, opts: &SoakOptions) -> ChaosSchedule {
         let base = r * ROUND_NS;
         let at = base + rng.gen_range(0..60 * NS);
         let dur = rng.gen_range(5 * NS..45 * NS);
-        let node = NodeId::new(rng.gen_range(0..opts.nodes as u64) as u16);
-        let net = NetworkId::new(rng.gen_range(0..networks as u64) as u8);
-        match rng.gen_range(0..100) {
-            0..=19 => {
-                commands
-                    .push(ScheduledCommand { at_ns: at, cmd: FaultCommand::CrashNode { node } });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::RestartNode { node },
-                });
-            }
-            20..=39 => {
-                let groups: Vec<u8> = (0..opts.nodes).map(|_| rng.gen_range(0..2) as u8).collect();
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::Partition { net, groups },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::Partition { net, groups: Vec::new() },
-                });
-            }
-            40..=59 => {
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::NetworkDown { net, down: true },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::NetworkDown { net, down: false },
-                });
-            }
-            60..=79 => {
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::SendFault { node, net, failed: true },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::SendFault { node, net, failed: false },
-                });
-            }
-            _ => {
-                commands.push(ScheduledCommand {
-                    at_ns: at,
-                    cmd: FaultCommand::RecvFault { node, net, failed: true },
-                });
-                commands.push(ScheduledCommand {
-                    at_ns: at + dur,
-                    cmd: FaultCommand::RecvFault { node, net, failed: false },
-                });
-            }
-        }
+        draw_fault_pair(&mut commands, &mut rng, at, dur, opts.nodes, networks);
 
         if matches!(opts.style, ReplicationStyle::KOfN { .. }) {
             let at = base + rng.gen_range(30 * NS..90 * NS);
@@ -238,6 +178,7 @@ pub fn plan(seed: u64, opts: &SoakOptions) -> ChaosSchedule {
         corruptions,
         start_seq: 0,
         backend: crate::backend::BackendKind::Totem,
+        harness: Harness::Soak,
     }
 }
 
@@ -254,46 +195,21 @@ fn diurnal_gap_ticks(now_ns: u64) -> u64 {
     GAP_MAX - tri * (GAP_MAX - GAP_MIN) / half
 }
 
-/// Executes one soak seed end to end. See the module docs for the
-/// oracle regime; the returned report is a pure function of the
-/// inputs.
-pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
-    let schedule = plan(seed, opts);
-    let nodes = opts.nodes;
-
-    let mut cfg = ClusterConfig::new(nodes, opts.style).with_seed(seed);
-    if opts.loss_pct > 0.0 {
-        let networks = cfg.networks;
-        let mut sim = SimConfig::lan(nodes, networks);
-        sim.networks =
-            vec![NetworkConfig::ethernet_100mbit().with_rx_loss(opts.loss_pct / 100.0); networks];
-        sim.seed = seed;
-        cfg.sim = sim;
-    }
-    let mut cluster = SimCluster::new(cfg);
-    for sc in &schedule.commands {
-        cluster.schedule_fault(SimTime::from_nanos(sc.at_ns), sc.cmd.clone());
-    }
-    for c in &schedule.corruptions {
-        cluster.schedule_fault(
-            SimTime::from_nanos(c.at_ns),
-            FaultCommand::CorruptState { node: c.node, target: c.target, salt: c.salt },
-        );
-    }
-
-    let mut oracle = RollingOracle::new(nodes, opts.window);
-    let mut counters = vec![0u64; nodes];
+/// Executes one soak schedule — from [`plan`], or read back from its
+/// repro — end to end. See the module docs for the oracle regime; the
+/// returned report is a pure function of the schedule.
+pub fn run(schedule: &ChaosSchedule) -> SoakReport {
+    let nodes = schedule.nodes;
+    let mut exec = Execution::new(schedule, None);
+    let mut oracle = RollingOracle::new(nodes, WINDOW);
     let mut violations: Vec<String> = Vec::new();
-    let mut submitted = 0u64;
     let mut scans = 0u64;
     let mut peak_retained = 0usize;
-    let mut key_rng = SmallRng::seed_from_u64(seed ^ 0x4B5E_ED00_4B5E_ED00);
+    let mut key_rng = SmallRng::seed_from_u64(schedule.seed ^ 0x4B5E_ED00_4B5E_ED00);
 
     let tick = TICK.as_nanos();
-    let corrupt_times: Vec<u64> = schedule.corruptions.iter().map(|c| c.at_ns).collect();
-    let mut corrupt_idx = 0usize;
-    let mut kflip_idx = 0usize;
-    let mut kflips_applied = 0u64;
+    let mut corrupt_times = schedule.corruptions.iter().map(|c| c.at_ns).peekable();
+    let mut kflips = 0u64;
     // While `Some(deadline)`: a corruption fired; scanning is paused
     // and the cluster must reconverge before the deadline, at which
     // point the oracle re-arms (everything delivered meanwhile is the
@@ -304,21 +220,12 @@ pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
 
     for step in 0..schedule.steps {
         let now = (step + 1) * tick;
-        cluster.run_until(SimTime::from_nanos(now));
+        exec.cluster.run_until(SimTime::from_nanos(now));
+        kflips += exec.apply_flips_until(now);
 
-        while schedule.kflips.get(kflip_idx).is_some_and(|f| f.at_ns <= now) {
-            let f = &schedule.kflips[kflip_idx];
-            let node = f.node.as_u16() as usize;
-            if node < nodes && cluster.is_alive(node) && cluster.set_k(node, f.k) {
-                kflips_applied += 1;
-            }
-            kflip_idx += 1;
-        }
-
-        while corrupt_times.get(corrupt_idx).is_some_and(|&t| t <= now) {
-            let deadline = corrupt_times[corrupt_idx] + STABILIZE_NS;
-            stabilizing = Some(stabilizing.map_or(deadline, |d: u64| d.max(deadline)));
-            corrupt_idx += 1;
+        while let Some(at) = corrupt_times.next_if(|&t| t <= now) {
+            let deadline = at + STABILIZE_NS;
+            stabilizing = Some(stabilizing.map_or(deadline, |d| d.max(deadline)));
         }
 
         if let Some(deadline) = stabilizing {
@@ -326,8 +233,8 @@ pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
             // ticks (500ms simulated) is plenty of resolution against
             // a 60s bound.
             if step % 100 == 0 || now >= deadline {
-                if converged(&cluster, nodes) {
-                    oracle.rearm(&mut cluster);
+                if exec.converged() {
+                    oracle.rearm(&mut exec.cluster);
                     stabilizing = None;
                 } else if now >= deadline {
                     violations.push(format!(
@@ -336,7 +243,7 @@ pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
                         STABILIZE_NS / NS,
                         now
                     ));
-                    oracle.rearm(&mut cluster);
+                    oracle.rearm(&mut exec.cluster);
                     stabilizing = None;
                 }
             }
@@ -344,25 +251,22 @@ pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
 
         if now >= next_submit {
             let sender = (step as usize) % nodes;
-            if cluster.is_alive(sender) {
+            if exec.cluster.is_alive(sender) {
                 let key = key_rng.gen_range(0..64);
                 let payload =
-                    Bytes::from(format!("k{key}=v{}:s{sender}-{}", submitted, counters[sender]));
-                if cluster.try_submit(sender, payload).is_ok() {
-                    counters[sender] += 1;
-                    submitted += 1;
-                }
+                    format!("k{key}=v{}:s{sender}-{}", exec.submitted, exec.counters[sender]);
+                exec.submit(sender, Bytes::from(payload));
             }
             next_submit = now + diurnal_gap_ticks(now) * tick;
         }
 
         if now >= next_scan {
             if stabilizing.is_none() {
-                for v in oracle.scan(&mut cluster) {
+                for v in oracle.scan(&mut exec.cluster) {
                     violations.push(format!("evs: {v}"));
                 }
                 scans += 1;
-                peak_retained = peak_retained.max(oracle.retained(&cluster));
+                peak_retained = peak_retained.max(oracle.retained(&exec.cluster));
             }
             next_scan = now + SCAN_NS;
         }
@@ -371,72 +275,27 @@ pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
     // End of horizon: the cluster must settle into (or still hold) an
     // agreed regular membership, then prove it resumed totally-ordered
     // delivery with one probe per node reaching every node.
-    let end = schedule.steps * tick;
-    let mut now = end;
-    let grace = end + 30 * NS;
-    while !converged(&cluster, nodes) && now < grace {
-        now += 250_000_000;
-        cluster.run_until(SimTime::from_nanos(now));
-    }
-    if !converged(&cluster, nodes) {
-        violations.push(
+    match exec.await_convergence(schedule.steps * tick) {
+        None => violations.push(
             "reconvergence: no agreed regular membership 30s after the end of the horizon".into(),
-        );
-    } else {
-        if stabilizing.is_some() {
-            // A corruption landed near the end of the window; the
-            // cluster did reconverge, so exempt the stabilization
-            // interval and resume checking.
-            oracle.rearm(&mut cluster);
-            stabilizing = None;
-        }
-        let mut probes: Vec<Bytes> = Vec::new();
-        for (sender, counter) in counters.iter_mut().enumerate() {
-            let payload = Bytes::from(format!("probe:s{sender}-{counter}"));
-            let mut accepted = false;
-            for _ in 0..40 {
-                if cluster.try_submit(sender, payload.clone()).is_ok() {
-                    accepted = true;
-                    *counter += 1;
-                    submitted += 1;
-                    break;
-                }
-                now += 50_000_000;
-                cluster.run_until(SimTime::from_nanos(now));
+        ),
+        Some(now) => {
+            if stabilizing.take().is_some() {
+                // A corruption landed near the end of the window; the
+                // cluster did reconverge, so exempt the stabilization
+                // interval and resume checking.
+                oracle.rearm(&mut exec.cluster);
             }
-            if accepted {
-                probes.push(payload);
-            } else {
-                violations
-                    .push(format!("liveness: node {sender} refuses submissions after the soak"));
-            }
-        }
-        let all_delivered = |cluster: &SimCluster, probes: &[Bytes]| {
-            (0..nodes)
-                .all(|n| probes.iter().all(|p| cluster.delivered(n).iter().any(|d| d.data == *p)))
-        };
-        let probe_grace = now + 5 * NS;
-        while now < probe_grace && !all_delivered(&cluster, &probes) {
-            now += 250_000_000;
-            cluster.run_until(SimTime::from_nanos(now));
-        }
-        for n in 0..nodes {
-            for probe in &probes {
-                if !cluster.delivered(n).iter().any(|d| d.data == *probe) {
-                    violations.push(format!(
-                        "liveness: probe {:?} never delivered at node {n}",
-                        String::from_utf8_lossy(probe)
-                    ));
-                }
-            }
+            let failures = exec.probe_round(now, "probe:");
+            violations.extend(failures.into_iter().map(|v| format!("liveness: {v}")));
         }
     }
     if stabilizing.is_none() {
-        for v in oracle.scan(&mut cluster) {
+        for v in oracle.scan(&mut exec.cluster) {
             violations.push(format!("evs: {v}"));
         }
         scans += 1;
-        peak_retained = peak_retained.max(oracle.retained(&cluster));
+        peak_retained = peak_retained.max(oracle.retained(&exec.cluster));
     }
 
     let mut corruption_counts = [0u64; 5];
@@ -449,14 +308,14 @@ pub fn run(seed: u64, opts: &SoakOptions) -> SoakReport {
     }
     SoakReport {
         violations,
-        submitted,
+        submitted: exec.submitted,
         delivered: oracle.total_consumed(),
         faults: schedule.commands.len() as u64,
         corruptions: corruption_counts,
-        kflips: kflips_applied,
+        kflips,
         scans,
         peak_retained,
-        schedule,
+        schedule: schedule.clone(),
     }
 }
 
@@ -493,11 +352,14 @@ mod tests {
         assert!(clean.corruptions.is_empty());
     }
 
+    fn smoke_opts() -> SoakOptions {
+        SoakOptions { seconds: 120, corrupt_pct: 100, ..SoakOptions::default() }
+    }
+
     #[test]
     fn smoke_soak_with_corruption_passes_and_is_deterministic() {
-        let opts =
-            SoakOptions { seconds: 120, corrupt_pct: 100, window: 64, ..SoakOptions::default() };
-        let report = run(1, &opts);
+        let opts = smoke_opts();
+        let report = run(&plan(1, &opts));
         assert_eq!(
             report.schedule.corruptions.len(),
             1,
@@ -506,10 +368,24 @@ mod tests {
         assert!(report.passed(), "soak seed 1 violated:\n{}", report.violations.join("\n"));
         assert!(report.submitted > 0 && report.delivered > 0);
         // Bit-identical on re-run (this is what lets the seed fan-out
-        // run on any number of threads).
-        assert_eq!(report, run(1, &opts));
+        // run on any number of threads) is `a_soak_repro_replays_the_soak`.
         // O(window): retained state never exceeded tails + pruned logs.
-        assert!(report.peak_retained <= opts.nodes * 2 * opts.window);
+        assert!(report.peak_retained <= opts.nodes * 2 * WINDOW);
+    }
+
+    /// A soak repro names its harness, so replaying it runs the soak —
+    /// its traffic, oracles and report — not a chaos run of the same
+    /// faults.
+    #[test]
+    fn a_soak_repro_replays_the_soak() {
+        let report = run(&plan(1, &smoke_opts()));
+        let text = report.schedule.to_toml();
+        assert!(text.contains("harness = \"soak\""), "{text}");
+        let repro = ChaosSchedule::from_toml(&text).expect("soak repro parses");
+        match super::super::replay(&repro) {
+            super::super::Replay::Soak(replayed) => assert_eq!(replayed, report),
+            other => panic!("a soak repro replayed as {other:?}"),
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ use totem_wire::{Incarnation, NetworkId, NodeId, Seq};
 
 use crate::backend::BackendKind;
 use crate::chaos::oracle::{self, Violation};
-use crate::chaos::{exec, ChaosSchedule, ReplicationStyle, ScheduledCommand, TICK};
+use crate::chaos::{exec, ChaosSchedule, Harness, ReplicationStyle, ScheduledCommand, TICK};
 use crate::sim_cluster::SimCluster;
 
 /// Transition-trace capacity per execution; generous, and
@@ -392,6 +392,7 @@ pub fn schedule_of(actions: &[Action], opts: &McOptions) -> ChaosSchedule {
         corruptions: Vec::new(),
         start_seq: opts.start_seq,
         backend: opts.backend,
+        harness: Harness::Chaos,
     }
 }
 

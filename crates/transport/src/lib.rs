@@ -26,7 +26,7 @@
 //! the socket shim in `sys` — the `ppoll(2)` the UDP transport waits
 //! in, and the `sendmsg(2)`/`recvmsg(2)`/`setsockopt(2)` it sends and
 //! receives segment trains with — which is therefore part of the
-//! default build (unix only).
+//! default build. The crate builds on Linux only.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

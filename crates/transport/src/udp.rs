@@ -1133,8 +1133,7 @@ mod tests {
     }
 
     /// A peer that never asked for `UDP_GRO` — a plain socket, an older
-    /// kernel, another platform — gets a train as the datagrams it was
-    /// cut from.
+    /// kernel — gets a train as the datagrams it was cut from.
     #[test]
     fn a_socket_without_gro_receives_a_train_as_its_datagrams() {
         let mut bound = UdpTopology::bind_ephemeral(2, 1).expect("bind");
@@ -1186,9 +1185,7 @@ mod tests {
 
     /// The fallback, driven by a train the kernel really refuses: more
     /// segments than any kernel's `UDP_MAX_SEGMENTS` (64, later 128).
-    /// Only Linux refuses; elsewhere every train goes frame by frame.
     #[test]
-    #[cfg_attr(not(target_os = "linux"), ignore = "only Linux sends trains whole")]
     fn a_train_the_kernel_refuses_goes_frame_by_frame() {
         let mut ts = UdpTopology::bind_ephemeral(2, 1).expect("bind").into_transports().unwrap();
         let b = ts.remove(1);

@@ -4,8 +4,6 @@
 //! A binary of its own with one test: it reads the process's thread
 //! list, which any other test holding a transport would share.
 
-#![cfg(target_os = "linux")]
-
 use std::time::{Duration, Instant};
 
 use totem_transport::UdpTopology;

@@ -34,10 +34,7 @@ pub fn run(args: &[String]) -> ExitCode {
             "--skip-micro" => skip_micro = true,
             "--skip-h2h" => skip_h2h = true,
             "--capture-baseline" => capture = true,
-            other => {
-                eprintln!("unknown argument `{other}`\n{}", super::USAGE);
-                return ExitCode::from(2);
-            }
+            other => return super::usage_error(&super::unknown(other)),
         }
     }
 

@@ -7,15 +7,15 @@
 //! invariant oracle in `totem_cluster::chaos`. On a violation, optionally
 //! minimizes the schedule with the built-in shrinker and always writes
 //! a replayable TOML repro file; `--replay <file>` runs such a file
-//! back.
+//! back, and runs a soak repro as the soak that wrote it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use totem_cluster::chaos::{self, ChaosReport, ChaosSchedule, ReplicationStyle};
+use totem_cluster::chaos::{self, ChaosReport, ChaosSchedule, Harness, Replay, ReplicationStyle};
 use totem_cluster::BackendKind;
 
-use crate::{par, USAGE};
+use crate::{par, unknown, usage_error, Flags};
 
 const STYLES: [ReplicationStyle; 4] = [
     ReplicationStyle::Single,
@@ -50,45 +50,20 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         repro_dir: PathBuf::from("."),
         backend: BackendKind::Totem,
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|_| "--seeds needs an integer".to_string())?;
-            }
-            "--seed-base" => {
-                opts.seed_base = value("--seed-base")?
-                    .parse()
-                    .map_err(|_| "--seed-base needs an integer".to_string())?;
-            }
-            "--steps" => {
-                opts.steps = value("--steps")?
-                    .parse()
-                    .map_err(|_| "--steps needs an integer".to_string())?;
-            }
-            "--nodes" => {
-                opts.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|_| "--nodes needs an integer".to_string())?;
-            }
-            "--jobs" => {
-                opts.jobs =
-                    value("--jobs")?.parse().map_err(|_| "--jobs needs an integer".to_string())?;
-            }
-            "--corrupt" => {
-                opts.corrupt = value("--corrupt")?
-                    .parse()
-                    .map_err(|_| "--corrupt needs a percentage".to_string())?;
-            }
-            "--backend" => opts.backend = value("--backend")?.parse()?,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seeds" => opts.seeds = flags.parse(flag, "an integer")?,
+            "--seed-base" => opts.seed_base = flags.parse(flag, "an integer")?,
+            "--steps" => opts.steps = flags.parse(flag, "an integer")?,
+            "--nodes" => opts.nodes = flags.parse(flag, "an integer")?,
+            "--jobs" => opts.jobs = flags.parse(flag, "an integer")?,
+            "--corrupt" => opts.corrupt = flags.parse(flag, "a percentage")?,
+            "--backend" => opts.backend = flags.value(flag)?.parse()?,
             "--minimize" => opts.minimize = true,
-            "--replay" => opts.replay = Some(PathBuf::from(value("--replay")?)),
-            "--repro-dir" => opts.repro_dir = PathBuf::from(value("--repro-dir")?),
-            other => return Err(format!("unknown argument `{other}`")),
+            "--replay" => opts.replay = Some(flags.value(flag)?.into()),
+            "--repro-dir" => opts.repro_dir = flags.value(flag)?.into(),
+            _ => return Err(unknown(flag)),
         }
     }
     if opts.seeds == 0 {
@@ -113,21 +88,19 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 pub fn run(args: &[String]) -> ExitCode {
     let opts = match parse_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
 
-    if let Some(path) = &opts.replay.clone() {
+    if let Some(path) = &opts.replay {
         return replay(&opts, path);
     }
     fuzz(&opts)
 }
 
-/// Replays one previously written repro file; with `--minimize`, a
-/// still-failing replay is shrunk and written back out.
-fn replay(opts: &Options, path: &PathBuf) -> ExitCode {
+/// Replays one previously written repro file under the harness that
+/// wrote it; with `--minimize`, a still-failing chaos or mc replay is
+/// shrunk and written back out.
+fn replay(opts: &Options, path: &Path) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -142,6 +115,13 @@ fn replay(opts: &Options, path: &PathBuf) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if opts.minimize && schedule.harness == Harness::Soak {
+        eprintln!(
+            "error: {} is a soak repro; --minimize shrinks chaos and mc repros only",
+            path.display()
+        );
+        return ExitCode::from(2);
+    }
     println!(
         "chaos: replaying {} ({} nodes, {}, seed {}, {} steps, {} commands)",
         path.display(),
@@ -151,13 +131,27 @@ fn replay(opts: &Options, path: &PathBuf) -> ExitCode {
         schedule.steps,
         schedule.commands.len()
     );
-    let report = chaos::run(&schedule);
-    print_violations(&report);
-    if report.passed() {
+    let violations: Vec<String> = match chaos::replay(&schedule) {
+        Replay::Chaos(report) => report.violations.iter().map(ToString::to_string).collect(),
+        Replay::Soak(report) => {
+            println!(
+                "soak: submitted {}, delivered {}, {} corruption(s), {} kflip(s)",
+                report.submitted,
+                report.delivered,
+                report.corruptions.iter().sum::<u64>(),
+                report.kflips
+            );
+            report.violations
+        }
+    };
+    for v in &violations {
+        println!("    violation: {v}");
+    }
+    if violations.is_empty() {
         println!("chaos: replay passed (the repro no longer violates the oracle)");
         ExitCode::SUCCESS
     } else {
-        println!("chaos: replay reproduced {} violation(s)", report.violations.len());
+        println!("chaos: replay reproduced {} violation(s)", violations.len());
         if opts.minimize {
             if let Err(e) = write_repro(opts, &schedule, schedule.style, schedule.seed) {
                 eprintln!("error: {e}");

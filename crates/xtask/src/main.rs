@@ -79,21 +79,22 @@ commands:
                             state corruptions; the base fault plane
                             stays bit-identical (default 0)
         --minimize          shrink a violating schedule before writing
-                            its repro file
+                            its repro file (chaos and mc repros only)
         --replay <file>     re-run a previously written repro TOML
+                            under the harness that wrote it (chaos,
+                            mc, or soak)
         --repro-dir <dir>   where repro files go (default .)
 
   soak [--seeds N] [--seed-base B] [--jobs J] [--minutes M]
-       [--nodes K] [--style S] [--corrupt PCT] [--window W]
-       [--repro-dir <dir>]
+       [--nodes K] [--style S] [--corrupt PCT] [--repro-dir <dir>]
       Long-horizon self-stabilization soak: per seed, M simulated
       minutes of replicated-KV traffic under diurnal load with a slow
       drip of chaos faults, state corruptions, and (k-of-n) runtime K
       reconfigurations. Safety is checked by the rolling-window EVS
-      oracle (bounded memory); every corruption must reconverge to an
-      agreed regular membership within the stabilization bound.
-      Failing seeds write soak-repro-<seed>.toml, replayable via
-      `cargo xtask chaos --replay`.
+      oracle (256 deliveries per node); every corruption must
+      reconverge to an agreed regular membership within the
+      stabilization bound. Failing seeds write soak-repro-<seed>.toml,
+      which `cargo xtask chaos --replay` runs back as the same soak.
         --seeds N           soak seeds (default 8)
         --seed-base B       first seed (default 0)
         --jobs J            concurrent seeds (default: available
@@ -104,8 +105,6 @@ commands:
                             k-of-n:K (default active)
         --corrupt PCT       chance each corruption slot fires
                             (default 50)
-        --window W          rolling-oracle retained-delivery window
-                            per node (default 256)
         --repro-dir <dir>   where repro files go (default .)
 
   mc [--backend B] [--nodes N] [--depth D] [--crashes K]
@@ -176,15 +175,63 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reads one subcommand's arguments front to back: the caller matches
+/// each flag from [`Flags::next`] and takes its value, if it has one,
+/// with [`Flags::value`] or [`Flags::parse`].
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags(args.iter())
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The argument after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The argument after `flag`, parsed; `what` names the expected
+    /// kind in the error (`--seeds needs an integer`).
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str, what: &str) -> Result<T, String> {
+        self.value(flag)?.parse().map_err(|_| format!("{flag} needs {what}"))
+    }
+}
+
+fn unknown(arg: &str) -> String {
+    format!("unknown argument `{arg}`")
+}
+
+/// Prints a usage error and returns exit code 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+/// The arguments of a subcommand whose only flag is `--markdown <path>`.
+fn markdown_flag(args: &[String]) -> Result<Option<PathBuf>, String> {
+    let mut flags = Flags::new(args);
+    let mut path = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--markdown" => {
+                path = Some(flags.next().ok_or("--markdown needs a path")?.into());
+            }
+            _ => return Err(unknown(flag)),
+        }
+    }
+    Ok(path)
+}
+
 fn run_lint(args: &[String]) -> ExitCode {
     let mut stats = false;
     for arg in args {
         match arg.as_str() {
             "--stats" => stats = true,
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&unknown(other)),
         }
     }
 
@@ -219,23 +266,10 @@ fn run_lint(args: &[String]) -> ExitCode {
 }
 
 fn run_conformance(args: &[String]) -> ExitCode {
-    let mut markdown_path: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--markdown" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--markdown needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                markdown_path = Some(PathBuf::from(path));
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let markdown_path = match markdown_flag(args) {
+        Ok(path) => path,
+        Err(e) => return usage_error(&e),
+    };
 
     let Some(root) = workspace_root() else {
         eprintln!("error: cannot locate the workspace root (no Cargo.toml with [workspace])");

@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use totem_cluster::mc::{explore, McOptions, McReport};
 
-use crate::{append_file, spec, workspace_root, USAGE};
+use crate::{append_file, spec, unknown, usage_error, workspace_root, Flags};
 
 struct Options {
     mc: McOptions,
@@ -31,35 +31,26 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         repro_dir: PathBuf::from("."),
         expect_edges: None,
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        let int = |flag: &str, v: String| {
-            v.parse::<u64>().map_err(|_| format!("{flag} needs an integer"))
-        };
-        match arg.as_str() {
-            "--nodes" => opts.mc.nodes = int("--nodes", value("--nodes")?)? as usize,
-            "--depth" => opts.mc.depth = int("--depth", value("--depth")?)?,
-            "--crashes" => opts.mc.crashes = int("--crashes", value("--crashes")?)? as usize,
-            "--partitions" => {
-                opts.mc.partitions = int("--partitions", value("--partitions")?)? as usize;
-            }
-            "--drops" => opts.mc.drops = int("--drops", value("--drops")?)? as usize,
-            "--dups" => opts.mc.dups = int("--dups", value("--dups")?)? as usize,
-            "--step-ms" => opts.mc.step_ms = int("--step-ms", value("--step-ms")?)?,
-            "--seed" => opts.mc.seed = int("--seed", value("--seed")?)?,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--nodes" => opts.mc.nodes = flags.parse(flag, "an integer")?,
+            "--depth" => opts.mc.depth = flags.parse(flag, "an integer")?,
+            "--crashes" => opts.mc.crashes = flags.parse(flag, "an integer")?,
+            "--partitions" => opts.mc.partitions = flags.parse(flag, "an integer")?,
+            "--drops" => opts.mc.drops = flags.parse(flag, "an integer")?,
+            "--dups" => opts.mc.dups = flags.parse(flag, "an integer")?,
+            "--step-ms" => opts.mc.step_ms = flags.parse(flag, "an integer")?,
+            "--seed" => opts.mc.seed = flags.parse(flag, "an integer")?,
             // Places the bootstrapped ring's sequence space just below
             // u64::MAX so exploration crosses the RFC 1982 wrap and
             // the reserved-zero skip within the first quiet step.
             "--start-near-wrap" => opts.mc.start_seq = u64::MAX - 2,
-            "--backend" => opts.mc.backend = value("--backend")?.parse()?,
-            "--markdown" => opts.markdown = Some(PathBuf::from(value("--markdown")?)),
-            "--repro-dir" => opts.repro_dir = PathBuf::from(value("--repro-dir")?),
-            "--expect-edges" => {
-                opts.expect_edges = Some(int("--expect-edges", value("--expect-edges")?)? as usize);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+            "--backend" => opts.mc.backend = flags.value(flag)?.parse()?,
+            "--markdown" => opts.markdown = Some(flags.value(flag)?.into()),
+            "--repro-dir" => opts.repro_dir = flags.value(flag)?.into(),
+            "--expect-edges" => opts.expect_edges = Some(flags.parse(flag, "an integer")?),
+            _ => return Err(unknown(flag)),
         }
     }
     if opts.mc.nodes < 2 {
@@ -78,10 +69,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 pub fn run(args: &[String]) -> ExitCode {
     let opts = match parse_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let Some(root) = workspace_root() else {
         eprintln!("error: cannot locate the workspace root (no Cargo.toml with [workspace])");

@@ -7,8 +7,8 @@
 //! reconfigurations. The rolling-window EVS oracle checks safety with
 //! bounded memory the whole way, and the reconvergence oracle requires
 //! every corruption to stabilize back into an agreed regular
-//! membership within its bound. Failing seeds write a standard chaos
-//! repro TOML replayable via `cargo xtask chaos --replay`.
+//! membership within its bound. Failing seeds write a repro TOML that
+//! `cargo xtask chaos --replay` runs back as the same soak.
 //!
 //! Seeds fan across `--jobs` threads (shared machinery with
 //! `cargo xtask chaos --jobs`); reports print in seed order and are
@@ -18,91 +18,53 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use totem_cluster::chaos::soak::{self, SoakOptions};
-use totem_cluster::chaos::{CorruptionTarget, ReplicationStyle};
+use totem_cluster::chaos::CorruptionTarget;
 
-use crate::{par, USAGE};
+use crate::{par, unknown, usage_error, Flags};
 
 struct Options {
+    soak: SoakOptions,
     seeds: u64,
     seed_base: u64,
     jobs: usize,
-    minutes: u64,
-    nodes: usize,
-    style: ReplicationStyle,
-    corrupt: u64,
-    window: usize,
     repro_dir: PathBuf,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
+        soak: SoakOptions::default(),
         seeds: 8,
         seed_base: 0,
         jobs: par::default_jobs(),
-        minutes: 30,
-        nodes: 4,
-        style: ReplicationStyle::Active,
-        corrupt: 50,
-        window: 256,
         repro_dir: PathBuf::from("."),
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value =
-            |flag: &str| iter.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--seeds" => {
-                opts.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|_| "--seeds needs an integer".to_string())?;
-            }
-            "--seed-base" => {
-                opts.seed_base = value("--seed-base")?
-                    .parse()
-                    .map_err(|_| "--seed-base needs an integer".to_string())?;
-            }
-            "--jobs" => {
-                opts.jobs =
-                    value("--jobs")?.parse().map_err(|_| "--jobs needs an integer".to_string())?;
-            }
-            "--minutes" => {
-                opts.minutes = value("--minutes")?
-                    .parse()
-                    .map_err(|_| "--minutes needs an integer".to_string())?;
-            }
-            "--nodes" => {
-                opts.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|_| "--nodes needs an integer".to_string())?;
-            }
-            "--style" => opts.style = value("--style")?.parse()?,
-            "--corrupt" => {
-                opts.corrupt = value("--corrupt")?
-                    .parse()
-                    .map_err(|_| "--corrupt needs a percentage".to_string())?;
-            }
-            "--window" => {
-                opts.window = value("--window")?
-                    .parse()
-                    .map_err(|_| "--window needs an integer".to_string())?;
-            }
-            "--repro-dir" => opts.repro_dir = PathBuf::from(value("--repro-dir")?),
-            other => return Err(format!("unknown argument `{other}`")),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seeds" => opts.seeds = flags.parse(flag, "an integer")?,
+            "--seed-base" => opts.seed_base = flags.parse(flag, "an integer")?,
+            "--jobs" => opts.jobs = flags.parse(flag, "an integer")?,
+            "--minutes" => opts.soak.seconds = flags.parse::<u64>(flag, "an integer")? * 60,
+            "--nodes" => opts.soak.nodes = flags.parse(flag, "an integer")?,
+            "--style" => opts.soak.style = flags.value(flag)?.parse()?,
+            "--corrupt" => opts.soak.corrupt_pct = flags.parse(flag, "a percentage")?,
+            "--repro-dir" => opts.repro_dir = flags.value(flag)?.into(),
+            _ => return Err(unknown(flag)),
         }
     }
     if opts.seeds == 0 {
         return Err("--seeds must be at least 1".to_string());
     }
-    if opts.nodes < 2 {
+    if opts.soak.nodes < 2 {
         return Err("--nodes must be at least 2".to_string());
     }
-    if opts.minutes == 0 {
+    if opts.soak.seconds == 0 {
         return Err("--minutes must be at least 1".to_string());
     }
     if opts.jobs == 0 {
         return Err("--jobs must be at least 1".to_string());
     }
-    if opts.corrupt > 100 {
+    if opts.soak.corrupt_pct > 100 {
         return Err("--corrupt is a percentage (0-100)".to_string());
     }
     Ok(opts)
@@ -112,23 +74,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 pub fn run(args: &[String]) -> ExitCode {
     let opts = match parse_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
-    let sopts = SoakOptions {
-        nodes: opts.nodes,
-        style: opts.style,
-        seconds: opts.minutes * 60,
-        corrupt_pct: opts.corrupt,
-        window: opts.window,
-        loss_pct: 0.0,
-    };
+    let sopts = &opts.soak;
 
     println!(
-        "soak: {} seed(s) x {} simulated minute(s), {} nodes, {}, corrupt {}%, window {}, {} job(s)",
-        opts.seeds, opts.minutes, opts.nodes, opts.style, opts.corrupt, opts.window, opts.jobs
+        "soak: {} seed(s) x {} simulated minute(s), {} nodes, {}, corrupt {}%, {} job(s)",
+        opts.seeds,
+        sopts.seconds / 60,
+        sopts.nodes,
+        sopts.style,
+        sopts.corrupt_pct,
+        opts.jobs
     );
     println!(
         "{:>6} {:>7} {:>8} {:>7} {:>10} {:>10} {:>9}  result",
@@ -136,7 +93,7 @@ pub fn run(args: &[String]) -> ExitCode {
     );
 
     let reports = par::fan_out(opts.jobs, opts.seeds as usize, |i| {
-        soak::run(opts.seed_base + i as u64, &sopts)
+        soak::run(&soak::plan(opts.seed_base + i as u64, sopts))
     });
 
     let mut failures = 0u64;
@@ -183,7 +140,7 @@ pub fn run(args: &[String]) -> ExitCode {
         .collect::<Vec<_>>()
         .join(" ");
     println!("soak: corruption coverage: {coverage_line}");
-    if opts.corrupt > 0 {
+    if sopts.corrupt_pct > 0 {
         if let Some(missing) =
             CorruptionTarget::ALL.iter().zip(coverage).find(|(_, n)| *n == 0).map(|(t, _)| t)
         {

@@ -55,14 +55,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use totem_cluster::toml;
 
 use crate::lexer::{self, Kind, Token};
 use crate::rules::{self, Finding, Rule, PROTOCOL_CRATES};
-use crate::{append_file, workspace_root, USAGE};
+use crate::{append_file, markdown_flag, usage_error, workspace_root};
 
 /// Wrap semantics of one registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -632,23 +632,10 @@ fn undeclared_raw_counters(
 
 /// Entry point for `cargo xtask wrap-audit`.
 pub fn run(args: &[String]) -> ExitCode {
-    let mut markdown_path: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--markdown" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--markdown needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                markdown_path = Some(PathBuf::from(path));
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let markdown_path = match markdown_flag(args) {
+        Ok(path) => path,
+        Err(e) => return usage_error(&e),
+    };
     let Some(root) = workspace_root() else {
         eprintln!("error: cannot locate the workspace root (no Cargo.toml with [workspace])");
         return ExitCode::from(2);

@@ -261,14 +261,9 @@ fn soak_engine_smoke_covers_corruption_and_reconvergence() {
     // End-to-end smoke of the shared soak engine at integration level:
     // a one-minute horizon with a guaranteed corruption must pass both
     // oracles, and its report must be bit-identical on a second run.
-    let opts = soak::SoakOptions {
-        seconds: 60,
-        corrupt_pct: 100,
-        window: 64,
-        ..soak::SoakOptions::default()
-    };
-    let report = soak::run(5, &opts);
+    let opts = soak::SoakOptions { seconds: 60, corrupt_pct: 100, ..soak::SoakOptions::default() };
+    let report = soak::run(&soak::plan(5, &opts));
     assert!(report.passed(), "soak seed 5 violated:\n{}", report.violations.join("\n"));
     assert_eq!(report.schedule.corruptions.len(), 1);
-    assert_eq!(report, soak::run(5, &opts));
+    assert_eq!(report, soak::run(&soak::plan(5, &opts)));
 }
