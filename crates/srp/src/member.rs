@@ -720,6 +720,8 @@ impl SrpNode {
                 t.rtr.push(s);
             }
         }
+        // Recovery frees nothing by `aru`; recording it here lets the
+        // Operational token context inherit it at install (below).
         rec.token.push_aru(t.aru);
         // Advance the delivery cursor (recovery chunks deliver
         // nothing to the application) so post-recovery GC can work.
@@ -829,4 +831,56 @@ fn membership_conflict(members: &[NodeId], j: &JoinMessage) -> bool {
 fn next_after(members: &[NodeId], me: NodeId) -> NodeId {
     let idx = members.iter().position(|&m| m == me).unwrap_or(0);
     members.get((idx + 1) % members.len().max(1)).copied().unwrap_or(me)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use crate::SrpConfig;
+
+    /// The Operational token context a node installs after Recovery
+    /// keeps the `aru` of the last recovery rotation — taken on the new
+    /// ring's sequence space — so the first Operational visit already
+    /// has a previous `aru` to pair with.
+    #[test]
+    fn install_inherits_the_recovery_rotations_aru() {
+        let mut nodes: Vec<SrpNode> = (0..3)
+            .map(|i| SrpNode::new_joining(NodeId::new(i), SrpConfig::default()).unwrap())
+            .collect();
+        let mut queue: VecDeque<(usize, SrpEvent)> = VecDeque::new();
+        for (i, n) in nodes.iter_mut().enumerate() {
+            queue.extend(n.start(0).into_iter().map(|ev| (i, ev)));
+        }
+        let mut now = 0;
+        let mut installed = 0;
+        while installed < nodes.len() {
+            let Some((src, ev)) = queue.pop_front() else {
+                now = nodes.iter().filter_map(SrpNode::next_deadline).min().unwrap();
+                for (i, n) in nodes.iter_mut().enumerate() {
+                    if n.next_deadline().is_some_and(|d| d <= now) {
+                        queue.extend(n.on_timer(now).into_iter().map(|ev| (i, ev)));
+                    }
+                }
+                continue;
+            };
+            let (dsts, pkt): (Vec<usize>, _) = match ev {
+                SrpEvent::Broadcast(p) | SrpEvent::Rebroadcast(p) => {
+                    ((0..nodes.len()).filter(|&d| d != src).collect(), p)
+                }
+                SrpEvent::ToSuccessor(dst, p) => (vec![dst.index()], p),
+                SrpEvent::Deliver(_) | SrpEvent::Config(_) => continue,
+            };
+            for dst in dsts {
+                let was_recovering = matches!(nodes[dst].state, StateImpl::Recovery(_));
+                let events = nodes[dst].handle_packet(now, pkt.clone());
+                queue.extend(events.into_iter().map(|ev| (dst, ev)));
+                if let (true, StateImpl::Operational(tok)) = (was_recovering, &nodes[dst].state) {
+                    assert!(tok.last_aru.is_some(), "node {dst} installed without an aru");
+                    installed += 1;
+                }
+            }
+        }
+    }
 }

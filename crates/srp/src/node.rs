@@ -168,10 +168,9 @@ pub(crate) struct TokenCtx {
     /// be forwarded in.
     pub hold: Option<SharedPacket>,
     pub hold_deadline: Option<Nanos>,
-    /// The token `aru` observed on the last two visits; their minimum
-    /// bounds every member's `my_aru` from below and gates buffer GC
-    /// and safe delivery.
-    pub aru_history: VecDeque<u64>,
+    /// The token `aru` seen on this node's previous visit, `None`
+    /// before its first (see `push_aru`).
+    pub last_aru: Option<Seq>,
     /// Next merge-detect announcement (armed on the representative
     /// only): a periodic broadcast describing the current ring so
     /// that healed partitions discover each other even when idle.
@@ -179,10 +178,6 @@ pub(crate) struct TokenCtx {
 }
 
 impl TokenCtx {
-    pub(crate) fn low_water(&self) -> Seq {
-        self.aru_history.iter().copied().map(Seq::new).reduce(Seq::serial_min).unwrap_or(Seq::ZERO)
-    }
-
     /// Whether a token stamped `(rotation, seq)` is fresh relative to
     /// the last one processed. Both counters are compared in
     /// serial-number order, so freshness survives the wrap boundary.
@@ -204,11 +199,14 @@ impl TokenCtx {
             .is_some_and(|p| matches!(p.packet(), Packet::Token(t) if seq.follows(t.seq)))
     }
 
-    pub(crate) fn push_aru(&mut self, aru: Seq) {
-        self.aru_history.push_back(aru.as_u64());
-        while self.aru_history.len() > 2 {
-            self.aru_history.pop_front();
-        }
+    /// Records this visit's token `aru` and returns the low-water mark
+    /// that gates buffer GC and safe delivery (paper §2): the lower of
+    /// it and the previous visit's `aru`, which every member holds.
+    /// `None` on a node's first visit, when nothing is known yet.
+    pub(crate) fn push_aru(&mut self, aru: Seq) -> Option<Seq> {
+        let low_water = self.last_aru.map(|prev| Seq::serial_min(prev, aru));
+        self.last_aru = Some(aru);
+        low_water
     }
 }
 
@@ -939,17 +937,20 @@ impl SrpNode {
         }
 
         // 5. Deliver and garbage-collect.
-        tok.push_aru(t.aru);
-        let low_water = tok.low_water();
+        let low_water = tok.push_aru(t.aru);
         let deliver_to = match self.cfg.guarantee {
-            DeliveryGuarantee::Agreed => ring.window.my_aru(),
+            DeliveryGuarantee::Agreed => Some(ring.window.my_aru()),
             DeliveryGuarantee::Safe => low_water,
         };
         let ring_id = ring.ring;
-        ring.window.take_deliverable(deliver_to, |pkt| {
-            deliver_packet(ring_id, pkt, &mut self.reassembler, &mut self.stats, &mut events);
-        });
-        ring.window.discard_up_to(low_water);
+        if let Some(deliver_to) = deliver_to {
+            ring.window.take_deliverable(deliver_to, |pkt| {
+                deliver_packet(ring_id, pkt, &mut self.reassembler, &mut self.stats, &mut events);
+            });
+        }
+        if let Some(low_water) = low_water {
+            ring.window.discard_up_to(low_water);
+        }
 
         // 6. The representative counts rotations (paper §2 footnote 1).
         if ring.rep() == self.me {

@@ -260,6 +260,29 @@ fn retransmission_requests_are_served_from_the_buffer() {
     assert_eq!(n.stats().retransmissions, 1);
 }
 
+/// Paper §2: a packet is freed only once the token's `aru` has come
+/// around twice at or past it. On its first visit a sender has seen one
+/// `aru` — the one it just raised over its own broadcast — so it frees
+/// nothing, and a successor that lost the packet can still have it.
+#[test]
+fn first_visit_frees_nothing_so_a_lost_broadcast_is_served() {
+    let mut n = node(1, 3);
+    n.submit(0, Bytes::from_static(b"hi")).unwrap();
+    let events = n.handle_packet(0, Packet::Token(token(0, 0, 0)).into());
+    let (_, t) = sent_token(&events).expect("forwarded");
+    assert_eq!((t.seq, t.aru), (Seq::new(1), Seq::new(1)), "broadcast seq 1, raised aru");
+
+    // Node 2 lost seq 1: it lowered aru and asked for it.
+    let mut back = token(1, 1, 0);
+    back.aru_id = Some(NodeId::new(2));
+    back.rtr = vec![Seq::new(1)];
+    let events = n.handle_packet(10, Packet::Token(back).into());
+    let served = events.iter().any(
+        |e| matches!(e, SrpEvent::Rebroadcast(p) if p.data().is_some_and(|d| d.seq == Seq::new(1))),
+    );
+    assert!(served, "the first visit's broadcast must still be buffered");
+}
+
 #[test]
 fn unservable_requests_stay_on_the_token() {
     let mut n = node(1, 3);

@@ -3,12 +3,12 @@
 //! and delivery guarantees — driven by a deterministic in-process
 //! shuttle harness (no simulator, no redundant networks).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use totem_srp::{ConfigKind, DeliveryGuarantee, SrpConfig, SrpEvent, SrpNode, SrpState};
-use totem_wire::{NodeId, Packet, RingId, SharedPacket};
+use totem_wire::{NodeId, Packet, RingId, Seq, SharedPacket};
 
 /// Decides whether a packet (src, dst, pkt) is delivered.
 type DropFilter = Box<dyn FnMut(NodeId, NodeId, &Packet) -> bool>;
@@ -36,6 +36,11 @@ struct Harness {
     configs: Vec<Vec<(ConfigKind, Vec<NodeId>)>>,
     /// Every regular-token forward, in emission order.
     hops: Vec<Hop>,
+    /// Per node, every data packet it has broadcast or received.
+    held: Vec<HashSet<(RingId, Seq)>>,
+    /// Deliveries made while some live node did not yet hold the
+    /// packet: (deliverer, packet).
+    ahead_of_a_member: Vec<(NodeId, Seq)>,
     /// Returns false to drop the packet.
     drop_filter: DropFilter,
 }
@@ -76,6 +81,8 @@ impl Harness {
             delivered: vec![Vec::new(); n],
             configs: vec![Vec::new(); n],
             hops: Vec::new(),
+            held: vec![HashSet::new(); n],
+            ahead_of_a_member: Vec::new(),
             drop_filter: Box::new(|_, _, _| true),
         }
     }
@@ -84,6 +91,9 @@ impl Harness {
         for ev in events {
             match ev {
                 SrpEvent::Broadcast(pkt) | SrpEvent::Rebroadcast(pkt) => {
+                    if let Packet::Data(d) = pkt.packet() {
+                        self.held[src.index()].insert((d.ring, d.seq));
+                    }
                     for i in 0..self.nodes.len() {
                         let dst = NodeId::new(i as u16);
                         if dst != src {
@@ -104,7 +114,14 @@ impl Harness {
                     }
                     self.queue.push_back((src, dst, pkt));
                 }
-                SrpEvent::Deliver(d) => self.delivered[src.index()].push((d.sender, d.data)),
+                SrpEvent::Deliver(d) => {
+                    let everywhere = (0..self.nodes.len())
+                        .all(|i| self.crashed[i] || self.held[i].contains(&(d.ring, d.seq)));
+                    if !everywhere {
+                        self.ahead_of_a_member.push((src, d.seq));
+                    }
+                    self.delivered[src.index()].push((d.sender, d.data));
+                }
                 SrpEvent::Config(c) => self.configs[src.index()].push((c.kind, c.members)),
             }
         }
@@ -124,6 +141,9 @@ impl Harness {
                 }
                 if !(self.drop_filter)(src, dst, &pkt) {
                     continue;
+                }
+                if let Packet::Data(d) = pkt.packet() {
+                    self.held[dst.index()].insert((d.ring, d.seq));
                 }
                 let events = self.nodes[dst.index()].handle_packet(self.now, pkt);
                 self.enqueue(dst, events);
@@ -480,6 +500,37 @@ fn safe_delivery_waits_but_delivers_everywhere() {
     }
     assert!(h.run_until(300_000, |h| h.all_alive_delivered(6)));
     h.assert_same_order();
+}
+
+/// The safe-delivery property itself, under loss: a node delivers a
+/// packet safe only once every member holds it. Agreed delivery on the
+/// same run does deliver ahead of a member, so the check can fail.
+#[test]
+fn safe_delivery_never_runs_ahead_of_a_member_under_loss() {
+    let run = |guarantee| {
+        let mut cfg = cfg();
+        cfg.guarantee = guarantee;
+        let mut h = Harness::operational(4, cfg);
+        // Pseudo-random 10% drop of data packets (deterministic LCG).
+        let mut state = 0x9e37_79b9u64;
+        h.drop_filter = Box::new(move |_, _, pkt| {
+            if !matches!(pkt, Packet::Data(_)) {
+                return true;
+            }
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            !(state >> 33).is_multiple_of(10)
+        });
+        for round in 0..25 {
+            for node in 0..4 {
+                h.submit(node, format!("s-{node}-{round}").as_bytes());
+            }
+        }
+        assert!(h.run_until(2_000_000, |h| h.all_alive_delivered(100)), "{guarantee:?} stalled");
+        h.assert_same_order();
+        h.ahead_of_a_member
+    };
+    assert_eq!(run(DeliveryGuarantee::Safe), [], "delivered safe before every member held it");
+    assert!(!run(DeliveryGuarantee::Agreed).is_empty(), "the check never saw a lagging member");
 }
 
 #[test]

@@ -30,7 +30,6 @@
 //! * `2` — usage or I/O error (bad arguments, unreadable files,
 //!   malformed `spec/protocol.toml` or `spec/counters.toml`).
 
-mod bench;
 mod chaos;
 mod conformance;
 mod lexer;
@@ -142,21 +141,7 @@ commands:
       and truncating casts according to its declared kind (serial /
       monotone / epoch), plus registry drift in both directions.
         --markdown <path>   append the per-counter table as GitHub
-                            markdown (append to $GITHUB_STEP_SUMMARY)
-
-  bench [--quick] [--skip-micro] [--skip-h2h]
-      Run the criterion micro-benches, the wall-clock macro gate
-      (BENCH_PR4.json) and the backend head-to-head gate
-      (BENCH_PR10.json: Totem vs Ring Paxos on the identical
-      saturating workload, sweeping message size x node count x loss
-      rate, plus unloaded-latency probes; all sim-time metrics, so the
-      file is bit-stable). Fails if fixed-seed sim runs diverge.
-      Real-socket figures come from the benchmark/ package (udp-sat,
-      udp-paced).
-        --quick        short measurement windows (CI smoke); criterion
-                       runs with TOTEM_QUICK=1
-        --skip-micro   skip criterion
-        --skip-h2h     skip the backend head-to-head gate";
+                            markdown (append to $GITHUB_STEP_SUMMARY)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -167,7 +152,6 @@ fn main() -> ExitCode {
         Some("soak") => soak::run(&args[1..]),
         Some("mc") => mc::run(&args[1..]),
         Some("wrap-audit") => wrap::run(&args[1..]),
-        Some("bench") => bench::run(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
