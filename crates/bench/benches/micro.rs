@@ -21,7 +21,7 @@ fn data_packet(seq: u64, payload: usize) -> Packet {
         ring: RingId::new(NodeId::new(0), 1),
         seq: Seq::new(seq),
         sender: NodeId::new(2),
-        chunks: vec![Chunk::complete(seq as u32, Bytes::from(vec![0xAB; payload]))],
+        chunks: Chunk::complete(seq as u32, Bytes::from(vec![0xAB; payload])).into(),
     })
 }
 

@@ -11,7 +11,8 @@
 //! The receive side has the matching contract: decoding a datagram
 //! the transport owns copies no payload bytes, and the SRP allocates
 //! nothing for a frame it receives — only for what it originates (a
-//! chunk list and a shared handle per packet). And replication costs
+//! shared handle per packet, plus a chunk list for a packet of several
+//! chunks; a lone chunk is held inline). And replication costs
 //! what it carries: a redundant copy is dropped before it is decoded,
 //! and a token crosses a node in the one handle it was decoded into.
 
@@ -23,8 +24,12 @@ use common::snapshot;
 use totem_cluster::{ClusterConfig, NodeOutput, SimCluster, TotemNode};
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_sim::{SimDuration, SimTime};
+use totem_srp::packing::Reassembler;
 use totem_srp::{SrpConfig, SrpEvent, SrpNode};
-use totem_wire::{Chunk, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, SharedPacket};
+use totem_wire::{
+    Chunk, ChunkKind, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, SharedPacket,
+    MAX_DECODE_LEN,
+};
 
 /// Steady-state allocation cost of a saturated cluster: (allocations
 /// per wire frame, allocated bytes per wire frame).
@@ -56,7 +61,7 @@ fn second_encode_of_a_shared_frame_allocates_nothing() {
         ring: RingId::new(NodeId::new(0), 1),
         seq: Seq::new(1),
         sender: NodeId::new(0),
-        chunks: vec![Chunk::complete(1, bytes::Bytes::from(vec![0xAB; 700]))],
+        chunks: Chunk::complete(1, bytes::Bytes::from(vec![0xAB; 700])).into(),
     }
     .into();
 
@@ -71,9 +76,10 @@ fn second_encode_of_a_shared_frame_allocates_nothing() {
     assert_eq!(a1 - a0, 0, "re-reading the cached encoding must not allocate");
 }
 
-/// Decoding a data frame out of an owning buffer allocates the chunk
-/// vector and the shared handle — never a buffer per chunk: payloads
-/// are slices of the datagram, whatever the chunk count.
+/// Decoding a data frame out of an owning buffer allocates the shared
+/// handle, plus the chunk vector when there are several chunks — never
+/// a buffer per chunk: payloads are slices of the datagram, whatever
+/// the chunk count. A lone chunk is held inline: one allocation.
 #[test]
 fn decoding_an_owned_data_frame_allocates_at_most_twice() {
     for chunks in [1usize, 12, 60] {
@@ -92,7 +98,8 @@ fn decoding_an_owned_data_frame_allocates_at_most_twice() {
         let (a0, b0) = snapshot();
         let decoded = SharedPacket::from_datagram(wire.clone()).expect("valid frame");
         let (a1, b1) = snapshot();
-        assert!(a1 - a0 <= 2, "{chunks} chunks: decode allocated {} times", a1 - a0);
+        let bound = if chunks == 1 { 1 } else { 2 };
+        assert!(a1 - a0 <= bound, "{chunks} chunks: decode allocated {} times", a1 - a0);
         // The chunk vector and the handle, but none of the 1200
         // payload bytes.
         let bookkeeping = (chunks * size_of::<Chunk>() + 256) as u64;
@@ -103,6 +110,34 @@ fn decoding_an_owned_data_frame_allocates_at_most_twice() {
         );
         assert_eq!(decoded.data().map(|d| d.chunks.len()), Some(chunks));
     }
+}
+
+/// A data packet is a handful of words plus its chunk list; a lone
+/// chunk held inline must not make every packet much larger.
+#[test]
+fn a_packet_stays_within_96_bytes() {
+    assert!(size_of::<Packet>() <= 96, "Packet is {} bytes", size_of::<Packet>());
+}
+
+/// `orig_len` comes off the wire: a forged `FragStart` claiming a 4 GiB
+/// message must not make the reassembler reserve 4 GiB. Up front it
+/// reserves at most the codec's decode bound.
+#[test]
+fn a_forged_fragment_length_reserves_at_most_the_decode_bound() {
+    let mut r = Reassembler::new();
+    let forged = Chunk {
+        kind: ChunkKind::FragStart,
+        msg_id: 1,
+        orig_len: u32::MAX,
+        data: bytes::Bytes::from_static(b"x"),
+    };
+    let (_, b0) = snapshot();
+    assert_eq!(r.push(NodeId::new(3), &forged), None);
+    let (_, b1) = snapshot();
+    // The reservation, plus the partial-message map's first table.
+    let bound = (MAX_DECODE_LEN + 4096) as u64;
+    assert!(b1 - b0 <= bound, "a forged FragStart requested {} bytes", b1 - b0);
+    assert_eq!(r.pending(), 1);
 }
 
 /// Per-frame allocation cost must not scale with the receiver count:
@@ -160,9 +195,10 @@ enum Call {
 }
 
 /// Two SRP nodes wired back to back with a hand-cranked clock: node 0
-/// sends twelve-message packets, node 1 only receives, and every call
-/// into either is metered on its own.
+/// sends packets of `msg_size`-byte messages, node 1 only receives, and
+/// every call into either is metered on its own.
 struct MeteredRing {
+    msg_size: usize,
     nodes: Vec<SrpNode>,
     now: u64,
     wire: VecDeque<(usize, SharedPacket)>,
@@ -170,13 +206,14 @@ struct MeteredRing {
 }
 
 impl MeteredRing {
-    fn new() -> Self {
+    fn new(msg_size: usize) -> Self {
         let members = [NodeId::new(0), NodeId::new(1)];
         let nodes = members
             .iter()
             .map(|&me| SrpNode::new_operational(me, SrpConfig::default(), &members, 0).unwrap())
             .collect();
         let mut ring = MeteredRing {
+            msg_size,
             nodes,
             now: 0,
             wire: VecDeque::with_capacity(256),
@@ -216,12 +253,13 @@ impl MeteredRing {
         self.route(node, events);
     }
 
-    /// One round: node 0 queues `packets` packets' worth of 100-byte
-    /// messages, then the ring runs until the wire is quiet and the
-    /// token is parked again.
+    /// One round: node 0 queues `packets` packets' worth of messages,
+    /// then the ring runs until the wire is quiet and the token is
+    /// parked again.
     fn round(&mut self, packets: usize) {
-        for _ in 0..packets * 12 {
-            let data = bytes::Bytes::from(vec![0x5A; 100]);
+        let per_packet = totem_wire::MAX_PAYLOAD / (self.msg_size + totem_wire::CHUNK_HEADER_LEN);
+        for _ in 0..packets * per_packet {
+            let data = bytes::Bytes::from(vec![0x5A; self.msg_size]);
             let now = self.now;
             self.metered(0, Call::TokenVisit, |n| n.submit(now, data).unwrap());
         }
@@ -251,19 +289,17 @@ impl MeteredRing {
     }
 }
 
-/// The SRP's steady state allocates only what it originates. After
-/// warm-up (windows, queues and event buffers grown), on a ring that
-/// packs twelve 100-byte messages per frame:
+/// Runs a warmed-up [`MeteredRing`] of `msg_size`-byte messages through
+/// bursts of 1, 3, 5 and 3 packets and checks what every call cost:
 ///
-/// * a data frame received in order — inserted, and its twelve
-///   messages delivered — allocates nothing;
+/// * a data frame received in order — inserted, and its messages
+///   delivered — allocates nothing;
 /// * the redundant copy of it allocates nothing;
-/// * a token visit that packs P packets allocates at most 2·P + 1: a
-///   chunk list and a shared handle per packet, and the forwarded
+/// * a token visit that packs P packets allocates at most
+///   `per_packet`·P + 1: what each packet costs, and the forwarded
 ///   token's handle.
-#[test]
-fn srp_steady_state_allocates_only_what_it_originates() {
-    let mut ring = MeteredRing::new();
+fn check_steady_state(msg_size: usize, per_packet: u64) {
+    let mut ring = MeteredRing::new(msg_size);
     // Warm up at the deepest burst measured below, so no window, queue
     // or event buffer has growing left to do.
     for _ in 0..8 {
@@ -286,8 +322,27 @@ fn srp_steady_state_allocates_only_what_it_originates() {
     let visits: Vec<&Cost> = ring.costs.iter().filter(|c| c.kind == Call::TokenVisit).collect();
     assert!(visits.iter().any(|c| c.packed >= 3), "no visit packed a burst");
     for c in visits {
-        assert!(c.allocs <= 2 * c.packed + 1, "a token visit over-allocated: {c:?}");
+        assert!(
+            c.allocs <= per_packet * c.packed + 1,
+            "{msg_size}-byte messages: a token visit over-allocated: {c:?}"
+        );
     }
+}
+
+/// The SRP's steady state allocates only what it originates. On a
+/// ring that packs twelve 100-byte messages per frame, a packet costs
+/// two allocations: its chunk list and its shared handle.
+#[test]
+fn srp_steady_state_allocates_only_what_it_originates() {
+    check_steady_state(100, 2);
+}
+
+/// A packet of one chunk — here one 1,000-byte message, as for every
+/// message over half a frame and every fragment — holds it inline and
+/// costs only its shared handle.
+#[test]
+fn a_one_chunk_packet_costs_one_allocation() {
+    check_steady_state(1000, 1);
 }
 
 /// Whole [`TotemNode`]s on one ring, fed the way the threaded driver
@@ -529,7 +584,7 @@ fn redundant_copy_allocates_nothing() {
             ring: pair.nodes[1].srp().ring_id().expect("operational"),
             seq: Seq::new(seq),
             sender: NodeId::new(0),
-            chunks: vec![Chunk::complete(seq as u32, bytes::Bytes::from(vec![0x5A; 100]))],
+            chunks: Chunk::complete(seq as u32, bytes::Bytes::from(vec![0x5A; 100])).into(),
         })
         .encode_shared()
     };

@@ -317,7 +317,7 @@ fn membership_edges() -> ScenarioReport {
                 ring: RingId::new(NodeId::new(9), 5),
                 seq: Seq::new(1),
                 sender: NodeId::new(9),
-                chunks: vec![Chunk::complete(0, Bytes::from_static(b"foreign"))],
+                chunks: Chunk::complete(0, Bytes::from_static(b"foreign")).into(),
             })
             .into(),
         );

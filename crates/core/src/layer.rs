@@ -707,7 +707,7 @@ mod tests {
             ring: RingId::new(NodeId::new(0), 1),
             seq: Seq::new(seq),
             sender: NodeId::new(sender),
-            chunks: vec![Chunk::complete(0, Bytes::from_static(b"x"))],
+            chunks: Chunk::complete(0, Bytes::from_static(b"x")).into(),
         })
     }
 

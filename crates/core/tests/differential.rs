@@ -111,7 +111,7 @@ fn data_packet(seq: u64, sender: u16, fill: u8) -> Packet {
         ring: RingId::new(NodeId::new(0), 1),
         seq: Seq::new(seq),
         sender: NodeId::new(sender),
-        chunks: vec![Chunk::complete(0, Bytes::from(vec![fill; 16]))],
+        chunks: Chunk::complete(0, Bytes::from(vec![fill; 16])).into(),
     })
 }
 

@@ -72,7 +72,7 @@ proptest! {
                 ring: RingId::new(NodeId::new(0), 1),
                 seq: Seq::new(*seq),
                 sender: NodeId::new((seq % 4) as u16),
-                chunks: vec![],
+                chunks: Default::default(),
             });
             let ev = layer.on_packet(i as u64, net, pkt.into(), false);
             prop_assert_eq!(ev.len(), 1);
@@ -99,7 +99,7 @@ proptest! {
                 ring: RingId::new(NodeId::new(0), 1),
                 seq: Seq::new(i as u64 + 1),
                 sender: NodeId::new(lane as u16),
-                chunks: vec![],
+                chunks: Default::default(),
             });
             let ev = layer.on_packet(i as u64, net, pkt.into(), false);
             prop_assert!(

@@ -684,7 +684,7 @@ impl SrpNode {
                     ring: rec.new.ring,
                     seq: t.seq,
                     sender: self.me,
-                    chunks: vec![recovery_chunk(&old_pkt)],
+                    chunks: recovery_chunk(&old_pkt).into(),
                 }
                 .into();
                 rec.new.window.insert(pkt.clone());

@@ -15,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 use bytes::Bytes;
 
 use totem_wire::frame::{MAX_PAYLOAD, MAX_UNFRAGMENTED_MSG};
-use totem_wire::{Chunk, ChunkKind, NodeId};
+use totem_wire::{Chunk, ChunkKind, Chunks, NodeId, MAX_DECODE_LEN};
 
 /// Builds packed packets from a sender's message queue.
 ///
@@ -55,14 +55,15 @@ impl Packer {
     }
 
     /// Packs the next packet's chunks from `queue`, or `None` when
-    /// there is nothing left to send. The returned list is non-empty,
-    /// fits within [`MAX_PAYLOAD`] including sub-headers, and is
-    /// allocated at exactly its final length (the queue is scanned for
-    /// what fits before anything is popped). Messages are consumed
-    /// from the queue front; a message longer than
-    /// [`MAX_UNFRAGMENTED_MSG`] is split into fragments that span
-    /// several packets (and so several calls).
-    pub fn pack_next(&mut self, queue: &mut VecDeque<Bytes>) -> Option<Vec<Chunk>> {
+    /// there is nothing left to send. The returned list is non-empty
+    /// and fits within [`MAX_PAYLOAD`] including sub-headers; a lone
+    /// chunk is held inline and a longer list is allocated at exactly
+    /// its final length (the queue is scanned for what fits before
+    /// anything is popped). Messages are consumed from the queue
+    /// front; a message longer than [`MAX_UNFRAGMENTED_MSG`] is split
+    /// into fragments that span several packets (and so several
+    /// calls).
+    pub fn pack_next(&mut self, queue: &mut VecDeque<Bytes>) -> Option<Chunks> {
         let mut remaining = MAX_PAYLOAD;
 
         // Resume an in-progress fragmentation first: its next
@@ -82,7 +83,7 @@ impl Packer {
             if take < left {
                 self.in_progress = Some((msg_id, payload, offset + take));
                 // A continuation fragment fills the whole packet.
-                return Some(vec![chunk]);
+                return Some(chunk.into());
             }
             remaining -= totem_wire::CHUNK_HEADER_LEN + take;
             resumed = Some(chunk);
@@ -116,18 +117,15 @@ impl Packer {
                     data: payload.slice(0..MAX_UNFRAGMENTED_MSG),
                 };
                 self.in_progress = Some((msg_id, payload, MAX_UNFRAGMENTED_MSG));
-                return Some(vec![chunk]);
+                return Some(chunk.into());
             }
             return None; // nothing left to send
         }
 
-        let mut chunks = Vec::with_capacity(whole + usize::from(resumed.is_some()));
-        chunks.extend(resumed);
-        for payload in queue.drain(..whole) {
-            let msg_id = self.bump_id();
-            chunks.push(Chunk::complete(msg_id, payload));
-        }
-        Some(chunks)
+        // `Drain` knows its length, so a list of several is sized
+        // exactly up front.
+        let fresh = queue.drain(..whole).map(|payload| Chunk::complete(self.bump_id(), payload));
+        Some(resumed.into_iter().chain(fresh).collect())
     }
 
     fn bump_id(&mut self) -> u32 {
@@ -141,7 +139,9 @@ impl Packer {
 /// sequence order.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    /// Partial messages keyed by `(sender, msg_id)`.
+    /// Partial messages keyed by `(sender, msg_id)`. Only probed,
+    /// inserted into, removed from and cleared — never iterated — so
+    /// its hash order cannot reach delivery.
     partial: HashMap<(NodeId, u32), Vec<u8>>,
 }
 
@@ -161,7 +161,10 @@ impl Reassembler {
         match chunk.kind {
             ChunkKind::Complete => Some(chunk.data.clone()),
             ChunkKind::FragStart => {
-                let mut buf = Vec::with_capacity(chunk.orig_len as usize);
+                // `orig_len` comes off the wire: reserve no more than
+                // the codec would ever accept up front; a longer
+                // message grows its buffer as its fragments arrive.
+                let mut buf = Vec::with_capacity((chunk.orig_len as usize).min(MAX_DECODE_LEN));
                 buf.extend_from_slice(&chunk.data);
                 self.partial.insert((sender, chunk.msg_id), buf);
                 None
@@ -208,7 +211,7 @@ mod tests {
     }
 
     /// Up to `max_packets` packets, one `pack_next` at a time.
-    fn pack(p: &mut Packer, queue: &mut VecDeque<Bytes>, max_packets: usize) -> Vec<Vec<Chunk>> {
+    fn pack(p: &mut Packer, queue: &mut VecDeque<Bytes>, max_packets: usize) -> Vec<Chunks> {
         std::iter::from_fn(|| p.pack_next(queue)).take(max_packets).collect()
     }
 
@@ -242,9 +245,14 @@ mod tests {
     fn chunk_lists_are_allocated_at_their_final_length() {
         let mut p = Packer::new();
         let mut queue = q(&[100; 13]);
-        queue.extend(q(&[1500, 100, 700, 700, 3000]));
-        for chunks in pack(&mut p, &mut queue, 100) {
-            assert_eq!(chunks.capacity(), chunks.len());
+        queue.extend(q(&[1500, 100, 700, 700, 1000, 3000]));
+        let pkts = pack(&mut p, &mut queue, 100);
+        // Lone chunks: the 13th 100-byte message, a fragment, a
+        // 1000-byte message.
+        assert!(pkts.iter().filter(|c| c.len() == 1).count() >= 3);
+        for chunks in pkts {
+            let list = if chunks.len() == 1 { 0 } else { chunks.len() };
+            assert_eq!(chunks.heap_capacity(), list, "{} chunks", chunks.len());
         }
         assert!(queue.is_empty());
     }
@@ -303,11 +311,13 @@ mod tests {
 
     #[test]
     fn roundtrip_through_reassembler() {
-        let sizes = [1usize, 50, 700, 700, 1412, 1413, 4000, 9, 100];
+        // The last message is longer than the reassembler reserves up
+        // front; its buffer grows past the reservation.
+        let sizes = [1usize, 50, 700, 700, 1412, 1413, 4000, 9, 100, MAX_DECODE_LEN + 5000];
         let mut p = Packer::new();
         let mut queue = q(&sizes);
         let original: Vec<Bytes> = queue.iter().cloned().collect();
-        let pkts = pack(&mut p, &mut queue, 100);
+        let pkts = pack(&mut p, &mut queue, 1000);
 
         let mut r = Reassembler::new();
         let sender = NodeId::new(0);

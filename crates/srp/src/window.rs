@@ -39,7 +39,7 @@ pub const SPAN_CAP: u64 = 65_536;
 /// # use totem_wire::{DataPacket, NodeId, RingId, Seq, SharedPacket};
 /// # fn pkt(seq: u64) -> SharedPacket {
 /// #     DataPacket { ring: RingId::new(NodeId::new(0), 1), seq: Seq::new(seq),
-/// #                  sender: NodeId::new(0), chunks: vec![] }.into()
+/// #                  sender: NodeId::new(0), chunks: Default::default() }.into()
 /// # }
 /// let mut w = ReceiveWindow::new();
 /// w.insert(pkt(1));
@@ -361,7 +361,7 @@ mod tests {
             ring: RingId::new(NodeId::new(0), 1),
             seq: Seq::new(seq),
             sender: NodeId::new(0),
-            chunks: vec![],
+            chunks: Default::default(),
         }
         .into()
     }

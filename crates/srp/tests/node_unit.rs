@@ -32,7 +32,7 @@ fn data(seq: u64, sender: u16, body: &'static [u8]) -> DataPacket {
         ring: ring(),
         seq: Seq::new(seq),
         sender: NodeId::new(sender),
-        chunks: vec![Chunk::complete(seq as u32, Bytes::from_static(body))],
+        chunks: Chunk::complete(seq as u32, Bytes::from_static(body)).into(),
     }
 }
 

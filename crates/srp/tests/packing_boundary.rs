@@ -14,7 +14,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use totem_srp::packing::{Packer, Reassembler};
 use totem_wire::frame::{MAX_PAYLOAD, MAX_UNFRAGMENTED_MSG};
-use totem_wire::{Chunk, ChunkKind, DataPacket, NodeId, Packet, RingId, Seq};
+use totem_wire::{Chunk, ChunkKind, Chunks, DataPacket, NodeId, Packet, RingId, Seq};
 
 /// Message sizes clustered on the boundary: every size in
 /// `[1412 − 16, 1424 + 16]` (covering both edges) plus a few far-away
@@ -42,11 +42,11 @@ fn queue_of(sizes: &[usize]) -> VecDeque<Bytes> {
 
 /// Packs `sizes`, sends every packet through the wire codec, and
 /// reassembles the decoded chunks.
-fn roundtrip(sizes: &[usize]) -> (Vec<Bytes>, Vec<Bytes>, Vec<Vec<Chunk>>) {
+fn roundtrip(sizes: &[usize]) -> (Vec<Bytes>, Vec<Bytes>, Vec<Chunks>) {
     let mut queue = queue_of(sizes);
     let original: Vec<Bytes> = queue.iter().cloned().collect();
     let mut packer = Packer::new();
-    let packed: Vec<Vec<Chunk>> = std::iter::from_fn(|| packer.pack_next(&mut queue)).collect();
+    let packed: Vec<Chunks> = std::iter::from_fn(|| packer.pack_next(&mut queue)).collect();
     assert!(queue.is_empty(), "packing until `None` must drain the queue");
 
     let sender = NodeId::new(3);

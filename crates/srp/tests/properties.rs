@@ -13,14 +13,14 @@ use rand::SeedableRng;
 use totem_srp::packing::{Packer, Reassembler};
 use totem_srp::window::ReceiveWindow;
 use totem_wire::frame::MAX_PAYLOAD;
-use totem_wire::{Chunk, DataPacket, NodeId, RingId, Seq, SharedPacket};
+use totem_wire::{Chunk, Chunks, DataPacket, NodeId, RingId, Seq, SharedPacket};
 
 fn pkt(seq: u64) -> DataPacket {
     DataPacket {
         ring: RingId::new(NodeId::new(0), 1),
         seq: Seq::new(seq),
         sender: NodeId::new(0),
-        chunks: vec![],
+        chunks: Default::default(),
     }
 }
 
@@ -351,7 +351,7 @@ proptest! {
         let mut out: Vec<Bytes> = Vec::new();
         // Pack in small bursts to exercise suspended fragmentation.
         loop {
-            let pkts: Vec<Vec<Chunk>> =
+            let pkts: Vec<Chunks> =
                 std::iter::from_fn(|| packer.pack_next(&mut queue)).take(budget).collect();
             if pkts.is_empty() {
                 prop_assert!(!packer.mid_fragment());

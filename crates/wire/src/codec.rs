@@ -68,7 +68,8 @@ impl std::error::Error for CodecError {}
 
 /// Hard upper bound on any length prefix, to stop a corrupt prefix
 /// from causing a giant allocation. Larger than any legal Totem frame.
-pub(crate) const MAX_DECODE_LEN: usize = 1 << 20;
+/// Reassembly caps what it reserves for a message at it too.
+pub const MAX_DECODE_LEN: usize = 1 << 20;
 
 /// An append-only byte writer with big-endian primitives.
 ///
@@ -229,6 +230,12 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0, payloads: Payloads::Discard }
     }
 
+    /// Whether byte strings and list items read from this reader are
+    /// kept (false only when validating).
+    pub(crate) fn keeps_payloads(&self) -> bool {
+        !matches!(self.payloads, Payloads::Discard)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -371,7 +378,7 @@ impl<'a> Reader<'a> {
         cap: usize,
         mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
-        let keep = !matches!(self.payloads, Payloads::Discard);
+        let keep = self.keeps_payloads();
         let mut out = if keep { Vec::with_capacity(n.min(cap)) } else { Vec::new() };
         for _ in 0..n {
             let it = item(self)?;

@@ -100,7 +100,7 @@ mod tests {
             ring: RingId::new(NodeId::new(1), 4),
             seq: Seq::new(17),
             sender: NodeId::new(2),
-            chunks: vec![Chunk::complete(9, Bytes::from_static(b"hello"))],
+            chunks: Chunk::complete(9, Bytes::from_static(b"hello")).into(),
         });
         let wire = pkt.encode();
         assert_eq!(WireHeader::parse(&wire), Ok(WireHeader::of(&pkt)));

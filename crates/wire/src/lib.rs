@@ -69,7 +69,7 @@ pub mod shared;
 pub mod token;
 pub mod transition;
 
-pub use codec::{CodecError, Reader, Writer};
+pub use codec::{CodecError, Reader, Writer, MAX_DECODE_LEN};
 pub use frame::{
     chunk_capacity, wire_frame_len, CHUNK_HEADER_LEN, ETHERNET_MTU, HEADER_OVERHEAD, MAX_PAYLOAD,
 };
@@ -78,7 +78,7 @@ pub use ids::{
     Ballot, Incarnation, InstanceId, NetworkId, NodeId, RingId, Rotation, Seq, SerialOrdKey,
 };
 pub use membership::{CommitToken, JoinMessage, MembEntry};
-pub use packet::{Chunk, ChunkKind, DataPacket, Packet};
+pub use packet::{Chunk, ChunkKind, Chunks, DataPacket, Packet};
 pub use ring_paxos::{Proposal, RingPaxosMsg};
 pub use shared::{NetFrame, SharedPacket};
 pub use token::Token;

@@ -122,6 +122,98 @@ impl Chunk {
     }
 }
 
+/// The chunk list of a [`DataPacket`]: a lone chunk — every fragment,
+/// and every message over half a frame — is held inline, so such a
+/// packet costs no list allocation; any other count is a `Vec`.
+///
+/// It reads as a `[Chunk]` slice; equality and `Debug` are the
+/// slice's, so how a list was built never shows.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Chunks(Repr);
+
+#[derive(Clone, Serialize, Deserialize)]
+enum Repr {
+    One(Chunk),
+    Many(Vec<Chunk>),
+}
+
+impl Chunks {
+    /// Capacity of the heap-allocated list behind `self`: zero when
+    /// nothing was allocated (a lone inline chunk, or no chunks).
+    pub fn heap_capacity(&self) -> usize {
+        match &self.0 {
+            Repr::One(_) => 0,
+            Repr::Many(v) => v.capacity(),
+        }
+    }
+}
+
+impl Default for Chunks {
+    fn default() -> Self {
+        Chunks(Repr::Many(Vec::new()))
+    }
+}
+
+impl core::ops::Deref for Chunks {
+    type Target = [Chunk];
+
+    fn deref(&self) -> &[Chunk] {
+        match &self.0 {
+            Repr::One(c) => core::slice::from_ref(c),
+            Repr::Many(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Chunks {
+    type Item = &'a Chunk;
+    type IntoIter = core::slice::Iter<'a, Chunk>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Chunk> for Chunks {
+    fn from(c: Chunk) -> Self {
+        Chunks(Repr::One(c))
+    }
+}
+
+impl From<Vec<Chunk>> for Chunks {
+    fn from(v: Vec<Chunk>) -> Self {
+        Chunks(Repr::Many(v))
+    }
+}
+
+impl FromIterator<Chunk> for Chunks {
+    /// A lone chunk is kept inline; a longer list is allocated once,
+    /// at its final length when the iterator's lower bound is exact.
+    fn from_iter<I: IntoIterator<Item = Chunk>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else { return Chunks::default() };
+        let Some(second) = iter.next() else { return first.into() };
+        let mut v = Vec::with_capacity(iter.size_hint().0.saturating_add(2));
+        v.extend([first, second]);
+        v.extend(iter);
+        v.into()
+    }
+}
+
+impl PartialEq for Chunks {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Chunks {}
+
+impl core::fmt::Debug for Chunks {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A broadcast data frame: the unit of sequencing, retransmission and
 /// ordering on the ring.
 ///
@@ -138,7 +230,7 @@ pub struct DataPacket {
     /// The node that broadcast the packet.
     pub sender: NodeId,
     /// Packed application-message chunks.
-    pub chunks: Vec<Chunk>,
+    pub chunks: Chunks,
 }
 
 impl DataPacket {
@@ -312,7 +404,13 @@ impl Packet {
                 let seq = Seq::new(r.u64()?);
                 let sender = NodeId::new(r.u16()?);
                 let n = r.u16()? as usize;
-                let chunks = r.list(n, 64, Chunk::decode)?;
+                // A lone chunk is held inline; a validating reader
+                // keeps no chunks, so its list stays empty.
+                let chunks = if n == 1 && r.keeps_payloads() {
+                    Chunk::decode(r)?.into()
+                } else {
+                    r.list(n, 64, Chunk::decode)?.into()
+                };
                 Ok(Packet::Data(DataPacket { ring, seq, sender, chunks }))
             }
             TAG_TOKEN => Ok(Packet::Token(Token::decode(r)?)),
@@ -357,7 +455,8 @@ mod tests {
                     orig_len: 5000,
                     data: Bytes::from(vec![0xAA; 1400]),
                 },
-            ],
+            ]
+            .into(),
         }
     }
 
@@ -412,6 +511,20 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_chunk_compares_and_prints_alike_inline_or_listed() {
+        let c = Chunk::complete(4, Bytes::from_static(b"lone"));
+        let inline = Chunks::from(c.clone());
+        let listed = Chunks::from(vec![c.clone()]);
+        assert_eq!(inline, listed);
+        assert_eq!(format!("{inline:?}"), format!("{listed:?}"));
+        assert_eq!(format!("{inline:#?}"), format!("{:#?}", vec![c.clone()]));
+        assert_eq!(inline.heap_capacity(), 0);
+        assert_eq!(Chunks::from_iter([c.clone()]).heap_capacity(), 0);
+        assert_ne!(inline, Chunks::from(vec![c.clone(), c]));
+        assert_eq!(Chunks::default(), Chunks::from(Vec::new()));
+    }
+
+    #[test]
     fn chunk_wire_len_matches_header_plus_data() {
         let c = Chunk::complete(1, Bytes::from_static(b"abcd"));
         assert_eq!(c.wire_len(), CHUNK_HEADER_LEN + 4);
@@ -430,7 +543,7 @@ mod tests {
             ring: RingId::new(NodeId::new(1), 4),
             seq: Seq::new(1),
             sender: NodeId::new(1),
-            chunks: vec![chunk],
+            chunks: chunk.into(),
         });
         let decoded = Packet::decode(&outer.encode()).unwrap();
         if let Packet::Data(d) = decoded {

@@ -216,7 +216,7 @@ mod tests {
             ring: RingId::new(NodeId::new(0), 1),
             seq: Seq::new(seq),
             sender: NodeId::new(2),
-            chunks: vec![Chunk::complete(1, Bytes::from_static(b"payload"))],
+            chunks: Chunk::complete(1, Bytes::from_static(b"payload")).into(),
         })
     }
 
@@ -257,7 +257,8 @@ mod tests {
             chunks: vec![
                 Chunk::complete(1, Bytes::from_static(b"carried over")),
                 Chunk::complete(2, Bytes::from_static(b"from the old ring")),
-            ],
+            ]
+            .into(),
         };
         let recovery = Chunk {
             kind: ChunkKind::Recovery,
@@ -269,7 +270,7 @@ mod tests {
             ring: RingId::new(NodeId::new(0), 2),
             seq: Seq::new(1),
             sender: NodeId::new(0),
-            chunks: vec![Chunk::complete(7, Bytes::from_static(b"fresh")), recovery],
+            chunks: vec![Chunk::complete(7, Bytes::from_static(b"fresh")), recovery].into(),
         });
         let wire = outer.encode_shared();
 

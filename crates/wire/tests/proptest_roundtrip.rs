@@ -43,8 +43,9 @@ fn arb_chunk() -> impl Strategy<Value = Chunk> {
 }
 
 fn arb_data_packet() -> impl Strategy<Value = DataPacket> {
-    (arb_ring(), arb_seq(), arb_node(), proptest::collection::vec(arb_chunk(), 0..6))
-        .prop_map(|(ring, seq, sender, chunks)| DataPacket { ring, seq, sender, chunks })
+    (arb_ring(), arb_seq(), arb_node(), proptest::collection::vec(arb_chunk(), 0..6)).prop_map(
+        |(ring, seq, sender, chunks)| DataPacket { ring, seq, sender, chunks: chunks.into() },
+    )
 }
 
 fn arb_token() -> impl Strategy<Value = Token> {

@@ -245,7 +245,7 @@ impl Twins {
             ring,
             seq: Seq::new(seq),
             sender,
-            chunks: vec![Chunk::complete(seq as u32, Bytes::from(vec![fill as u8; 24]))],
+            chunks: Chunk::complete(seq as u32, Bytes::from(vec![fill as u8; 24])).into(),
         })
         .encode_shared()
     }

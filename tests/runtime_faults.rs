@@ -151,7 +151,8 @@ fn hostile_datagrams() -> Vec<Bytes> {
             chunks: vec![
                 Chunk::complete(1, Bytes::from_static(b"forged payload")),
                 Chunk::complete(2, Bytes::from_static(b"and another")),
-            ],
+            ]
+            .into(),
         }),
         Packet::Token(Token::initial(ring)),
         Packet::Join(JoinMessage {
@@ -222,7 +223,7 @@ fn forged_far_ahead_frames() -> Vec<Bytes> {
                 ring: RingId::new(NodeId::new(0), 1),
                 seq: Seq::new(seq),
                 sender: NodeId::new(1),
-                chunks: vec![Chunk::complete(9, Bytes::from_static(b"from the future"))],
+                chunks: Chunk::complete(9, Bytes::from_static(b"from the future")).into(),
             })
             .encode_shared()
         })
@@ -320,7 +321,7 @@ fn a_held_frames_header_on_a_corrupt_body_is_invisible_to_every_layer() {
             ring: RingId::new(NodeId::new(0), 1),
             seq: Seq::new(1),
             sender: FORGER,
-            chunks: vec![Chunk::complete(1, Bytes::from_static(body))],
+            chunks: Chunk::complete(1, Bytes::from_static(body)).into(),
         })
         .encode_shared()
     };
