@@ -12,9 +12,9 @@
 //!    inter-delivery gap per style, quantifying the paper's claim
 //!    that active replication masks loss without retransmission
 //!    delay;
-//! 5. throughput vs number of saturated senders (the sender-count
-//!    axis of the Ring Paxos evaluation): what a ring keeps when only
-//!    some members have messages and the rest merely relay the token.
+//! 5. throughput vs number of saturated senders: what a ring keeps
+//!    when only some members have messages and the rest merely relay
+//!    the token.
 //!
 //! Run with `cargo bench -p totem-bench --bench ablation`;
 //! set `TOTEM_QUICK=1` for shorter windows.

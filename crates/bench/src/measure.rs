@@ -2,7 +2,7 @@
 //! simulated cluster, exactly as the paper ran it ("every node sent as
 //! many messages as the Totem flow control mechanism permitted").
 
-use totem_cluster::{BackendKind, ClusterConfig, SimCluster};
+use totem_cluster::{ClusterConfig, SimCluster};
 use totem_rrp::ReplicationStyle;
 use totem_sim::{CpuConfig, SimDuration, SimTime};
 
@@ -26,8 +26,6 @@ pub struct MeasureConfig {
     /// Network-count override; `None` keeps the style's default (e.g.
     /// K-of-N sweeps pin N while K varies).
     pub networks: Option<usize>,
-    /// Atomic-broadcast backend under test (Totem by default).
-    pub backend: BackendKind,
     /// Per-receiver packet loss in percent, applied to every network.
     pub loss_pct: f64,
     /// How many nodes (the first `k`) run the saturating workload;
@@ -49,7 +47,6 @@ impl MeasureConfig {
             window: SimDuration::from_secs(1),
             seed: 42,
             networks: None,
-            backend: BackendKind::Totem,
             loss_pct: 0.0,
             senders: None,
         }
@@ -76,12 +73,6 @@ impl MeasureConfig {
     /// Overrides the measurement window.
     pub fn with_window(mut self, window: SimDuration) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Selects the atomic-broadcast backend.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -123,10 +114,8 @@ pub struct Throughput {
 /// exactly once, per-node deliveries are averaged to obtain the
 /// system-wide send rate.
 pub fn measure(cfg: &MeasureConfig) -> Throughput {
-    let mut cluster_cfg = ClusterConfig::new(cfg.nodes, cfg.style)
-        .counters_only()
-        .with_seed(cfg.seed)
-        .with_backend(cfg.backend);
+    let mut cluster_cfg =
+        ClusterConfig::new(cfg.nodes, cfg.style).counters_only().with_seed(cfg.seed);
     if let Some(networks) = cfg.networks {
         cluster_cfg = cluster_cfg.with_networks(networks);
     }
@@ -223,21 +212,6 @@ mod tests {
             sweep[0].msgs_per_sec,
             sweep[2].msgs_per_sec
         );
-    }
-
-    #[test]
-    fn ring_paxos_backend_measures_and_survives_loss() {
-        let base = || {
-            MeasureConfig::new(ReplicationStyle::Single, 256)
-                .with_nodes(3)
-                .with_backend(BackendKind::RingPaxos)
-                .with_window(SimDuration::from_millis(300))
-        };
-        let clean = measure(&base());
-        assert!(clean.msgs_per_sec > 100.0, "implausibly low: {}", clean.msgs_per_sec);
-        assert!(clean.latency_mean_us > 0.0);
-        let lossy = measure(&base().with_loss(1.0));
-        assert!(lossy.msgs_per_sec > 0.0, "ring-paxos wedged under 1% loss");
     }
 
     #[test]

@@ -1,42 +1,54 @@
-//! Tiny flag parser: `--name value` pairs plus boolean flags.
+//! Tiny flag parser: `--name value` pairs plus switches, checked
+//! against the flags a subcommand reads.
 
 use std::collections::HashMap;
 
-use totem_cluster::BackendKind;
 use totem_rrp::ReplicationStyle;
+
+/// The flags one subcommand reads. Any other flag is refused.
+#[derive(Debug)]
+pub struct Spec {
+    /// The subcommand, as typed after `totem`.
+    pub command: &'static str,
+    /// Flags that take one value (`--name value`).
+    pub values: &'static [&'static str],
+    /// Flags that take none (`--name`).
+    pub switches: &'static [&'static str],
+}
 
 /// Parsed flags of one subcommand.
 #[derive(Debug)]
 pub struct Flags {
     values: HashMap<String, String>,
-    bools: Vec<String>,
+    switches: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `--name value` pairs; a `--name` followed by another
-    /// flag (or nothing) is a boolean flag.
+    /// Parses `args` as the flags `spec` names.
     ///
     /// # Errors
     ///
-    /// Rejects positional arguments and non-`--` tokens.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Rejects positional arguments, a flag `spec` does not name (the
+    /// message names the flag and the command), and a value flag
+    /// without a value.
+    pub fn parse(spec: &Spec, args: &[String]) -> Result<Self, String> {
         let mut values = HashMap::new();
-        let mut bools = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
+        let mut switches = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}` (flags are --name value)"));
             };
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                values.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
+            if spec.switches.contains(&name) {
+                switches.push(name.to_string());
+            } else if spec.values.contains(&name) {
+                let value = args.next().ok_or_else(|| format!("--{name} needs a value"))?;
+                values.insert(name.to_string(), value.clone());
             } else {
-                bools.push(name.to_string());
-                i += 1;
+                return Err(format!("unknown flag `{arg}` for `totem {}`", spec.command));
             }
         }
-        Ok(Flags { values, bools })
+        Ok(Flags { values, switches })
     }
 
     /// A value flag parsed into `T`, or `default` when absent.
@@ -51,9 +63,9 @@ impl Flags {
         }
     }
 
-    /// Whether a boolean flag was given.
+    /// Whether a switch was given.
     pub fn has(&self, name: &str) -> bool {
-        self.bools.iter().any(|b| b == name)
+        self.switches.iter().any(|b| b == name)
     }
 
     /// The replication style from `--replication`, defaulting to
@@ -65,25 +77,17 @@ impl Flags {
     pub fn style(&self) -> Result<ReplicationStyle, String> {
         self.values.get("replication").map_or("active", String::as_str).parse()
     }
-
-    /// The atomic-broadcast backend from `--backend`, defaulting to
-    /// Totem.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unknown backend names.
-    pub fn backend(&self) -> Result<BackendKind, String> {
-        match self.values.get("backend").map(String::as_str) {
-            None | Some("totem") => Ok(BackendKind::Totem),
-            Some("ring-paxos") => Ok(BackendKind::RingPaxos),
-            Some(other) => Err(format!("unknown backend `{other}` (use totem or ring-paxos)")),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SPEC: Spec = Spec {
+        command: "test",
+        values: &["nodes", "size", "window-ms", "replication"],
+        switches: &["quick"],
+    };
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -91,7 +95,7 @@ mod tests {
 
     #[test]
     fn parses_values_and_bools() {
-        let f = Flags::parse(&argv(&["--nodes", "6", "--quick", "--size", "1000"])).unwrap();
+        let f = Flags::parse(&SPEC, &argv(&["--nodes", "6", "--quick", "--size", "1000"])).unwrap();
         assert_eq!(f.get("nodes", 4usize).unwrap(), 6);
         assert_eq!(f.get("size", 0usize).unwrap(), 1000);
         assert!(f.has("quick"));
@@ -101,18 +105,25 @@ mod tests {
 
     #[test]
     fn rejects_positional_arguments() {
-        assert!(Flags::parse(&argv(&["bare"])).is_err());
+        assert!(Flags::parse(&SPEC, &argv(&["bare"])).is_err());
+    }
+
+    #[test]
+    fn rejects_a_value_flag_without_a_value() {
+        let err = Flags::parse(&SPEC, &argv(&["--quick", "--nodes"])).unwrap_err();
+        assert!(err.contains("--nodes"), "{err}");
     }
 
     #[test]
     fn rejects_bad_values() {
-        let f = Flags::parse(&argv(&["--nodes", "many"])).unwrap();
+        let f = Flags::parse(&SPEC, &argv(&["--nodes", "many"])).unwrap();
         assert!(f.get("nodes", 4usize).is_err());
     }
 
     #[test]
     fn styles_parse() {
-        let style = |raw: &str| Flags::parse(&argv(&["--replication", raw])).unwrap().style();
+        let style =
+            |raw: &str| Flags::parse(&SPEC, &argv(&["--replication", raw])).unwrap().style();
         assert_eq!(style("single").unwrap(), ReplicationStyle::Single);
         assert_eq!(style("active").unwrap(), ReplicationStyle::Active);
         assert_eq!(style("passive").unwrap(), ReplicationStyle::Passive);
@@ -125,22 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_parse() {
-        let f = Flags::parse(&argv(&[])).unwrap();
-        assert_eq!(f.backend().unwrap(), BackendKind::Totem);
-        let f = Flags::parse(&argv(&["--backend", "ring-paxos"])).unwrap();
-        assert_eq!(f.backend().unwrap(), BackendKind::RingPaxos);
-        let f = Flags::parse(&argv(&["--backend", "totem"])).unwrap();
-        assert_eq!(f.backend().unwrap(), BackendKind::Totem);
-        let f = Flags::parse(&argv(&["--backend", "multi-paxos"])).unwrap();
-        assert!(f.backend().is_err());
-    }
-
-    #[test]
     fn replication_flag_selects_the_style() {
-        let f = Flags::parse(&argv(&["--replication", "k-of-n:2"])).unwrap();
+        let f = Flags::parse(&SPEC, &argv(&["--replication", "k-of-n:2"])).unwrap();
         assert_eq!(f.style().unwrap(), ReplicationStyle::KOfN { copies: 2 });
-        let f = Flags::parse(&argv(&[])).unwrap();
+        let f = Flags::parse(&SPEC, &argv(&[])).unwrap();
         assert_eq!(f.style().unwrap(), ReplicationStyle::Active);
     }
 }

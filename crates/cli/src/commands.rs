@@ -12,14 +12,13 @@ use totem_srp::SrpConfig;
 use totem_transport::UdpTopology;
 use totem_wire::{NetworkId, NodeId};
 
-use crate::args::Flags;
+use crate::args::{Flags, Spec};
 
 /// Top-level usage text.
 pub const USAGE: &str = "totem — the Totem redundant ring protocol, on a simulated testbed
 
 usage:
-  totem throughput [--nodes N] [--replication S] [--backend B] [--size BYTES]
-                   [--window-ms MS]
+  totem throughput [--nodes N] [--replication S] [--size BYTES] [--window-ms MS]
         one saturating-workload measurement (msgs/sec, KB/sec, latency)
   totem compare    [--nodes N] [--size BYTES]
         all four replication styles side by side
@@ -27,11 +26,10 @@ usage:
         regenerate Figures 6-9 of the paper, with shape checks
   totem failover   [--replication S] [--nodes N]
         kill a network mid-run; show transparency + fault reports
-  totem soak       [--seconds S] [--loss PCT] [--replication S] [--backend B]
-                   [--seed X]
+  totem soak       [--seconds S] [--loss PCT] [--replication S] [--seed X]
         randomized lossy run with safety verification (the
         self-stabilization soak is `cargo xtask soak`)
-  totem scale      [--replication S] [--backend B] [--size BYTES] [--max-nodes N]
+  totem scale      [--replication S] [--size BYTES] [--max-nodes N]
         ring-size sweep: throughput and latency as the ring grows
   totem udp        [--nodes N] [--networks M] [--replication S] [--msgs K]
                    [--size BYTES]
@@ -39,28 +37,43 @@ usage:
         runtime; verifies one agreed total order, prints msgs/sec
 
 replication styles (--replication):
-  single | active | passive | ap:K | k-of-n:K     (default: active)
+  single | active | passive | ap:K | k-of-n:K     (default: active)";
 
-atomic-broadcast backends (--backend, on throughput / scale / soak):
-  totem | ring-paxos      (default: totem; ring-paxos is a fixed-
-  coordinator, single-network backend — use --replication single
-  for an apples-to-apples comparison)";
+/// The flags each subcommand reads, as [`USAGE`] lists them.
+pub const COMMANDS: [Spec; 7] = [THROUGHPUT, COMPARE, FIGURES, FAILOVER, SOAK, SCALE, UDP];
+
+const THROUGHPUT: Spec = Spec {
+    command: "throughput",
+    values: &["nodes", "replication", "size", "window-ms"],
+    switches: &[],
+};
+const COMPARE: Spec = Spec { command: "compare", values: &["nodes", "size"], switches: &[] };
+const FIGURES: Spec = Spec { command: "figures", values: &[], switches: &["quick"] };
+const FAILOVER: Spec =
+    Spec { command: "failover", values: &["replication", "nodes"], switches: &[] };
+const SOAK: Spec =
+    Spec { command: "soak", values: &["seconds", "loss", "replication", "seed"], switches: &[] };
+const SCALE: Spec =
+    Spec { command: "scale", values: &["replication", "size", "max-nodes"], switches: &[] };
+const UDP: Spec = Spec {
+    command: "udp",
+    values: &["nodes", "networks", "replication", "msgs", "size"],
+    switches: &[],
+};
 
 /// `totem throughput`.
 pub fn throughput(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&THROUGHPUT, args)?;
     let nodes: usize = flags.get("nodes", 4)?;
     let size: usize = flags.get("size", 1000)?;
     let window_ms: u64 = flags.get("window-ms", 1000)?;
     let style = flags.style()?;
-    let backend = flags.backend()?;
 
     let cfg = MeasureConfig::new(style, size)
         .with_nodes(nodes)
-        .with_backend(backend)
         .with_window(SimDuration::from_millis(window_ms));
     let t = measure(&cfg);
-    println!("{backend} / {style}, {nodes} nodes, {size}-byte messages, {window_ms} ms window:");
+    println!("{style}, {nodes} nodes, {size}-byte messages, {window_ms} ms window:");
     println!("  send rate    {:>10.0} msgs/sec", t.msgs_per_sec);
     println!("  bandwidth    {:>10.0} Kbytes/sec", t.kbytes_per_sec);
     println!("  mean latency {:>10.0} µs", t.latency_mean_us);
@@ -72,7 +85,7 @@ pub fn throughput(args: &[String]) -> Result<(), String> {
 
 /// `totem compare`.
 pub fn compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&COMPARE, args)?;
     let nodes: usize = flags.get("nodes", 4)?;
     let size: usize = flags.get("size", 1000)?;
     println!("{:<36} {:>12} {:>14} {:>12}", "style", "msgs/sec", "Kbytes/sec", "latency µs");
@@ -99,7 +112,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
 
 /// `totem figures`.
 pub fn figures(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&FIGURES, args)?;
     if flags.has("quick") {
         std::env::set_var("TOTEM_QUICK", "1");
     }
@@ -117,7 +130,7 @@ pub fn figures(args: &[String]) -> Result<(), String> {
 
 /// `totem failover`.
 pub fn failover(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&FAILOVER, args)?;
     let nodes: usize = flags.get("nodes", 4)?;
     let style = flags.style()?;
     if style == ReplicationStyle::Single {
@@ -169,18 +182,16 @@ pub fn failover(args: &[String]) -> Result<(), String> {
 
 /// `totem scale`.
 pub fn scale(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&SCALE, args)?;
     let style = flags.style()?;
-    let backend = flags.backend()?;
     let size: usize = flags.get("size", 1000)?;
     let max_nodes: usize = flags.get("max-nodes", 12)?;
-    println!("{backend} / {style}, {size}-byte messages, ring-size sweep:");
+    println!("{style}, {size}-byte messages, ring-size sweep:");
     println!("{:>6} | {:>12} | {:>14}", "nodes", "msgs/sec", "mean lat (µs)");
     let mut nodes = 2;
     while nodes <= max_nodes {
         let cfg = MeasureConfig::new(style, size)
             .with_nodes(nodes)
-            .with_backend(backend)
             .with_window(SimDuration::from_millis(400));
         let t = measure(&cfg);
         println!("{:>6} | {:>12.0} | {:>14.0}", nodes, t.msgs_per_sec, t.latency_mean_us);
@@ -192,7 +203,7 @@ pub fn scale(args: &[String]) -> Result<(), String> {
 /// `totem udp` — the real-socket counterpart of `totem throughput`:
 /// a loopback UDP cluster under the threaded runtime.
 pub fn udp(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&UDP, args)?;
     let nodes: usize = flags.get("nodes", 3)?;
     let networks: usize = flags.get("networks", 2)?;
     let msgs: u64 = flags.get("msgs", 300)?;
@@ -266,15 +277,14 @@ pub fn udp(args: &[String]) -> Result<(), String> {
 /// with no duplicates and nothing lost. The self-stabilization soak
 /// (fault and corruption drip, rolling oracle) is `cargo xtask soak`.
 pub fn soak(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(&SOAK, args)?;
     let seconds: u64 = flags.get("seconds", 10)?;
     let loss_pct: f64 = flags.get("loss", 1.0)?;
     let seed: u64 = flags.get("seed", 42)?;
     let style = flags.style()?;
-    let backend = flags.backend()?;
     let nodes = 4usize;
 
-    let mut cfg = ClusterConfig::new(nodes, style).with_seed(seed).with_backend(backend);
+    let mut cfg = ClusterConfig::new(nodes, style).with_seed(seed);
     let networks = cfg.networks;
     let mut sim = SimConfig::lan(nodes, networks);
     sim.networks = vec![NetworkConfig::ethernet_100mbit().with_rx_loss(loss_pct / 100.0); networks];
@@ -283,7 +293,7 @@ pub fn soak(args: &[String]) -> Result<(), String> {
     let mut cluster = SimCluster::new(cfg);
 
     println!(
-        "{backend} / {style}, {nodes} nodes, {loss_pct}% per-receiver loss, \
+        "{style}, {nodes} nodes, {loss_pct}% per-receiver loss, \
          seed {seed}, {seconds}s simulated"
     );
     let mut t = SimTime::ZERO;

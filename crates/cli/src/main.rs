@@ -7,8 +7,12 @@
 //! totem figures    [--quick]
 //! totem failover   [--replication S] [--nodes N]
 //! totem soak       [--seconds S] [--loss PCT] [--replication S] [--seed X]
+//! totem scale      [--replication S] [--size BYTES] [--max-nodes N]
 //! totem udp        [--nodes N] [--networks M] [--replication S] [--msgs K]
+//!                  [--size BYTES]
 //! ```
+//!
+//! A flag the subcommand does not read is an error.
 //!
 //! Replication styles: `single`, `active`, `passive`, `ap:K`
 //! (active-passive with K copies), `k-of-n:K` (the unified engine at

@@ -1,5 +1,6 @@
 //! In-process integration tests of the `totem` subcommands.
 
+use totem_cli::args::Flags;
 use totem_cli::commands;
 
 fn argv(s: &[&str]) -> Vec<String> {
@@ -66,4 +67,87 @@ fn compare_prints_all_styles() {
 #[test]
 fn scale_sweeps_ring_sizes() {
     commands::scale(&argv(&["--replication", "passive", "--max-nodes", "4"])).unwrap();
+}
+
+#[test]
+fn a_misspelled_flag_is_refused() {
+    let err = commands::throughput(&argv(&[
+        "--nodse",
+        "3",
+        "--window-ms",
+        "50",
+        "--replication",
+        "single",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("--nodse") && err.contains("totem throughput"), "{err}");
+    let err = commands::compare(&argv(&["--nodes", "3", "--window-ms", "50"])).unwrap_err();
+    assert!(err.contains("--window-ms") && err.contains("totem compare"), "{err}");
+}
+
+#[test]
+fn the_backend_flag_is_refused() {
+    type Command = fn(&[String]) -> Result<(), String>;
+    let run: [(&str, Command); 3] = [
+        ("throughput", commands::throughput),
+        ("scale", commands::scale),
+        ("soak", commands::soak),
+    ];
+    for (name, command) in run {
+        let err = command(&argv(&["--backend", "ring-paxos", "--replication", "single"]))
+            .expect_err(name);
+        assert!(err.contains("--backend") && err.contains(name), "{name}: {err}");
+    }
+}
+
+/// The flags `USAGE` lists under each command, read off its
+/// `totem <command> [--flag VALUE] [--switch]` lines and their
+/// bracketed continuation lines: `(command, flag, takes a value)`.
+fn usage_flags() -> Vec<(String, String, bool)> {
+    let mut flags = Vec::new();
+    let mut command = None;
+    for line in commands::USAGE.lines().map(str::trim) {
+        if let Some(rest) = line.strip_prefix("totem ") {
+            command = rest.split_whitespace().next().map(str::to_string);
+        } else if !line.starts_with('[') {
+            command = None;
+        }
+        let Some(command) = &command else { continue };
+        for group in line.split('[').skip(1) {
+            let mut words = group.trim_end_matches([']', ' ']).split_whitespace();
+            if let Some(flag) = words.next() {
+                flags.push((command.clone(), flag.to_string(), words.next().is_some()));
+            }
+        }
+    }
+    flags
+}
+
+#[test]
+fn every_usage_flag_is_accepted_by_its_command() {
+    let listed = usage_flags();
+    assert!(listed.len() > 20, "USAGE reading found only {listed:?}");
+    for (command, flag, takes_value) in &listed {
+        let spec = commands::COMMANDS
+            .iter()
+            .find(|s| s.command == command)
+            .unwrap_or_else(|| panic!("USAGE lists `totem {command}`, which has no flag spec"));
+        let args = if *takes_value { argv(&[flag, "1"]) } else { argv(&[flag]) };
+        if let Err(e) = Flags::parse(spec, &args) {
+            panic!("USAGE lists {flag} under `totem {command}`: {e}");
+        }
+    }
+    // And the converse: a command reads no flag USAGE does not list.
+    for spec in &commands::COMMANDS {
+        for (flag, takes_value) in
+            spec.values.iter().map(|f| (f, true)).chain(spec.switches.iter().map(|f| (f, false)))
+        {
+            let entry = (spec.command.to_string(), format!("--{flag}"), takes_value);
+            assert!(
+                listed.contains(&entry),
+                "`totem {}` reads --{flag}, USAGE omits it",
+                spec.command
+            );
+        }
+    }
 }

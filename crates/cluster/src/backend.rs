@@ -1,108 +1,43 @@
-//! The broadcast backend seam.
+//! The broadcast engine seam.
 //!
 //! Everything above the protocol engine — [`crate::SimCluster`], the
 //! threaded [`crate::runtime`], the chaos harness, the model checker,
-//! the CLI — drives a [`Broadcast`] implementor, not a concrete
-//! protocol. The seam mirrors the sans-io surface [`TotemNode`] always
-//! had: feed inputs (`submit` / `on_packet` / `on_timer`), drain
-//! [`NodeOutput`]s into a caller-owned buffer, ask for the next timer
-//! deadline. Anything that can speak that contract can be benched,
-//! fuzzed and model-checked by the same hosts.
+//! the CLI — drives [`TotemNode`], Totem SRP over RRP. The threaded
+//! runtime takes any [`Broadcast`] implementor, so a test double or a
+//! recording wrapper can stand in for the node. The trait mirrors the
+//! node's sans-io surface: feed inputs (`submit` / `on_packet` /
+//! `on_timer`), drain [`NodeOutput`]s into a caller-owned buffer, ask
+//! for the next timer deadline.
 //!
-//! Two engines implement it today:
-//!
-//! * [`TotemNode`] — Totem SRP over RRP, the paper's protocol;
-//! * [`crate::backends::RingPaxosNode`] — a minimal Ring Paxos
-//!   (coordinator + ring of acceptors, pipelined instances), the
-//!   head-to-head counterpart from ROADMAP item 4.
-//!
-//! [`BackendNode`] is the closed sum of the two, used wherever a host
-//! must pick the engine at runtime (a `ClusterConfig`, a CLI flag)
-//! rather than at compile time. Enum dispatch keeps the hot paths
-//! monomorphic — no vtables on the per-packet path.
-//!
-//! # What the trait deliberately excludes
-//!
-//! The seam is the *broadcast* contract only: totally ordered
-//! delivery, configuration changes, fault reports, timers. It does not
-//! model membership change as an operation (Totem discovers
-//! membership; Ring Paxos here runs a static ensemble), does not
-//! expose the token or any other protocol internal, and does not
-//! promise that administrative verbs apply everywhere — `reinstate`
-//! and `set_k` are RRP concepts that default to "unsupported", and
-//! state corruption (`corrupt`) defaults to a no-op on backends that
-//! have no self-stabilization story yet.
+//! [`BackendNode`] is a one-variant enum around [`TotemNode`]. No
+//! product code uses it; the frozen `benchmark/` package still names
+//! it, and it goes when that package next changes (ROADMAP item 4b),
+//! together with the two defaulted methods below.
 
 use bytes::Bytes;
 
-use totem_srp::{SrpState, SubmitError};
-use totem_wire::{NetworkId, NodeId, RingId, SharedPacket, Transition};
+use totem_srp::SubmitError;
+use totem_wire::{NetworkId, NodeId, SharedPacket, Transition};
 
-use crate::backends::RingPaxosNode;
 use crate::node::{Nanos, NodeOutput, TotemNode};
 
-/// Which broadcast engine a cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
-    /// Totem single-ring protocol over the redundant ring layer (the
-    /// paper's stack; the default).
-    #[default]
-    Totem,
-    /// Ring Paxos: coordinator + ring of acceptors, pipelined
-    /// instances, learner delivery in instance order.
-    RingPaxos,
-}
-
-impl BackendKind {
-    /// Every selectable backend, in CLI presentation order.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Totem, BackendKind::RingPaxos];
-
-    /// The canonical CLI / TOML spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Totem => "totem",
-            BackendKind::RingPaxos => "ring-paxos",
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "totem" => Ok(BackendKind::Totem),
-            "ring-paxos" | "ring_paxos" | "ringpaxos" => Ok(BackendKind::RingPaxos),
-            other => Err(format!("unknown backend {other:?} (expected totem or ring-paxos)")),
-        }
-    }
-}
-
-/// The sans-io atomic-broadcast contract every backend implements.
+/// The sans-io atomic-broadcast contract the hosts drive.
 ///
 /// All methods are driven by a host that owns the clock and the wire:
 /// inputs arrive with an explicit `now` in protocol nanoseconds,
 /// outputs accumulate in a caller-owned buffer (so reception hot paths
-/// recycle one allocation across packets), and the backend never does
+/// recycle one allocation across packets), and the engine never does
 /// I/O of its own.
 pub trait Broadcast {
     /// This node's identifier.
     fn id(&self) -> NodeId;
 
-    /// Begins the backend's startup protocol on a node that joins (or
-    /// rejoins) the ensemble dynamically. Static members that need no
-    /// startup traffic emit nothing.
+    /// Begins the membership protocol on a node that joins (or
+    /// rejoins) the ring dynamically.
     fn start_into(&mut self, now: Nanos, out: &mut Vec<NodeOutput>);
 
-    /// Bootstrap action of the distinguished starter (Totem: the
-    /// representative injects the initial token). Backends without a
-    /// bootstrap artifact emit nothing.
+    /// Bootstrap action of the distinguished starter: the
+    /// representative injects the initial token.
     fn bootstrap_into(&mut self, now: Nanos, out: &mut Vec<NodeOutput>);
 
     /// Queues an application message for totally ordered broadcast,
@@ -132,10 +67,10 @@ pub trait Broadcast {
     /// sockets calls. The default decodes it
     /// ([`SharedPacket::from_datagram`]; a malformed datagram is
     /// dropped unseen) and hands the packet to
-    /// [`Broadcast::on_packet_into`]. A backend that can tell from a
-    /// datagram's fixed header that it is a redundant copy overrides
-    /// this to account for the copy without decoding it; the outputs
-    /// and every counter must come out as the default's would.
+    /// [`Broadcast::on_packet_into`]. [`TotemNode`] overrides this to
+    /// account for a redundant copy from its fixed header without
+    /// decoding it; the outputs and every counter must come out as
+    /// the default's would.
     fn on_datagram_into(
         &mut self,
         now: Nanos,
@@ -164,31 +99,26 @@ pub trait Broadcast {
     /// the last call (the conformance trace).
     fn take_transitions(&mut self) -> Vec<Transition>;
 
-    /// Feeds the backend's protocol-visible state into a
+    /// Feeds the engine's protocol-visible state into a
     /// caller-supplied hasher (the model checker's per-node state-hash
     /// component).
     fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H);
 
     /// The identity watermark a crash must carry into the next
-    /// incarnation (Totem: the highest ring sequence number observed;
-    /// Ring Paxos: the highest instance observed). A cold restart must
-    /// start beyond it.
+    /// incarnation: the highest ring sequence number observed. A cold
+    /// restart must start beyond it.
     fn crash_epoch(&self) -> u64;
 
-    /// Administrative repair of a faulty network. Backends without a
-    /// redundant-network plane report `false` (unsupported).
-    fn reinstate(&mut self, _now: Nanos, _net: NetworkId) -> bool {
-        false
-    }
+    /// Administrative repair of a faulty network (see
+    /// [`totem_rrp::RrpLayer::reinstate`]).
+    fn reinstate(&mut self, now: Nanos, net: NetworkId) -> bool;
 
-    /// Runtime change of the replication degree K. Backends without a
-    /// redundant-network plane report `false` (unsupported).
-    fn set_k(&mut self, _now: Nanos, _k: usize) -> bool {
-        false
-    }
+    /// Runtime change of the replication degree K (see
+    /// [`totem_rrp::RrpLayer::set_k`]).
+    fn set_k(&mut self, now: Nanos, k: usize) -> bool;
 
     /// Applies a seeded state corruption (the self-stabilization fault
-    /// plane). Backends without corruption targets ignore it.
+    /// plane). The default ignores it.
     fn corrupt(&mut self, _target: totem_sim::CorruptionTarget, _salt: u64) {}
 }
 
@@ -271,119 +201,34 @@ impl Broadcast for TotemNode {
     }
 }
 
-/// The closed sum of the available backends: runtime backend selection
-/// with enum (not virtual) dispatch.
-///
-/// The variants differ in size (Totem carries the full SRP+RRP state),
-/// but one `BackendNode` lives per actor for the node's whole life and
-/// is never moved on a packet path, so the footprint of the smaller
-/// variant is irrelevant and boxing would only add a pointer chase.
-#[allow(clippy::large_enum_variant)]
+/// [`TotemNode`] behind a one-variant enum, kept only because the
+/// frozen `benchmark/` package names it (`benchmark/src/mirror.rs`,
+/// `benchmark/src/simtrace.rs`); ROADMAP item 4b deletes it.
 #[derive(Debug)]
 pub enum BackendNode {
     /// Totem SRP over RRP.
     Totem(TotemNode),
-    /// Ring Paxos.
-    RingPaxos(RingPaxosNode),
 }
 
 impl BackendNode {
-    /// Which engine this is.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            BackendNode::Totem(_) => BackendKind::Totem,
-            BackendNode::RingPaxos(_) => BackendKind::RingPaxos,
-        }
-    }
-
-    /// The Totem engine, if that is what this node runs.
+    /// The Totem engine.
     pub fn as_totem(&self) -> Option<&TotemNode> {
-        match self {
-            BackendNode::Totem(n) => Some(n),
-            BackendNode::RingPaxos(_) => None,
-        }
+        let BackendNode::Totem(n) = self;
+        Some(n)
     }
 
-    /// The Ring Paxos engine, if that is what this node runs.
-    pub fn as_ring_paxos(&self) -> Option<&RingPaxosNode> {
-        match self {
-            BackendNode::Totem(_) => None,
-            BackendNode::RingPaxos(n) => Some(n),
-        }
-    }
-
-    /// Protocol state as seen by the membership observers. Ring Paxos
-    /// runs a static ensemble, so it is always operational.
-    pub fn srp_state(&self) -> SrpState {
-        match self {
-            BackendNode::Totem(n) => n.state(),
-            BackendNode::RingPaxos(_) => SrpState::Operational,
-        }
-    }
-
-    /// Current membership view: Totem's ring membership, or Ring
-    /// Paxos's static ensemble.
-    pub fn members(&self) -> Option<Vec<NodeId>> {
-        match self {
-            BackendNode::Totem(n) => n.srp().members().map(|m| m.to_vec()),
-            BackendNode::RingPaxos(n) => Some(n.members().to_vec()),
-        }
-    }
-
-    /// Which networks this node has marked faulty (Totem's RRP fault
-    /// plane; Ring Paxos declares nothing faulty).
-    pub fn faulty_networks(&self, networks: usize) -> Vec<bool> {
-        match self {
-            BackendNode::Totem(n) => n.rrp().faulty(),
-            BackendNode::RingPaxos(_) => vec![false; networks],
-        }
-    }
-
-    /// Ring identity, if the backend has one (Ring Paxos reports
-    /// none — its "ring" is a static forwarding order, not a formed
-    /// membership artifact).
-    pub fn ring_id(&self) -> Option<RingId> {
-        match self {
-            BackendNode::Totem(n) => n.srp().ring_id(),
-            BackendNode::RingPaxos(_) => None,
-        }
-    }
-
-    /// Highest ordering watermark observed (Totem: ring sequence;
-    /// Ring Paxos: instance id) — the identity epoch a crash carries
-    /// forward.
-    pub fn max_ring_seq(&self) -> u64 {
-        match self {
-            BackendNode::Totem(n) => n.srp().max_ring_seq(),
-            BackendNode::RingPaxos(n) => n.crash_epoch(),
-        }
-    }
-
-    /// Per-node SRP statistics (zeroes on non-Totem backends).
+    /// Per-node SRP statistics.
     pub fn srp_stats(&self) -> totem_srp::node::SrpStats {
-        match self {
-            BackendNode::Totem(n) => n.srp().stats().clone(),
-            BackendNode::RingPaxos(_) => totem_srp::node::SrpStats::default(),
-        }
-    }
-
-    /// Diagnostic snapshot of the RRP monitors (empty on non-Totem
-    /// backends).
-    pub fn monitor_report(&self) -> Vec<(totem_rrp::MonitorKind, Vec<u64>)> {
-        match self {
-            BackendNode::Totem(n) => n.rrp().monitor_report(),
-            BackendNode::RingPaxos(_) => Vec::new(),
-        }
+        let BackendNode::Totem(n) = self;
+        n.srp().stats().clone()
     }
 }
 
 macro_rules! delegate {
-    ($self:ident, $n:ident => $body:expr) => {
-        match $self {
-            BackendNode::Totem($n) => $body,
-            BackendNode::RingPaxos($n) => $body,
-        }
-    };
+    ($self:ident, $n:ident => $body:expr) => {{
+        let BackendNode::Totem($n) = $self;
+        $body
+    }};
 }
 
 impl Broadcast for BackendNode {
@@ -446,9 +291,8 @@ impl Broadcast for BackendNode {
 
     fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash as _;
-        // The backend choice is part of the canonical state: two
-        // worlds running different engines must never hash equal.
-        (self.kind() as u8).hash(h);
+        // The engine tag this enum has always led with.
+        0u8.hash(h);
         delegate!(self, n => Broadcast::fingerprint(n, h));
     }
 
@@ -474,18 +318,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_kind_round_trips_through_its_name() {
-        for kind in BackendKind::ALL {
-            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
-        }
-        assert!("raft".parse::<BackendKind>().is_err());
-        assert_eq!("ring_paxos".parse::<BackendKind>().unwrap(), BackendKind::RingPaxos);
-    }
-
-    #[test]
     fn totem_node_speaks_the_trait() {
         use totem_rrp::{ReplicationStyle, RrpConfig};
-        use totem_srp::SrpConfig;
+        use totem_srp::{SrpConfig, SrpState};
 
         let members: Vec<NodeId> = (0..2).map(NodeId::new).collect();
         let mut node = BackendNode::Totem(TotemNode::new_operational(
@@ -495,10 +330,7 @@ mod tests {
             RrpConfig::new(ReplicationStyle::Active, 2),
             0,
         ));
-        assert_eq!(node.kind(), BackendKind::Totem);
         assert_eq!(Broadcast::id(&node), NodeId::new(0));
-        assert!(node.as_totem().is_some());
-        assert!(node.as_ring_paxos().is_none());
         let mut out = Vec::new();
         Broadcast::submit_into(&mut node, 0, Bytes::from_static(b"x"), &mut out).unwrap();
         Broadcast::bootstrap_into(&mut node, 0, &mut out);
@@ -506,7 +338,9 @@ mod tests {
             out.iter().any(|o| matches!(o, NodeOutput::Send { .. })),
             "bootstrap with a queued message must put frames on the wire"
         );
-        assert_eq!(node.srp_state(), SrpState::Operational);
-        assert!(node.members().is_some());
+        let totem = node.as_totem().unwrap();
+        assert_eq!(totem.state(), SrpState::Operational);
+        assert!(totem.srp().members().is_some());
+        assert_eq!(node.srp_stats().packets_sent, totem.srp().stats().packets_sent);
     }
 }

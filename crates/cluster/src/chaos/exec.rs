@@ -51,8 +51,7 @@ impl Execution {
         let mut cluster = SimCluster::new(
             ClusterConfig::new(nodes, schedule.style)
                 .with_seed(schedule.seed)
-                .with_start_seq(schedule.start_seq)
-                .with_backend(schedule.backend),
+                .with_start_seq(schedule.start_seq),
         );
         if let Some(capacity) = trace_capacity {
             cluster.enable_trace(capacity);

@@ -31,7 +31,6 @@ pub use totem_sim::CorruptionTarget;
 use totem_sim::{FaultCommand, SimDuration};
 use totem_wire::{NetworkId, NodeId};
 
-use crate::backend::BackendKind;
 use crate::sim_cluster::{ClusterConfig, SimCluster};
 use crate::toml;
 use oracle::Violation;
@@ -109,10 +108,6 @@ pub struct ChaosSchedule {
     /// format when zero, so legacy repro files parse — and serialize —
     /// unchanged.
     pub start_seq: u64,
-    /// Which broadcast engine runs under the schedule. Omitted from
-    /// the TOML repro format when Totem (the default), so legacy repro
-    /// files parse — and serialize — unchanged.
-    pub backend: BackendKind,
     /// Which harness runs the schedule on [`replay`]. Omitted from the
     /// TOML repro format for [`Harness::Chaos`], so chaos and mc repro
     /// files parse — and serialize — unchanged.
@@ -148,35 +143,6 @@ pub fn replay(schedule: &ChaosSchedule) -> Replay {
     match schedule.harness {
         Harness::Chaos => Replay::Chaos(run(schedule)),
         Harness::Soak => Replay::Soak(soak::run(schedule)),
-    }
-}
-
-impl ChaosSchedule {
-    /// Retargets the schedule at `backend`.
-    ///
-    /// For [`BackendKind::RingPaxos`] this also moves any crash or
-    /// restart of node 0 to node 1: the Ring Paxos coordinator is
-    /// fixed at `members[0]` with no failover (a scope decision, see
-    /// `backends::ring_paxos`), so killing it tests nothing but that
-    /// documented gap — and an amnesiac coordinator re-sequencing
-    /// in-flight values is exactly the divergence the fixed-coordinator
-    /// assumption excludes from the safety argument.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        if backend == BackendKind::RingPaxos {
-            for sc in &mut self.commands {
-                match &mut sc.cmd {
-                    FaultCommand::CrashNode { node } | FaultCommand::RestartNode { node }
-                        if *node == NodeId::new(0) =>
-                    {
-                        *node = NodeId::new(1);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        self
     }
 }
 
@@ -258,7 +224,6 @@ pub fn generate(seed: u64, style: ReplicationStyle, nodes: usize, steps: u64) ->
         kflips,
         corruptions: Vec::new(),
         start_seq: 0,
-        backend: BackendKind::Totem,
         harness: Harness::Chaos,
     }
 }
@@ -624,9 +589,6 @@ impl ChaosSchedule {
         if self.start_seq != 0 {
             out.push_str(&format!("start_seq = {}\n", self.start_seq));
         }
-        if self.backend != BackendKind::Totem {
-            out.push_str(&format!("backend = \"{}\"\n", self.backend.name()));
-        }
         if self.harness == Harness::Soak {
             out.push_str("harness = \"soak\"\n");
         }
@@ -706,15 +668,8 @@ impl ChaosSchedule {
     pub fn from_toml(text: &str) -> Result<Self, String> {
         let doc = toml::parse(text)?;
         let top = &doc.top;
-        top.only(
-            &["seed", "nodes", "style", "steps", "start_seq", "backend", "harness"],
-            "header",
-        )?;
+        top.only(&["seed", "nodes", "style", "steps", "start_seq", "harness"], "header")?;
         let style = top.get::<&str>("style")?.parse().map_err(|e| top.error("style", e))?;
-        let backend = match top.get_opt::<&str>("backend")? {
-            Some(name) => name.parse().map_err(|e| top.error("backend", e))?,
-            None => BackendKind::Totem,
-        };
         let harness = match top.get_opt::<&str>("harness")? {
             None => Harness::Chaos,
             Some("soak") => Harness::Soak,
@@ -729,7 +684,6 @@ impl ChaosSchedule {
             kflips: Vec::new(),
             corruptions: Vec::new(),
             start_seq: top.get_opt("start_seq")?.unwrap_or(0),
-            backend,
             harness,
         };
         for t in &doc.tables {
@@ -858,47 +812,14 @@ mod tests {
     }
 
     #[test]
-    fn backend_tag_roundtrips_through_toml_and_elides_totem() {
-        let schedule = generate(5, ReplicationStyle::Active, 4, 96);
-        // The default backend is elided so legacy repro files stay
-        // byte-compatible in both directions.
-        assert!(!schedule.to_toml().contains("backend"));
-        let tagged =
-            generate(5, ReplicationStyle::Active, 4, 96).with_backend(BackendKind::RingPaxos);
-        let toml = tagged.to_toml();
-        assert!(toml.contains("backend = \"ring-paxos\""), "{toml}");
-        let parsed = ChaosSchedule::from_toml(&toml).expect("roundtrip parse");
-        assert_eq!(tagged, parsed);
-        assert_eq!(parsed.backend, BackendKind::RingPaxos);
-    }
-
-    #[test]
-    fn with_backend_retargets_coordinator_crashes_for_ring_paxos() {
-        // Find a seed whose schedule crashes node 0 so the retarget is
-        // actually exercised.
-        let (seed, schedule) = (0..100)
-            .map(|seed| (seed, generate(seed, ReplicationStyle::Active, 4, 200)))
-            .find(|(_, s)| {
-                s.commands
-                    .iter()
-                    .any(|c| c.cmd == (FaultCommand::CrashNode { node: NodeId::new(0) }))
-            })
-            .expect("some seed must crash node 0");
-        let retargeted = schedule.clone().with_backend(BackendKind::RingPaxos);
-        assert_eq!(retargeted.backend, BackendKind::RingPaxos);
-        for c in &retargeted.commands {
-            assert_ne!(
-                c.cmd,
-                FaultCommand::CrashNode { node: NodeId::new(0) },
-                "seed {seed}: the fixed coordinator must never be crashed"
-            );
-            assert_ne!(c.cmd, FaultCommand::RestartNode { node: NodeId::new(0) });
-        }
-        // Everything else is untouched.
-        assert_eq!(retargeted.commands.len(), schedule.commands.len());
-        // Totem keeps its schedule bit-identical.
-        let same = schedule.clone().with_backend(BackendKind::Totem);
-        assert_eq!(same.commands, schedule.commands);
+    fn a_backend_key_is_refused() {
+        // The `backend` key once selected a second engine. A repro
+        // that still names one must not be replayed as Totem.
+        let text = generate(5, ReplicationStyle::Active, 4, 96)
+            .to_toml()
+            .replace("steps = 96\n", "steps = 96\nbackend = \"ring-paxos\"\n");
+        let err = ChaosSchedule::from_toml(&text).expect_err("a backend key must be refused");
+        assert!(err.contains("`backend`"), "{err}");
     }
 
     #[test]
@@ -980,7 +901,6 @@ mod tests {
                 salt: 42,
             }],
             start_seq: 0,
-            backend: BackendKind::Totem,
             harness: Harness::Chaos,
         };
         let text = schedule.to_toml();
@@ -1114,7 +1034,6 @@ mod tests {
             kflips: Vec::new(),
             corruptions: Vec::new(),
             start_seq: 0,
-            backend: BackendKind::Totem,
             harness: Harness::Chaos,
         }
     }
@@ -1202,7 +1121,6 @@ mod tests {
             kflips: Vec::new(),
             corruptions: Vec::new(),
             start_seq: 0,
-            backend: BackendKind::Totem,
             harness: Harness::Chaos,
         };
         let parsed = ChaosSchedule::from_toml(&schedule.to_toml()).expect("roundtrip parse");
@@ -1275,9 +1193,6 @@ mod tests {
                 // Zero (the elided-from-TOML default) and near-wrap
                 // starts both round-trip.
                 prop_oneof![Just(0u64), any::<u64>()],
-                // Both backends round-trip (Totem is elided from the
-                // TOML form).
-                prop_oneof![Just(BackendKind::Totem), Just(BackendKind::RingPaxos)],
                 // Both harnesses round-trip (chaos is elided).
                 prop_oneof![Just(Harness::Chaos), Just(Harness::Soak)],
             )
@@ -1291,7 +1206,6 @@ mod tests {
                         kflips,
                         corruptions,
                         start_seq,
-                        backend,
                         harness,
                     )| {
                         ChaosSchedule {
@@ -1313,7 +1227,6 @@ mod tests {
                                 .collect(),
                             corruptions,
                             start_seq,
-                            backend,
                             harness,
                         }
                     },

@@ -177,7 +177,6 @@ pub fn plan(seed: u64, opts: &SoakOptions) -> ChaosSchedule {
         kflips,
         corruptions,
         start_seq: 0,
-        backend: crate::backend::BackendKind::Totem,
         harness: Harness::Soak,
     }
 }

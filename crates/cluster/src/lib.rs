@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod backends;
 pub mod chaos;
 pub mod mc;
 pub mod node;
@@ -56,8 +55,7 @@ pub mod scenarios;
 pub mod sim_cluster;
 pub mod toml;
 
-pub use backend::{BackendKind, BackendNode, Broadcast};
-pub use backends::RingPaxosNode;
+pub use backend::{BackendNode, Broadcast};
 pub use chaos::{ChaosReport, ChaosSchedule, ScheduledCommand};
 pub use mc::{Counterexample, McOptions, McReport};
 pub use node::{NodeOutput, TotemNode};

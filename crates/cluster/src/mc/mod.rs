@@ -64,7 +64,6 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use totem_sim::{FaultCommand, SimTime};
 use totem_wire::{Incarnation, NetworkId, NodeId, Seq};
 
-use crate::backend::BackendKind;
 use crate::chaos::oracle::{self, Violation};
 use crate::chaos::{exec, ChaosSchedule, Harness, ReplicationStyle, ScheduledCommand, TICK};
 use crate::sim_cluster::SimCluster;
@@ -73,6 +72,9 @@ use crate::sim_cluster::SimCluster;
 /// [`McReport::transitions_dropped`] reports any overflow instead of
 /// silently losing coverage.
 const TRACE_CAPACITY: usize = 16_384;
+
+/// The spec machine whose exercised edges [`McReport::edges`] records.
+pub const TRACKED_MACHINE: &str = "srp-membership";
 
 /// One explorer action: either a quiet step of virtual time or an
 /// instantaneous fault injection at the current step boundary.
@@ -163,12 +165,6 @@ pub struct McOptions {
     /// [`oracle::check_prefix_equality`] to prove the
     /// emission/shrink/replay pipeline end-to-end.
     pub oracle: fn(&SimCluster, usize) -> Vec<Violation>,
-    /// Which broadcast engine the explored cluster runs. Under
-    /// [`BackendKind::RingPaxos`] the coordinator (node 0) is exempt
-    /// from crash injections — its crash-recovery is out of the
-    /// backend's documented scope — and the view-sanity invariant is
-    /// skipped (a static ensemble forms no membership views).
-    pub backend: BackendKind,
 }
 
 impl McOptions {
@@ -186,26 +182,6 @@ impl McOptions {
             seed: 0,
             start_seq: 0,
             oracle: oracle::check_safety,
-            backend: BackendKind::default(),
-        }
-    }
-
-    /// The spec machines whose exercised edges the exploration report
-    /// tracks for this backend.
-    pub fn tracked_machines(&self) -> &'static [&'static str] {
-        match self.backend {
-            BackendKind::Totem => &["srp-membership"],
-            BackendKind::RingPaxos => &["ring-paxos", "ring-paxos-ring"],
-        }
-    }
-
-    /// The lowest node id crash injections may target: 1 under Ring
-    /// Paxos (fixed coordinator, see [`McOptions::backend`]), 0
-    /// otherwise.
-    fn first_crashable(&self) -> u16 {
-        match self.backend {
-            BackendKind::Totem => 0,
-            BackendKind::RingPaxos => 1,
         }
     }
 
@@ -243,8 +219,7 @@ pub struct McReport {
     pub digest: u64,
     /// Deepest quiet-step count reached.
     pub deepest: u64,
-    /// Every tracked spec edge exercised (the backend's machines, see
-    /// [`McOptions::tracked_machines`]), keyed
+    /// Every [`TRACKED_MACHINE`] spec edge exercised, keyed
     /// `(from, event, to)`, with the quiet-step depth it was first
     /// seen at.
     pub edges: BTreeMap<(String, String, String), u64>,
@@ -391,7 +366,6 @@ pub fn schedule_of(actions: &[Action], opts: &McOptions) -> ChaosSchedule {
         kflips: Vec::new(),
         corruptions: Vec::new(),
         start_seq: opts.start_seq,
-        backend: opts.backend,
         harness: Harness::Chaos,
     }
 }
@@ -425,9 +399,7 @@ fn snapshot(cluster: &SimCluster, nodes: usize) -> Vec<NodeSnap> {
 /// across the parent→child transition.
 fn check_state(cluster: &SimCluster, opts: &McOptions, parent: &[NodeSnap]) -> Vec<Violation> {
     let mut violations = (opts.oracle)(cluster, opts.nodes);
-    if opts.backend == BackendKind::Totem {
-        violations.extend(oracle::check_view_sanity(cluster, opts.nodes));
-    }
+    violations.extend(oracle::check_view_sanity(cluster, opts.nodes));
     for (n, snap) in parent.iter().enumerate() {
         let now = cluster.max_ring_seq(n);
         if !Seq::new(now).at_or_after(Seq::new(snap.max_ring_seq)) {
@@ -476,12 +448,12 @@ fn hash_state(cluster: &SimCluster, rec: &StateRec) -> u64 {
     h.finish()
 }
 
-fn record_edges(cluster: &SimCluster, quiets: u64, opts: &McOptions, report: &mut McReport) {
+fn record_edges(cluster: &SimCluster, quiets: u64, report: &mut McReport) {
     if let Some(trace) = cluster.trace() {
         report.transitions_dropped += trace.transitions_dropped();
         for rec in trace.transitions() {
             let t = rec.transition;
-            if opts.tracked_machines().contains(&t.machine) {
+            if t.machine == TRACKED_MACHINE {
                 report
                     .edges
                     .entry((t.from.to_string(), t.event.to_string(), t.to.to_string()))
@@ -507,7 +479,7 @@ fn expansions(rec: &StateRec, opts: &McOptions) -> Vec<Action> {
     let admissible = |a: Action| group_min.is_none_or(|m| a.rank() > Some(m));
 
     if rec.crashes_used < opts.crashes {
-        for n in opts.first_crashable()..opts.nodes as u16 {
+        for n in 0..opts.nodes as u16 {
             let a = Action::Crash(n);
             if !rec.crashed[n as usize] && admissible(a) {
                 actions.push(a);
@@ -656,7 +628,7 @@ pub fn explore(opts: &McOptions) -> McReport {
     visited.insert(hash);
     report.states += 1;
     report.digest = report.digest.wrapping_add(hash);
-    record_edges(&cluster, 0, opts, &mut report);
+    record_edges(&cluster, 0, &mut report);
     queue.push_back(root);
 
     while let Some(rec) = queue.pop_front() {
@@ -678,7 +650,7 @@ pub fn explore(opts: &McOptions) -> McReport {
             report.states += 1;
             report.digest = report.digest.wrapping_add(hash);
             report.deepest = report.deepest.max(child.quiets);
-            record_edges(&cluster, child.quiets, opts, &mut report);
+            record_edges(&cluster, child.quiets, &mut report);
             child.snapshot = snapshot(&cluster, opts.nodes);
             queue.push_back(child);
         }

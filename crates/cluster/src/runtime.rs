@@ -539,6 +539,12 @@ mod tests {
         fn crash_epoch(&self) -> u64 {
             0
         }
+        fn reinstate(&mut self, _now: u64, _net: NetworkId) -> bool {
+            false
+        }
+        fn set_k(&mut self, _now: u64, _k: usize) -> bool {
+            false
+        }
     }
 
     /// Stands in for an encoded token: its redundant copies are the

@@ -56,7 +56,6 @@ pub fn run_all() -> Vec<ScenarioReport> {
         membership_edges(),
         passive_token_buffering(),
         style_switch(),
-        ring_paxos_duty_cycle(),
     ]
 }
 
@@ -393,116 +392,6 @@ fn passive_token_buffering() -> ScenarioReport {
     ScenarioReport { name: "passive-token-buffering", transitions: layer.take_transitions() }
 }
 
-/// Drives a raw three-node Ring Paxos ensemble through its whole duty
-/// cycle: a pipelined burst (open → ring ack → last-acceptor decision
-/// → drained), a coordinator retry after total Accept loss, and a
-/// learner gap repaired end-to-end — with the repair request landing
-/// once while the pipeline is idle and once while it is open.
-fn ring_paxos_duty_cycle() -> ScenarioReport {
-    use std::collections::VecDeque;
-
-    use crate::backend::Broadcast;
-    use crate::backends::RingPaxosNode;
-    use crate::node::NodeOutput;
-    use totem_wire::RingPaxosMsg;
-
-    let members: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-    let mut nodes: Vec<RingPaxosNode> =
-        members.iter().map(|&id| RingPaxosNode::new(id, &members, 0, 0)).collect();
-
-    /// Routes queued sends until the wire falls silent;
-    /// `drop_decisions_to` models one learner missing every `Decision`
-    /// multicast (the loss the gap-repair path exists for).
-    fn route(
-        nodes: &mut [RingPaxosNode],
-        start: Vec<(usize, NodeOutput)>,
-        now: u64,
-        drop_decisions_to: Option<usize>,
-    ) {
-        let mut wire: VecDeque<(usize, NodeOutput)> = start.into();
-        let mut guard = 0;
-        while let Some((src, o)) = wire.pop_front() {
-            guard += 1;
-            assert!(guard < 100_000, "ring-paxos scenario wire never drained");
-            let NodeOutput::Send { dst, pkt, .. } = o else { continue };
-            let targets: Vec<usize> = match dst {
-                Some(d) => vec![d.as_u16() as usize],
-                None => (0..nodes.len()).filter(|&i| i != src).collect(),
-            };
-            for t in targets {
-                if drop_decisions_to == Some(t)
-                    && matches!(pkt.packet(), Packet::RingPaxos(RingPaxosMsg::Decision { .. }))
-                {
-                    continue;
-                }
-                let mut out = Vec::new();
-                nodes[t].on_packet_into(now, NetworkId::new(0), pkt.clone(), &mut out);
-                wire.extend(out.into_iter().map(|x| (t, x)));
-            }
-        }
-    }
-
-    // Propose / Pipeline / RingForward / LastDecide / Drained: two
-    // values from two proposers arrive back-to-back, so the second is
-    // sequenced while the first instance is still circling the ring.
-    let mut burst = Vec::new();
-    {
-        let mut out = Vec::new();
-        nodes[1].submit_into(0, Bytes::from_static(b"rp-a"), &mut out).expect("empty queue");
-        burst.extend(out.drain(..).map(|o| (1usize, o)));
-        nodes[2].submit_into(0, Bytes::from_static(b"rp-b"), &mut out).expect("empty queue");
-        burst.extend(out.drain(..).map(|o| (2usize, o)));
-    }
-    route(&mut nodes, burst, 0, None);
-
-    // Retry: the coordinator's own Accept multicast is lost outright;
-    // once the retransmit backoff expires its tick re-drives the ring
-    // and the instance completes.
-    {
-        let mut lost = Vec::new();
-        nodes[0].submit_into(1_000_000, Bytes::from_static(b"rp-c"), &mut lost).expect("queue");
-        drop(lost);
-        nodes[0].next_deadline().expect("an open instance arms the retry tick");
-        let t = 42_000_000; // past the initial 40 ms retransmit backoff
-        let mut out = Vec::new();
-        nodes[0].on_timer_into(t, &mut out);
-        route(&mut nodes, out.into_iter().map(|o| (0usize, o)).collect(), t, None);
-    }
-
-    // GapRepair + HoleFill while the pipeline is idle: node 1 misses a
-    // Decision, waits out the grace period, and asks the coordinator.
-    {
-        let mut out = Vec::new();
-        nodes[0].submit_into(60_000_000, Bytes::from_static(b"rp-d"), &mut out).expect("queue");
-        route(&mut nodes, out.into_iter().map(|o| (0usize, o)).collect(), 60_000_000, Some(1));
-        let mut learn = Vec::new();
-        nodes[1].on_timer_into(80_000_000, &mut learn);
-        route(&mut nodes, learn.into_iter().map(|o| (1usize, o)).collect(), 80_000_000, None);
-    }
-
-    // GapRepair + HoleFill while the pipeline is open: same loss, but
-    // a further instance is in flight (its Accept withheld) when the
-    // repair request lands.
-    {
-        let mut out = Vec::new();
-        nodes[2].submit_into(90_000_000, Bytes::from_static(b"rp-e"), &mut out).expect("queue");
-        route(&mut nodes, out.into_iter().map(|o| (2usize, o)).collect(), 90_000_000, Some(1));
-        let mut held = Vec::new();
-        nodes[0].submit_into(95_000_000, Bytes::from_static(b"rp-f"), &mut held).expect("queue");
-        let mut learn = Vec::new();
-        nodes[1].on_timer_into(110_000_000, &mut learn);
-        route(&mut nodes, learn.into_iter().map(|o| (1usize, o)).collect(), 110_000_000, None);
-        // Release the held Accept so the scenario ends quiesced.
-        route(&mut nodes, held.into_iter().map(|o| (0usize, o)).collect(), 110_000_000, None);
-    }
-
-    let mut trs = Vec::new();
-    for n in &mut nodes {
-        trs.extend(n.take_transitions());
-    }
-    ScenarioReport { name: "ring-paxos-duty-cycle", transitions: trs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,15 +429,6 @@ mod tests {
         ("rrp-replication", "Steady", "OperatorSetK", "Steady"),
         ("rrp-replication", "Steady", "AutoDegrade", "Steady"),
         ("rrp-replication", "Steady", "AutoRestore", "Steady"),
-        ("ring-paxos", "Idle", "Propose", "Open"),
-        ("ring-paxos", "Open", "Pipeline", "Open"),
-        ("ring-paxos", "Open", "Retry", "Open"),
-        ("ring-paxos", "Open", "Drained", "Idle"),
-        ("ring-paxos", "Idle", "HoleFill", "Idle"),
-        ("ring-paxos", "Open", "HoleFill", "Open"),
-        ("ring-paxos-ring", "Steady", "RingForward", "Steady"),
-        ("ring-paxos-ring", "Steady", "LastDecide", "Steady"),
-        ("ring-paxos-ring", "Steady", "GapRepair", "Steady"),
     ];
 
     #[test]

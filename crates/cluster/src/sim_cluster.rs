@@ -1,8 +1,6 @@
 //! A whole broadcast cluster inside the deterministic simulator.
 //!
-//! [`SimCluster`] hosts N broadcast engines — [`TotemNode`]s by
-//! default, or any other [`Broadcast`] backend selected through
-//! [`ClusterConfig::with_backend`] — as actors of a
+//! [`SimCluster`] hosts N [`TotemNode`]s as actors of a
 //! [`totem_sim::SimWorld`], wiring protocol sends to the simulated
 //! networks and collecting deliveries, configuration changes and
 //! fault reports per node. It is the substrate for the integration
@@ -15,8 +13,7 @@ use totem_sim::{Actor, Ctx, FaultCommand, SimConfig, SimStats, SimTime, SimWorld
 use totem_srp::{ConfigChange, Delivered, SrpConfig, SrpState, SubmitError};
 use totem_wire::{Incarnation, NetworkId, NodeId};
 
-use crate::backend::{BackendKind, BackendNode, Broadcast};
-use crate::backends::RingPaxosNode;
+use crate::backend::Broadcast;
 use crate::node::{NodeOutput, TotemNode};
 
 /// Configuration of a simulated cluster.
@@ -39,8 +36,6 @@ pub struct ClusterConfig {
     /// Keep full per-node delivery logs (tests) or only counters
     /// (benchmarks).
     pub record_deliveries: bool,
-    /// Which broadcast engine the nodes run (default: Totem).
-    pub backend: BackendKind,
 }
 
 impl ClusterConfig {
@@ -67,7 +62,6 @@ impl ClusterConfig {
             sim: SimConfig::lan(nodes, networks),
             joining: false,
             record_deliveries: true,
-            backend: BackendKind::Totem,
         }
     }
 
@@ -115,14 +109,6 @@ impl ClusterConfig {
         self.record_deliveries = false;
         self
     }
-
-    /// Selects the broadcast engine. Non-Totem backends run a static
-    /// ensemble: `joining` is ignored and the RRP plane (replication
-    /// style, reinstatement, K changes) does not apply.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// Aggregated application-level counters.
@@ -159,11 +145,10 @@ impl ClusterCounters {
 
 /// One node hosted in the simulator.
 struct ClusterActor {
-    node: BackendNode,
-    /// Builds a cold replacement engine after a crash, from the
-    /// identity epoch the dead incarnation reached and the reboot's
-    /// incarnation number (think: the two counters on stable storage).
-    rebuild: Box<dyn Fn(u64, Incarnation) -> BackendNode + Send>,
+    node: TotemNode,
+    /// The configuration a cold reboot rebuilds the node from.
+    srp: SrpConfig,
+    rrp: RrpConfig,
     /// `false` while crashed by [`FaultCommand::CrashNode`].
     alive: bool,
     /// Reboots survived ([`Incarnation::ZERO`] = the original
@@ -333,7 +318,12 @@ impl Actor for ClusterActor {
         // the *observer's* records, not the node's, and accumulate
         // across incarnations.
         self.incarnation = self.incarnation.next();
-        self.node = (self.rebuild)(self.epoch, self.incarnation);
+        self.node = TotemNode::new_rejoining(
+            self.node.id(),
+            self.srp.clone(),
+            self.rrp.clone(),
+            self.epoch,
+        );
         self.alive = true;
         let mut outputs = std::mem::take(&mut self.out_buf);
         self.node.start_into(now.as_nanos(), &mut outputs);
@@ -371,57 +361,21 @@ impl SimCluster {
         let actors = members
             .iter()
             .map(|&me| {
-                let node = match cfg.backend {
-                    BackendKind::Totem => BackendNode::Totem(if cfg.joining {
-                        TotemNode::new_joining(me, cfg.srp.clone(), cfg.rrp.clone())
-                    } else {
-                        TotemNode::new_operational(
-                            me,
-                            &members,
-                            cfg.srp.clone(),
-                            cfg.rrp.clone(),
-                            0,
-                        )
-                    }),
-                    BackendKind::RingPaxos => {
-                        BackendNode::RingPaxos(RingPaxosNode::new(me, &members, 0, 0))
-                    }
-                };
-                let rebuild: Box<dyn Fn(u64, Incarnation) -> BackendNode + Send> = match cfg.backend
-                {
-                    BackendKind::Totem => {
-                        let srp = cfg.srp.clone();
-                        let rrp = cfg.rrp.clone();
-                        Box::new(move |epoch, _inc| {
-                            BackendNode::Totem(TotemNode::new_rejoining(
-                                me,
-                                srp.clone(),
-                                rrp.clone(),
-                                epoch,
-                            ))
-                        })
-                    }
-                    BackendKind::RingPaxos => {
-                        let ensemble = members.clone();
-                        Box::new(move |epoch, inc| {
-                            BackendNode::RingPaxos(RingPaxosNode::new(
-                                me,
-                                &ensemble,
-                                inc.as_u64(),
-                                epoch,
-                            ))
-                        })
-                    }
+                let node = if cfg.joining {
+                    TotemNode::new_joining(me, cfg.srp.clone(), cfg.rrp.clone())
+                } else {
+                    TotemNode::new_operational(me, &members, cfg.srp.clone(), cfg.rrp.clone(), 0)
                 };
                 ClusterActor {
                     node,
-                    rebuild,
+                    srp: cfg.srp.clone(),
+                    rrp: cfg.rrp.clone(),
                     alive: true,
                     incarnation: Incarnation::ZERO,
                     epoch: 0,
                     cpu: cfg.sim.cpus[me.index()].clone(),
                     bootstrap: !cfg.joining && me == members[0],
-                    joining: cfg.joining && cfg.backend == BackendKind::Totem,
+                    joining: cfg.joining,
                     record: cfg.record_deliveries,
                     saturate: None,
                     delivered: Vec::new(),
@@ -613,28 +567,19 @@ impl SimCluster {
         total
     }
 
-    /// Which engine this cluster runs.
-    pub fn backend(&self) -> BackendKind {
-        self.world.actor(NodeId::new(0)).node.kind()
-    }
-
-    /// Protocol state of one node as seen by the membership observers
-    /// (non-Totem backends are always operational).
+    /// Protocol state of one node as seen by the membership observers.
     pub fn srp_state(&self, node: usize) -> SrpState {
-        self.world.actor(NodeId::new(node as u16)).node.srp_state()
+        self.world.actor(NodeId::new(node as u16)).node.state()
     }
 
-    /// Membership view of one node: the ring membership (Totem) or
-    /// the static ensemble (Ring Paxos).
+    /// Ring membership of one node.
     pub fn members(&self, node: usize) -> Option<Vec<NodeId>> {
-        self.world.actor(NodeId::new(node as u16)).node.members()
+        self.world.actor(NodeId::new(node as u16)).node.srp().members().map(<[NodeId]>::to_vec)
     }
 
-    /// Which networks `node` has marked faulty (all-false on backends
-    /// without a redundant-network plane).
+    /// Which networks `node` has marked faulty.
     pub fn faulty_networks(&self, node: usize) -> Vec<bool> {
-        let networks = self.world.config().network_count();
-        self.world.actor(NodeId::new(node as u16)).node.faulty_networks(networks)
+        self.world.actor(NodeId::new(node as u16)).node.rrp().faulty()
     }
 
     /// Schedules a fault command at a simulated instant.
@@ -677,10 +622,9 @@ impl SimCluster {
         self.world.actor(NodeId::new(node as u16)).incarnation
     }
 
-    /// Diagnostic snapshot of one node's RRP monitors (empty on
-    /// backends without a redundant-network plane).
+    /// Diagnostic snapshot of one node's RRP monitors.
     pub fn monitor_report(&self, node: usize) -> Vec<(totem_rrp::MonitorKind, Vec<u64>)> {
-        self.world.actor(NodeId::new(node as u16)).node.monitor_report()
+        self.world.actor(NodeId::new(node as u16)).node.rrp().monitor_report()
     }
 
     /// Wire-level statistics of the simulated networks.
@@ -699,21 +643,20 @@ impl SimCluster {
         self.world.trace()
     }
 
-    /// Per-node SRP statistics (zeroes on non-Totem backends).
+    /// Per-node SRP statistics.
     pub fn srp_stats(&self, node: usize) -> totem_srp::node::SrpStats {
-        self.world.actor(NodeId::new(node as u16)).node.srp_stats()
+        self.world.actor(NodeId::new(node as u16)).node.srp().stats().clone()
     }
 
-    /// Ring identity of one node, if the backend forms one.
+    /// Ring identity of one node, if it has formed a ring.
     pub fn ring_id(&self, node: usize) -> Option<totem_wire::RingId> {
-        self.world.actor(NodeId::new(node as u16)).node.ring_id()
+        self.world.actor(NodeId::new(node as u16)).node.srp().ring_id()
     }
 
-    /// Highest ordering watermark `node` has ever observed — ring
-    /// sequence (Totem) or consensus instance (Ring Paxos); survives
-    /// crashes as the identity epoch.
+    /// Highest ring sequence `node` has ever observed; survives crashes
+    /// as the identity epoch.
     pub fn max_ring_seq(&self, node: usize) -> u64 {
-        self.world.actor(NodeId::new(node as u16)).node.max_ring_seq()
+        self.world.actor(NodeId::new(node as u16)).node.srp().max_ring_seq()
     }
 
     /// Feeds the observable cluster state into a caller-supplied
@@ -730,6 +673,9 @@ impl SimCluster {
             let a = self.world.actor(NodeId::new(n as u16));
             a.alive.hash(h);
             a.incarnation.hash(h);
+            // The zero engine tag `BackendNode` hashed first: it keeps
+            // the model checker's pinned digests.
+            0u8.hash(h);
             a.node.fingerprint(h);
             a.delivered.len().hash(h);
             for d in &a.delivered {

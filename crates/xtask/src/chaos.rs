@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use totem_cluster::chaos::{self, ChaosReport, ChaosSchedule, Harness, Replay, ReplicationStyle};
-use totem_cluster::BackendKind;
 
 use crate::{par, unknown, usage_error, Flags};
 
@@ -34,7 +33,6 @@ struct Options {
     minimize: bool,
     replay: Option<PathBuf>,
     repro_dir: PathBuf,
-    backend: BackendKind,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -48,7 +46,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         minimize: false,
         replay: None,
         repro_dir: PathBuf::from("."),
-        backend: BackendKind::Totem,
     };
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
@@ -59,7 +56,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--nodes" => opts.nodes = flags.parse(flag, "an integer")?,
             "--jobs" => opts.jobs = flags.parse(flag, "an integer")?,
             "--corrupt" => opts.corrupt = flags.parse(flag, "a percentage")?,
-            "--backend" => opts.backend = flags.value(flag)?.parse()?,
             "--minimize" => opts.minimize = true,
             "--replay" => opts.replay = Some(flags.value(flag)?.into()),
             "--repro-dir" => opts.repro_dir = flags.value(flag)?.into(),
@@ -170,14 +166,11 @@ fn replay(opts: &Options, path: &Path) -> ExitCode {
 fn make_schedule(opts: &Options, style: ReplicationStyle, seed: u64) -> ChaosSchedule {
     // Knuth-style multiplicative hash so `--corrupt 30` spreads over
     // the seed space instead of corrupting only seeds 0..30.
-    let schedule = if opts.corrupt > 0 && seed.wrapping_mul(2654435761) % 100 < opts.corrupt {
+    if opts.corrupt > 0 && seed.wrapping_mul(2654435761) % 100 < opts.corrupt {
         chaos::generate_corrupting(seed, style, opts.nodes, opts.steps, 3)
     } else {
         chaos::generate(seed, style, opts.nodes, opts.steps)
-    };
-    // `with_backend` also retargets coordinator crashes off node 0 for
-    // Ring Paxos (fixed coordinator, no failover — by design).
-    schedule.with_backend(opts.backend)
+    }
 }
 
 /// Fans `seeds` schedules across every replication style, running
@@ -186,10 +179,9 @@ fn make_schedule(opts: &Options, style: ReplicationStyle, seed: u64) -> ChaosSch
 /// order and is bit-identical for any job count.
 fn fuzz(opts: &Options) -> ExitCode {
     println!(
-        "chaos: {} backend, {} seed(s) x {} style(s), {} nodes, {} traffic ticks of {}ms, {} job(s)",
-        opts.backend,
+        "chaos: {} seed(s) x {} style(s), {} nodes, {} traffic ticks of {}ms, {} job(s)",
         opts.seeds,
-        if opts.backend == BackendKind::RingPaxos { 1 } else { STYLES.len() },
+        STYLES.len(),
         opts.nodes,
         opts.steps,
         chaos::TICK.as_nanos() / 1_000_000,
@@ -200,12 +192,7 @@ fn fuzz(opts: &Options) -> ExitCode {
         "style", "seed", "commands", "crashes", "corrupt", "submitted", "delivered"
     );
 
-    // Ring Paxos never touches the RRP replication plane, so fanning
-    // it across styles would run the same engine four times; one cell
-    // per seed suffices.
-    let styles: &[ReplicationStyle] =
-        if opts.backend == BackendKind::RingPaxos { &[ReplicationStyle::Active] } else { &STYLES };
-    let cells: Vec<(ReplicationStyle, u64)> = styles
+    let cells: Vec<(ReplicationStyle, u64)> = STYLES
         .iter()
         .flat_map(|style| {
             (opts.seed_base..opts.seed_base + opts.seeds).map(move |seed| (*style, seed))
@@ -283,13 +270,9 @@ fn write_repro(
     } else {
         schedule.clone()
     };
-    let tag = match schedule.backend {
-        BackendKind::Totem => String::new(),
-        other => format!("{other}-"),
-    };
     // CI uploads repros as artifacts, whose names may not hold a `:`.
     let label = style.spelling().replace(':', "-");
-    let path = opts.repro_dir.join(format!("chaos-repro-{tag}{label}-{seed}.toml"));
+    let path = opts.repro_dir.join(format!("chaos-repro-{label}-{seed}.toml"));
     std::fs::write(&path, repro.to_toml())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("    repro written to {}", path.display());

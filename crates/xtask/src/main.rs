@@ -58,15 +58,12 @@ commands:
         --markdown <path>   also write the coverage table as GitHub
                             markdown (append to $GITHUB_STEP_SUMMARY)
 
-  chaos [--backend B] [--seeds N] [--seed-base B] [--steps S]
-        [--nodes K] [--jobs J] [--corrupt PCT] [--minimize]
-        [--replay <file>] [--repro-dir <dir>]
+  chaos [--seeds N] [--seed-base B] [--steps S] [--nodes K]
+        [--jobs J] [--corrupt PCT] [--minimize] [--replay <file>]
+        [--repro-dir <dir>]
       Fuzz seed-deterministic fault schedules (crashes, restarts,
       partitions, network kills, fault bursts) across all three
       replication styles and check the EVS invariant oracle.
-        --backend B         totem | ring-paxos (default totem);
-                            ring-paxos runs the active style only and
-                            retargets coordinator crashes to node 1
         --seeds N           schedules per style (default 10)
         --seed-base B       first seed (default 0) — lets CI shards
                             fuzz disjoint seed windows
@@ -106,21 +103,14 @@ commands:
                             (default 50)
         --repro-dir <dir>   where repro files go (default .)
 
-  mc [--backend B] [--nodes N] [--depth D] [--crashes K]
-     [--partitions P] [--drops R] [--dups U] [--step-ms MS]
-     [--seed S] [--markdown <path>] [--repro-dir <dir>]
-     [--expect-edges E]
+  mc [--nodes N] [--depth D] [--crashes K] [--partitions P]
+     [--drops R] [--dups U] [--step-ms MS] [--seed S]
+     [--markdown <path>] [--repro-dir <dir>] [--expect-edges E]
       Bounded exhaustive model checking: explore every fault
       interleaving (crashes, restarts, partitions, drop/dup windows)
       up to D quiet steps, run the EVS oracle plus per-state
       invariants at every explored state, and report which
-      spec/protocol.toml edges of the backend's tracked machines
-      (srp-membership, or ring-paxos + ring-paxos-ring) were
-      exercised.
-        --backend B         totem | ring-paxos (default totem);
-                            ring-paxos exempts the fixed coordinator
-                            (node 0) from crash injections and skips
-                            the view-sanity oracle
+      spec/protocol.toml srp-membership edges were exercised.
         --nodes N           cluster size (default 3)
         --depth D           quiet steps per path (default 8)
         --crashes K         crash budget per path (default 1)

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use totem_cluster::mc::{explore, McOptions, McReport};
+use totem_cluster::mc::{explore, McOptions, McReport, TRACKED_MACHINE};
 
 use crate::{append_file, spec, unknown, usage_error, workspace_root, Flags};
 
@@ -46,7 +46,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             // u64::MAX so exploration crosses the RFC 1982 wrap and
             // the reserved-zero skip within the first quiet step.
             "--start-near-wrap" => opts.mc.start_seq = u64::MAX - 2,
-            "--backend" => opts.mc.backend = flags.value(flag)?.parse()?,
             "--markdown" => opts.markdown = Some(flags.value(flag)?.into()),
             "--repro-dir" => opts.repro_dir = flags.value(flag)?.into(),
             "--expect-edges" => opts.expect_edges = Some(flags.parse(flag, "an integer")?),
@@ -84,9 +83,8 @@ pub fn run(args: &[String]) -> ExitCode {
     };
 
     println!(
-        "mc: {} backend, {} nodes, depth {} ({}ms steps), budgets: {} crash(es), \
+        "mc: {} nodes, depth {} ({}ms steps), budgets: {} crash(es), \
          {} partition(s), {} drop(s), {} dup(s), seed {}",
-        opts.mc.backend,
         opts.mc.nodes,
         opts.mc.depth,
         opts.mc.step_ms,
@@ -113,13 +111,11 @@ pub fn run(args: &[String]) -> ExitCode {
         );
     }
 
-    let machines = opts.mc.tracked_machines();
-    let (reached, unreached) = diff_spec(&spec, &report, machines);
+    let (reached, unreached) = diff_spec(&spec, &report);
     println!(
-        "mc: {}/{} {} spec edge(s) reached at this bound",
+        "mc: {}/{} {TRACKED_MACHINE} spec edge(s) reached at this bound",
         reached.len(),
         reached.len() + unreached.len(),
-        machines.join("+")
     );
     println!("{:<14} {:>24} {:<14} {:>11}", "from", "event", "to", "first depth");
     for (t, depth) in &reached {
@@ -130,10 +126,7 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     for ((from, event, to), depth) in &report.edges {
         let documented = spec.transitions.iter().any(|t| {
-            machines.contains(&t.machine.as_str())
-                && t.from == *from
-                && t.event == *event
-                && t.to == *to
+            t.machine == TRACKED_MACHINE && t.from == *from && t.event == *event && t.to == *to
         });
         if !documented {
             println!(
@@ -185,16 +178,15 @@ pub fn run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Splits the spec's edges for the tracked machines into (reached with
+/// Splits the spec's [`TRACKED_MACHINE`] edges into (reached with
 /// first depth, unreached), both in spec file order.
 fn diff_spec<'s>(
     spec: &'s spec::Spec,
     report: &McReport,
-    machines: &[&str],
 ) -> (Vec<(&'s spec::SpecTransition, u64)>, Vec<&'s spec::SpecTransition>) {
     let mut reached = Vec::new();
     let mut unreached = Vec::new();
-    for t in spec.transitions.iter().filter(|t| machines.contains(&t.machine.as_str())) {
+    for t in spec.transitions.iter().filter(|t| t.machine == TRACKED_MACHINE) {
         match report.edges.get(&(t.from.clone(), t.event.clone(), t.to.clone())) {
             Some(depth) => reached.push((t, *depth)),
             None => unreached.push(t),

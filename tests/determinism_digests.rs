@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use totem_bench::{measure, MeasureConfig};
-use totem_cluster::{BackendKind, ClusterConfig, SimCluster};
+use totem_cluster::{ClusterConfig, SimCluster};
 use totem_rrp::ReplicationStyle;
 use totem_sim::{FaultCommand, SimDuration, SimTime};
 use totem_wire::NetworkId;
@@ -149,18 +149,15 @@ fn ap_digest() {
     assert_digest("ap", digest_cluster(&cluster, NODES), 0xe2ed_ca9d_ea92_13e0);
 }
 
-const BACKENDS: [BackendKind; 2] = [BackendKind::Totem, BackendKind::RingPaxos];
 const NODE_COUNTS: [usize; 3] = [3, 5, 8];
 
 /// Unloaded agreement latency: one message submitted at an otherwise
 /// idle cluster, timed from submit to its delivery at the *slowest*
-/// node, averaged over a few spaced probes. Totem must wait for the
-/// token to come around before it may send, while the Ring Paxos
-/// coordinator opens an instance the moment the proposal arrives.
-fn unloaded_latency_us(backend: BackendKind, nodes: usize) -> f64 {
+/// node, averaged over a few spaced probes. The sender must wait for
+/// the token to come around before it may send.
+fn unloaded_latency_us(nodes: usize) -> f64 {
     const PROBES: u64 = 5;
-    let cfg =
-        ClusterConfig::new(nodes, ReplicationStyle::Single).with_seed(7).with_backend(backend);
+    let cfg = ClusterConfig::new(nodes, ReplicationStyle::Single).with_seed(7);
     let mut cluster = SimCluster::new(cfg);
     cluster.run_until(SimTime::from_millis(100));
     let mut total = 0u64;
@@ -171,7 +168,7 @@ fn unloaded_latency_us(backend: BackendKind, nodes: usize) -> f64 {
         let deadline = at + SimDuration::from_millis(49);
         let mut t = at;
         while !(0..nodes).all(|n| cluster.delivered(n).len() as u64 > k) {
-            assert!(t < deadline, "{backend:?} probe {k} undelivered after 49 ms");
+            assert!(t < deadline, "probe {k} undelivered after 49 ms");
             t += SimDuration::from_millis(1);
             cluster.run_until(t);
         }
@@ -182,36 +179,30 @@ fn unloaded_latency_us(backend: BackendKind, nodes: usize) -> f64 {
     total as f64 / PROBES as f64 / 1000.0
 }
 
-/// The backend head-to-head grid: Totem against Ring Paxos on one
-/// network under the identical saturating workload, sweeping node
-/// count × per-receiver loss × message size (24 cells of rate and mean
-/// latency over a 300 ms window), plus the unloaded-latency probe per
-/// backend and node count. Every figure is simulated time, so the
-/// metric bits are exact. The grid's findings are recorded in
-/// EXPERIMENTS.md.
+/// The measurement grid on one network under the saturating workload,
+/// sweeping node count × per-receiver loss × message size (12 cells of
+/// rate and mean latency over a 300 ms window), plus the
+/// unloaded-latency probe per node count. It is the one pin on
+/// `totem_bench::measure`. Every figure is simulated time, so the
+/// metric bits are exact.
 #[test]
-fn head_to_head_grid_digest() {
+fn measure_grid_digest() {
     let mut h = Fnv::new();
     for nodes in NODE_COUNTS {
         for loss_pct in [0.0, 1.0] {
             for size in [64, 1024] {
-                for backend in BACKENDS {
-                    let cfg = MeasureConfig::new(ReplicationStyle::Single, size)
-                        .with_nodes(nodes)
-                        .with_backend(backend)
-                        .with_loss(loss_pct)
-                        .with_window(SimDuration::from_millis(300));
-                    let t = measure(&cfg);
-                    h.u64(t.msgs_per_sec.to_bits());
-                    h.u64(t.latency_mean_us.to_bits());
-                }
+                let cfg = MeasureConfig::new(ReplicationStyle::Single, size)
+                    .with_nodes(nodes)
+                    .with_loss(loss_pct)
+                    .with_window(SimDuration::from_millis(300));
+                let t = measure(&cfg);
+                h.u64(t.msgs_per_sec.to_bits());
+                h.u64(t.latency_mean_us.to_bits());
             }
         }
     }
     for nodes in NODE_COUNTS {
-        for backend in BACKENDS {
-            h.u64(unloaded_latency_us(backend, nodes).to_bits());
-        }
+        h.u64(unloaded_latency_us(nodes).to_bits());
     }
-    assert_digest("head-to-head grid", h.0, 0xe077_3343_d669_c1c3);
+    assert_digest("measure grid", h.0, 0xfbb3_6eb7_4231_af8f);
 }

@@ -89,11 +89,9 @@ fn counterexample_replay_is_deterministic() {
 
 /// Pinned state-space numbers for fixed configurations. The digest is
 /// a toolchain-independent FNV-1a fold, so a pin failure always means
-/// a real behavior change somewhere under the explorer. (The pins were
-/// re-baselined when the backend seam landed: every node fingerprint
-/// now leads with the engine discriminant so a Totem world and a Ring
-/// Paxos world can never collide in the visited set. The state counts
-/// were unchanged by that re-baseline — only the hash values moved.)
+/// a real behavior change somewhere under the explorer. (Every node's
+/// fingerprint leads with a zero engine tag, kept by
+/// `SimCluster::state_fingerprint` so these digests hold.)
 #[test]
 fn explored_state_space_is_pinned() {
     let shallow = explore(&McOptions::new(2, 2));

@@ -43,26 +43,41 @@ fn every_style_reaches_identical_total_order() {
     }
 }
 
+/// Submissions spread over simulated time, one round every 7 ms: every
+/// node delivers all of them in one agreed order, and each sender's
+/// messages in the order it sent them.
 #[test]
 fn per_sender_fifo_holds_under_interleaving() {
-    let mut cluster =
-        SimCluster::new(ClusterConfig::new(3, ReplicationStyle::Passive).with_seed(6));
-    let mut t = SimTime::ZERO;
-    for i in 0..30u32 {
-        cluster.run_until(t);
-        cluster.submit((i % 3) as usize, Bytes::from(format!("{i:04}")));
-        t += totem_sim::SimDuration::from_millis(7);
-    }
-    cluster.run_until(SimTime::from_secs(1));
-    assert_agreement(&cluster, 3, 30);
-    for sender in 0..3u16 {
-        let from: Vec<u32> = cluster
-            .delivered(0)
-            .iter()
-            .filter(|d| d.sender == NodeId::new(sender))
-            .map(|d| String::from_utf8_lossy(&d.data).parse().unwrap())
-            .collect();
-        assert!(from.windows(2).all(|w| w[0] < w[1]), "sender {sender} reordered: {from:?}");
+    // (nodes, style, seed, rounds, senders per round, first round)
+    let inputs = [
+        (3, ReplicationStyle::Passive, 6, 30, 1, SimTime::ZERO),
+        (4, ReplicationStyle::Single, 11, 25, 4, SimTime::from_millis(50)),
+    ];
+    for (nodes, style, seed, rounds, burst, start) in inputs {
+        let mut cluster = SimCluster::new(ClusterConfig::new(nodes, style).with_seed(seed));
+        let mut t = start;
+        for round in 0..rounds {
+            cluster.run_until(t);
+            for k in 0..burst {
+                let i = round * burst + k;
+                cluster.submit(i % nodes, Bytes::from(format!("{i:04}")));
+            }
+            t += totem_sim::SimDuration::from_millis(7);
+        }
+        cluster.run_until(SimTime::from_secs(1));
+        assert_agreement(&cluster, nodes, rounds * burst);
+        for sender in 0..nodes as u16 {
+            let from: Vec<usize> = cluster
+                .delivered(0)
+                .iter()
+                .filter(|d| d.sender == NodeId::new(sender))
+                .map(|d| String::from_utf8_lossy(&d.data).parse().unwrap())
+                .collect();
+            assert!(
+                from.windows(2).all(|w| w[0] < w[1]),
+                "{style}: sender {sender} reordered: {from:?}"
+            );
+        }
     }
 }
 
