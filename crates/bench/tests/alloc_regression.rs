@@ -24,7 +24,7 @@ use common::snapshot;
 use totem_cluster::{ClusterConfig, NodeOutput, SimCluster, TotemNode};
 use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_sim::{SimDuration, SimTime};
-use totem_srp::packing::Reassembler;
+use totem_srp::packing::{Packer, Reassembler};
 use totem_srp::{SrpConfig, SrpEvent, SrpNode};
 use totem_wire::{
     Chunk, ChunkKind, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, SharedPacket,
@@ -140,6 +140,37 @@ fn a_forged_fragment_length_reserves_at_most_the_decode_bound() {
     assert_eq!(r.pending(), 1);
 }
 
+/// The packer cuts a fragmented message's chunks as adjacent views of
+/// the buffer it was submitted in; reassembling them hands that buffer
+/// back — the same address — and allocates nothing.
+#[test]
+fn a_message_cut_from_one_buffer_reassembles_without_allocating() {
+    let payload: bytes::Bytes = (0..10_000u32).map(|i| i as u8).collect();
+    let mut queue = VecDeque::from([payload.clone(), payload.clone()]);
+    let mut packer = Packer::new();
+    let chunks: Vec<Chunk> =
+        std::iter::from_fn(|| packer.pack_next(&mut queue)).flat_map(|c| c.to_vec()).collect();
+    let (first, second) = chunks.split_at(chunks.len() / 2);
+    assert_eq!(first.len(), 8, "a 10 kB message fragments 8 ways");
+
+    let mut r = Reassembler::new();
+    let sender = NodeId::new(1);
+    // The first message sizes the partial-message map.
+    assert!(first.iter().filter_map(|c| r.push(sender, c)).eq([payload.clone()]));
+    let (a0, _) = snapshot();
+    let mut delivered = None;
+    for c in second {
+        if let Some(msg) = r.push(sender, c) {
+            delivered = Some(msg);
+        }
+    }
+    let (a1, _) = snapshot();
+    assert_eq!(a1 - a0, 0, "reassembling a message of views allocated");
+    let delivered = delivered.expect("the last fragment completes the message");
+    assert_eq!(delivered, payload);
+    assert_eq!(delivered.as_ptr(), payload.as_ptr(), "delivered as the submitted buffer");
+}
+
 /// Per-frame allocation cost must not scale with the receiver count:
 /// doubling the cluster may grow bookkeeping slightly (more per-node
 /// timers and window entries in flight) but payload buffers are
@@ -177,6 +208,8 @@ struct Cost {
     node: usize,
     /// Allocations made inside the call.
     allocs: u64,
+    /// Bytes those allocations requested.
+    bytes: u64,
     /// Data packets the call originated.
     packed: u64,
     kind: Call,
@@ -192,6 +225,8 @@ enum Call {
     /// `handle_packet` with a token, or a `submit` that found the node
     /// holding an idle one: the calls that run the send phase.
     TokenVisit,
+    /// `on_timer`: on a quiet wire, the idle-token hold ending.
+    Timer,
 }
 
 /// Two SRP nodes wired back to back with a hand-cranked clock: node 0
@@ -245,11 +280,11 @@ impl MeteredRing {
         call: impl FnOnce(&mut SrpNode) -> Vec<SrpEvent>,
     ) {
         let sent_before = self.nodes[node].stats().packets_sent;
-        let (a0, _) = snapshot();
+        let (a0, b0) = snapshot();
         let events = call(&mut self.nodes[node]);
-        let (a1, _) = snapshot();
+        let (a1, b1) = snapshot();
         let packed = self.nodes[node].stats().packets_sent - sent_before;
-        self.costs.push(Cost { node, allocs: a1 - a0, packed, kind });
+        self.costs.push(Cost { node, allocs: a1 - a0, bytes: b1 - b0, packed, kind });
         self.route(node, events);
     }
 
@@ -258,11 +293,22 @@ impl MeteredRing {
     /// parked again.
     fn round(&mut self, packets: usize) {
         let per_packet = totem_wire::MAX_PAYLOAD / (self.msg_size + totem_wire::CHUNK_HEADER_LEN);
-        for _ in 0..packets * per_packet {
+        self.submit(packets * per_packet);
+        self.settle();
+    }
+
+    /// Node 0 queues `msgs` messages.
+    fn submit(&mut self, msgs: usize) {
+        for _ in 0..msgs {
             let data = bytes::Bytes::from(vec![0x5A; self.msg_size]);
             let now = self.now;
             self.metered(0, Call::TokenVisit, |n| n.submit(now, data).unwrap());
         }
+    }
+
+    /// Runs the ring until the wire is quiet and the token is parked
+    /// again.
+    fn settle(&mut self) {
         for _ in 0..64 {
             while let Some((to, pkt)) = self.wire.pop_front() {
                 self.now += 1_000;
@@ -283,8 +329,8 @@ impl MeteredRing {
                 return;
             };
             self.now = self.now.max(at);
-            let events = self.nodes[node].on_timer(self.now);
-            self.route(node, events);
+            let now = self.now;
+            self.metered(node, Call::Timer, |n| n.on_timer(now));
         }
     }
 }
@@ -314,7 +360,7 @@ fn check_steady_state(msg_size: usize, per_packet: u64) {
     let count = |kind| received.iter().filter(|c| c.kind == kind).count();
     assert!(count(Call::NewFrame) >= 12, "node 1 saw {} frames", count(Call::NewFrame));
     assert_eq!(count(Call::NewFrame), count(Call::DuplicateFrame));
-    for c in received.iter().filter(|c| c.kind != Call::TokenVisit) {
+    for c in received.iter().filter(|c| matches!(c.kind, Call::NewFrame | Call::DuplicateFrame)) {
         assert_eq!(c.allocs, 0, "receiving a frame allocated: {c:?}");
     }
     assert_eq!(ring.nodes[1].stats().delivered_msgs, ring.nodes[0].stats().delivered_msgs);
@@ -343,6 +389,57 @@ fn srp_steady_state_allocates_only_what_it_originates() {
 #[test]
 fn a_one_chunk_packet_costs_one_allocation() {
     check_steady_state(1000, 1);
+}
+
+/// On a ring whose nodes share frame handles — the simulator's way —
+/// a 10 kB message's eight fragments are adjacent views of the buffer
+/// it was submitted in, at the sender and the receiver alike. Both
+/// reassemble it without copying: no call into either node allocates
+/// anything the size of the message.
+#[test]
+fn a_fragmented_message_costs_no_payload_sized_allocation_at_any_node() {
+    let msg_size = 10_000;
+    let mut ring = MeteredRing::new(msg_size);
+    for _ in 0..4 {
+        ring.submit(2);
+        ring.settle();
+    }
+    ring.costs.clear();
+    let delivered: Vec<u64> = ring.nodes.iter().map(|n| n.stats().delivered_msgs).collect();
+    ring.submit(3);
+    ring.settle();
+
+    for (node, before) in delivered.into_iter().enumerate() {
+        assert_eq!(ring.nodes[node].stats().delivered_msgs, before + 3, "node {node}");
+    }
+    assert!(ring.costs.iter().filter(|c| c.kind == Call::NewFrame).count() >= 24);
+    for c in &ring.costs {
+        assert!(c.bytes < msg_size as u64, "a call allocated {} bytes: {c:?}", c.bytes);
+    }
+}
+
+/// A token that arrives in a handle its sender still holds (the
+/// simulator's way: the sender keeps it for retransmission) is not
+/// cloned: the visit rewrites the node's own retired token. On an idle
+/// ring, every visit and every hold release then allocates nothing —
+/// the shared-handle companion of `idle_token_visit_allocates_at_most_twice`.
+#[test]
+fn idle_token_visit_through_a_shared_handle_allocates_nothing() {
+    let mut ring = MeteredRing::new(100);
+    for _ in 0..4 {
+        ring.round(1);
+        ring.round(0);
+    }
+    ring.costs.clear();
+    ring.round(0);
+
+    let visits = ring.costs.iter().filter(|c| c.kind == Call::TokenVisit).count();
+    assert!(visits >= 16, "only {visits} token visits");
+    assert!(ring.costs.iter().any(|c| c.kind == Call::Timer), "no hold was released");
+    for c in &ring.costs {
+        assert_eq!(c.allocs, 0, "an idle visit allocated: {c:?}");
+    }
+    assert_eq!(ring.nodes.iter().map(|n| n.stats().gathers).sum::<u64>(), 0);
 }
 
 /// Whole [`TotemNode`]s on one ring, fed the way the threaded driver

@@ -163,10 +163,12 @@ struct ClusterActor {
     bootstrap: bool,
     joining: bool,
     record: bool,
-    /// Saturating workload: keep the send queue topped up with
-    /// messages of this many bytes (paper §8: "every node sent as many
-    /// messages as the Totem flow control mechanism permitted").
-    saturate: Option<usize>,
+    /// Saturating workload: keep the send queue topped up with copies
+    /// of this message (paper §8: "every node sent as many messages as
+    /// the Totem flow control mechanism permitted"). It is zeroes
+    /// behind an 8-byte submit timestamp, restamped at each pump, so a
+    /// message costs one allocation: its copy.
+    saturate: Option<Vec<u8>>,
     delivered: Vec<Delivered>,
     /// Simulated delivery instant (nanoseconds) of each entry in
     /// `delivered`.
@@ -220,14 +222,14 @@ impl ClusterActor {
         if !self.alive {
             return;
         }
-        let Some(size) = self.saturate else { return };
+        let Some(body) = self.saturate.as_mut() else { return };
+        body[..8].copy_from_slice(&now.as_nanos().to_be_bytes());
         // Keep a healthy backlog without churning the full queue
         // limit on every callback.
         let mut outs = std::mem::take(&mut self.out_buf);
         while self.node.send_queue_len() < 64 {
-            let mut body = vec![0u8; size.max(8)];
-            body[..8].copy_from_slice(&now.as_nanos().to_be_bytes());
-            match self.node.submit_into(now.as_nanos(), Bytes::from(body), &mut outs) {
+            let Some(body) = self.saturate.as_deref() else { break };
+            match self.node.submit_into(now.as_nanos(), Bytes::copy_from_slice(body), &mut outs) {
                 Ok(()) => self.handle(now, &mut outs, ctx),
                 Err(_) => break,
             }
@@ -480,7 +482,7 @@ impl SimCluster {
     /// Panics if `node` is out of range.
     pub fn enable_saturation_on(&mut self, node: usize, msg_size: usize) {
         self.world.with_actor(NodeId::new(node as u16), |a, now, ctx| {
-            a.saturate = Some(msg_size);
+            a.saturate = Some(vec![0; msg_size.max(8)]);
             a.pump(now, ctx);
             a.arm(ctx);
         });

@@ -582,8 +582,7 @@ impl SrpNode {
                 return Vec::new();
             }
             if rec.token.sent_token_precedes(seq) {
-                rec.token.sent_token = None;
-                rec.token.retx_deadline = None;
+                rec.token.retire_sent_token();
             }
             let Some(d) = held.data() else { return Vec::new() };
             for chunk in &d.chunks {
@@ -633,10 +632,9 @@ impl SrpNode {
             self.note_transition("srp-membership", "Recovery", "TokenLoss", "Gather");
             return self.enter_gather(now, Vec::new());
         }
-        let Some(t) = pkt.token_mut() else { return events };
+        rec.token.retire_sent_token();
+        let Some(t) = pkt.token_mut(rec.token.retired_token.take()) else { return events };
         rec.token.last_key = Some((t.rotation, t.seq));
-        rec.token.sent_token = None;
-        rec.token.retx_deadline = None;
         rec.token.loss_deadline = Some(now + self.cfg.token_loss_timeout);
         self.stats.tokens_handled += 1;
 

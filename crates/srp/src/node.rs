@@ -162,6 +162,11 @@ pub(crate) struct TokenCtx {
     /// retransmission re-sends its cached encoding — kept until
     /// evidence of receipt (paper §2).
     pub sent_token: Option<SharedPacket>,
+    /// The sent token once it is known to have been received: no
+    /// longer retransmitted, kept so the next visit can rewrite its
+    /// cell in place of cloning the token that arrives
+    /// ([`SharedPacket::token_mut`]).
+    pub retired_token: Option<SharedPacket>,
     pub retx_deadline: Option<Nanos>,
     pub loss_deadline: Option<Nanos>,
     /// Token held back on an idle ring (pacing), in the handle it will
@@ -197,6 +202,15 @@ impl TokenCtx {
         self.sent_token
             .as_ref()
             .is_some_and(|p| matches!(p.packet(), Packet::Token(t) if seq.follows(t.seq)))
+    }
+
+    /// The sent token was received: stop retransmitting it and keep
+    /// its handle as the next visit's spare.
+    pub(crate) fn retire_sent_token(&mut self) {
+        if let Some(sent) = self.sent_token.take() {
+            self.retired_token = Some(sent);
+        }
+        self.retx_deadline = None;
     }
 
     /// Records this visit's token `aru` and returns the low-water mark
@@ -533,7 +547,7 @@ impl SrpNode {
         mut held: SharedPacket,
         events: &mut Vec<SrpEvent>,
     ) {
-        let Some(t) = held.token_mut() else { return };
+        let Some(t) = held.token_mut(None) else { return };
         self.send_phase(t, 0, events);
         let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
             return;
@@ -807,8 +821,7 @@ impl SrpNode {
                 }
                 // Evidence our forwarded token was received.
                 if tok.sent_token_precedes(seq) {
-                    tok.sent_token = None;
-                    tok.retx_deadline = None;
+                    tok.retire_sent_token();
                 }
                 if self.cfg.guarantee == DeliveryGuarantee::Agreed {
                     let (ring_id, up_to) = (ring.ring, ring.window.my_aru());
@@ -888,16 +901,15 @@ impl SrpNode {
             events.extend(self.enter_gather(now, Vec::new()));
             return events;
         }
+        // Receiving a fresh token proves the previous one circulated.
+        tok.retire_sent_token();
         // The visit rewrites the token where it is: free when this node
-        // has the only handle on it (it came off the wire), a fresh
-        // handle otherwise.
-        let Some(t) = pkt.token_mut() else { return events };
+        // has the only handle on it (it came off the wire), and in the
+        // retired token's cell when the arriving handle is shared.
+        let Some(t) = pkt.token_mut(tok.retired_token.take()) else { return events };
         tok.last_key = Some((t.rotation, t.seq));
         tok.hold = None;
         tok.hold_deadline = None;
-        // Receiving a fresh token proves the previous one circulated.
-        tok.sent_token = None;
-        tok.retx_deadline = None;
         tok.loss_deadline = Some(now + self.cfg.token_loss_timeout);
         self.stats.tokens_handled += 1;
 

@@ -137,12 +137,64 @@ impl Packer {
 
 /// Reassembles application messages from chunks delivered in global
 /// sequence order.
+///
+/// The packer cuts a message's fragments as adjacent views of the one
+/// buffer it was submitted in, and a host that shares frame handles
+/// (the simulator) hands every receiver those same views. A partial
+/// message therefore stays a view for as long as each fragment
+/// continues it, and is delivered as it is: no allocation, no copy.
+/// The first fragment that does not continue it — one decoded from a
+/// datagram of its own — turns it into a copy.
 #[derive(Debug, Default)]
 pub struct Reassembler {
     /// Partial messages keyed by `(sender, msg_id)`. Only probed,
     /// inserted into, removed from and cleared — never iterated — so
     /// its hash order cannot reach delivery.
-    partial: HashMap<(NodeId, u32), Vec<u8>>,
+    partial: HashMap<(NodeId, u32), Partial>,
+}
+
+/// A message whose fragments have arrived up to some point.
+#[derive(Debug)]
+enum Partial {
+    /// Every fragment so far continues one view of the sender's buffer.
+    View(Bytes),
+    /// A fragment did not continue the view: the bytes are copied.
+    Copy(Vec<u8>),
+}
+
+impl Partial {
+    /// Appends a fragment of a message `orig_len` bytes long.
+    fn extend(&mut self, data: &Bytes, orig_len: u32) {
+        match self {
+            Partial::View(view) => {
+                if !view.try_unsplit(data) {
+                    // `orig_len` comes off the wire: reserve no more
+                    // than the codec would ever accept up front; a
+                    // longer message grows its buffer as its fragments
+                    // arrive.
+                    let mut buf = Vec::with_capacity((orig_len as usize).min(MAX_DECODE_LEN));
+                    buf.extend_from_slice(view);
+                    buf.extend_from_slice(data);
+                    *self = Partial::Copy(buf);
+                }
+            }
+            Partial::Copy(buf) => buf.extend_from_slice(data),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Partial::View(view) => view.len(),
+            Partial::Copy(buf) => buf.len(),
+        }
+    }
+
+    fn into_bytes(self) -> Bytes {
+        match self {
+            Partial::View(view) => view,
+            Partial::Copy(buf) => Bytes::from(buf),
+        }
+    }
 }
 
 impl Reassembler {
@@ -161,29 +213,24 @@ impl Reassembler {
         match chunk.kind {
             ChunkKind::Complete => Some(chunk.data.clone()),
             ChunkKind::FragStart => {
-                // `orig_len` comes off the wire: reserve no more than
-                // the codec would ever accept up front; a longer
-                // message grows its buffer as its fragments arrive.
-                let mut buf = Vec::with_capacity((chunk.orig_len as usize).min(MAX_DECODE_LEN));
-                buf.extend_from_slice(&chunk.data);
-                self.partial.insert((sender, chunk.msg_id), buf);
+                self.partial.insert((sender, chunk.msg_id), Partial::View(chunk.data.clone()));
                 None
             }
             ChunkKind::FragCont => {
-                if let Some(buf) = self.partial.get_mut(&(sender, chunk.msg_id)) {
-                    buf.extend_from_slice(&chunk.data);
+                if let Some(partial) = self.partial.get_mut(&(sender, chunk.msg_id)) {
+                    partial.extend(&chunk.data, chunk.orig_len);
                 }
                 None
             }
             ChunkKind::FragEnd => {
-                let mut buf = self.partial.remove(&(sender, chunk.msg_id))?;
-                buf.extend_from_slice(&chunk.data);
-                if buf.len() != chunk.orig_len as usize {
+                let mut partial = self.partial.remove(&(sender, chunk.msg_id))?;
+                partial.extend(&chunk.data, chunk.orig_len);
+                if partial.len() != chunk.orig_len as usize {
                     // A fragment went missing in a configuration change;
                     // drop the torn message rather than deliver garbage.
                     return None;
                 }
-                Some(Bytes::from(buf))
+                Some(partial.into_bytes())
             }
             ChunkKind::Recovery => None,
         }
@@ -330,6 +377,65 @@ mod tests {
             }
         }
         assert_eq!(out, original);
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// The chunks of one fragmented message, in order.
+    fn fragments(len: usize) -> (Bytes, Vec<Chunk>) {
+        let payload: Bytes = (0..len).map(|i| (i % 251) as u8).collect();
+        let mut queue = VecDeque::from([payload.clone()]);
+        let chunks =
+            pack(&mut Packer::new(), &mut queue, 100).iter().flat_map(|c| c.to_vec()).collect();
+        (payload, chunks)
+    }
+
+    fn reassemble(r: &mut Reassembler, chunks: &[Chunk]) -> Vec<Bytes> {
+        chunks.iter().filter_map(|c| r.push(NodeId::new(2), c)).collect()
+    }
+
+    #[test]
+    fn a_message_cut_from_one_buffer_comes_back_as_that_buffer() {
+        let (payload, chunks) = fragments(10_000);
+        assert_eq!(chunks.len(), 8);
+        let mut r = Reassembler::new();
+        let out = reassemble(&mut r, &chunks);
+        assert_eq!(out, std::slice::from_ref(&payload));
+        assert_eq!(out[0].as_ptr(), payload.as_ptr(), "delivered as a view, not a copy");
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn non_adjacent_fragments_fall_back_to_a_byte_identical_copy() {
+        let (payload, mut chunks) = fragments(10_000);
+        // Each fragment in a buffer of its own, as off the wire; the
+        // first stays a view of the payload.
+        for c in &mut chunks[1..] {
+            c.data = Bytes::copy_from_slice(&c.data);
+        }
+        let mut r = Reassembler::new();
+        let out = reassemble(&mut r, &chunks);
+        assert_eq!(out, std::slice::from_ref(&payload));
+        assert_ne!(out[0].as_ptr(), payload.as_ptr());
+        // A view that breaks off midway copies from there on.
+        let (payload, mut chunks) = fragments(10_000);
+        chunks[5].data = Bytes::copy_from_slice(&chunks[5].data);
+        assert_eq!(reassemble(&mut r, &chunks), [payload]);
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn a_torn_message_is_dropped_whether_view_or_copy() {
+        let (_, chunks) = fragments(10_000);
+        let mut r = Reassembler::new();
+        // A continuation lost across a configuration change.
+        let torn: Vec<Chunk> =
+            chunks.iter().enumerate().filter(|&(i, _)| i != 3).map(|(_, c)| c.clone()).collect();
+        assert!(reassemble(&mut r, &torn).is_empty());
+        let mut copied = torn;
+        for c in &mut copied {
+            c.data = Bytes::copy_from_slice(&c.data);
+        }
+        assert!(reassemble(&mut r, &copied).is_empty());
         assert_eq!(r.pending(), 0);
     }
 

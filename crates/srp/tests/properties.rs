@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use totem_srp::packing::{Packer, Reassembler};
 use totem_srp::window::ReceiveWindow;
 use totem_wire::frame::MAX_PAYLOAD;
-use totem_wire::{Chunk, Chunks, DataPacket, NodeId, RingId, Seq, SharedPacket};
+use totem_wire::{Chunk, Chunks, DataPacket, NodeId, Packet, RingId, Seq, SharedPacket};
 
 fn pkt(seq: u64) -> DataPacket {
     DataPacket {
@@ -333,11 +333,14 @@ proptest! {
 
     /// Packer → Reassembler is the identity on arbitrary message
     /// mixes, every packet respects MAX_PAYLOAD, and message ids are
-    /// consumed in order.
+    /// consumed in order — whether the fragments arrive as the views
+    /// the packer cut (a host that shares frame handles) or decoded
+    /// from a datagram each (a wire round-trip).
     #[test]
     fn packer_reassembler_roundtrip(
         sizes in proptest::collection::vec(0usize..5000, 1..40),
         budget in 1usize..10,
+        over_the_wire in any::<bool>(),
     ) {
         let mut queue: std::collections::VecDeque<Bytes> = sizes
             .iter()
@@ -357,17 +360,32 @@ proptest! {
                 prop_assert!(!packer.mid_fragment());
                 break;
             }
-            for chunks in &pkts {
+            for chunks in pkts {
                 let payload: usize = chunks.iter().map(Chunk::wire_len).sum();
                 prop_assert!(payload <= MAX_PAYLOAD, "packet overflows: {payload}");
-                for c in chunks {
+                let chunks = if over_the_wire {
+                    let wire = Packet::Data(DataPacket { chunks, ..pkt(1) }).encode_shared();
+                    let Ok(Packet::Data(d)) = Packet::decode_shared(&wire) else {
+                        panic!("a packed data packet decodes");
+                    };
+                    d.chunks
+                } else {
+                    chunks
+                };
+                for c in &chunks {
                     if let Some(msg) = reasm.push(sender, c) {
                         out.push(msg);
                     }
                 }
             }
         }
-        prop_assert_eq!(out, original);
         prop_assert_eq!(reasm.pending(), 0);
+        if !over_the_wire {
+            // Views in, the submitted buffers out: nothing was copied.
+            for (msg, sent) in out.iter().zip(&original) {
+                prop_assert_eq!(msg.as_ptr(), sent.as_ptr());
+            }
+        }
+        prop_assert_eq!(out, original);
     }
 }

@@ -26,7 +26,10 @@
 //! [`SharedPacket::into_packet`], which clones only when the handle is
 //! actually shared — or, for the one packet that is rewritten at every
 //! hop, [`SharedPacket::token_mut`], which updates a unique handle in
-//! place.
+//! place. A shared token handle (the simulator hands one to every
+//! holder) is not cloned either: the visit rewrites the node's own
+//! retired token cell, and only a node with no unique spare (a
+//! singleton ring, whose spare is the arriving handle) allocates.
 
 use std::sync::{Arc, OnceLock};
 
@@ -150,14 +153,26 @@ impl SharedPacket {
     /// The handle is made unique first. That is free when it already
     /// is — the receive path, where one handle carries the token from
     /// the datagram it was decoded from to the frame it is forwarded
-    /// in — and a fresh handle around a clone of the token when it is
-    /// shared (the simulator, where the sender's retransmission copy
-    /// and every network's copy are the same handle). The cached
-    /// encoding describes the token as it was, so it is dropped.
-    pub fn token_mut(&mut self) -> Option<&mut Token> {
+    /// in. When it is shared (the simulator, where the sender's
+    /// retransmission copy and every network's copy are the same
+    /// handle), the token is copied into `spare` — the node's own
+    /// retired token — if this is the only handle on that one
+    /// ([`Token::clone_from`] keeps its `rtr` capacity), and into a
+    /// fresh handle otherwise. Either way the cached encoding describes
+    /// another token, so it is dropped.
+    pub fn token_mut(&mut self, spare: Option<SharedPacket>) -> Option<&mut Token> {
         self.token()?;
         if Arc::get_mut(&mut self.cell).is_none() {
-            *self = SharedPacket::new(self.cell.pkt.clone());
+            let rewritten = spare.and_then(|mut spare| {
+                let cell = Arc::get_mut(&mut spare.cell)?;
+                let (Packet::Token(dst), Packet::Token(src)) = (&mut cell.pkt, &self.cell.pkt)
+                else {
+                    return None;
+                };
+                dst.clone_from(src);
+                Some(spare)
+            });
+            *self = rewritten.unwrap_or_else(|| SharedPacket::new(self.cell.pkt.clone()));
         }
         let cell = Arc::get_mut(&mut self.cell)?;
         cell.encoded = OnceLock::new();
@@ -210,6 +225,7 @@ mod tests {
     use crate::ids::{InstanceId, NodeId, RingId, Seq};
     use crate::packet::{Chunk, ChunkKind};
     use crate::ring_paxos::{Proposal, RingPaxosMsg};
+    use crate::token::MAX_RTR;
 
     fn data(seq: u64) -> Packet {
         Packet::Data(DataPacket {
@@ -329,7 +345,7 @@ mod tests {
         let wire = Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))).encode_shared();
         let mut shared = SharedPacket::from_datagram(wire.clone()).unwrap();
         let cell = Arc::as_ptr(&shared.cell);
-        shared.token_mut().unwrap().seq = Seq::new(9);
+        shared.token_mut(None).unwrap().seq = Seq::new(9);
         assert_eq!(Arc::as_ptr(&shared.cell), cell, "a unique handle is reused");
         assert_eq!(shared.token().unwrap().seq, Seq::new(9));
         // The encoding is recomputed from the updated token.
@@ -343,11 +359,55 @@ mod tests {
             SharedPacket::new(Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))));
         let sent = original.encoded().clone();
         let mut mine = original.clone();
-        mine.token_mut().unwrap().seq = Seq::new(9);
+        mine.token_mut(None).unwrap().seq = Seq::new(9);
         assert_eq!(original.token().unwrap().seq, Seq::ZERO);
         assert_eq!(*original.encoded(), sent);
         assert_eq!(mine.token().unwrap().seq, Seq::new(9));
-        assert!(SharedPacket::new(data(1)).token_mut().is_none());
+        assert!(SharedPacket::new(data(1)).token_mut(None).is_none());
+    }
+
+    #[test]
+    fn token_mut_rewrites_a_unique_spare_instead_of_cloning() {
+        let ring = RingId::new(NodeId::new(0), 1);
+        let mut arrived = Token::initial(ring);
+        arrived.seq = Seq::new(40);
+        arrived.rtr = vec![Seq::new(38)];
+        let original = SharedPacket::new(Packet::Token(arrived.clone()));
+        let sent = original.encoded().clone();
+
+        // The node's retired token: unique, encoded, with rtr room.
+        let mut old = Token::initial(ring);
+        old.rtr.reserve(MAX_RTR);
+        let rtr_buf = old.rtr.as_ptr();
+        let spare = SharedPacket::new(Packet::Token(old));
+        spare.encoded();
+        let spare_cell = Arc::as_ptr(&spare.cell);
+
+        let mut mine = original.clone();
+        mine.token_mut(Some(spare)).unwrap().aru = Seq::new(39);
+        assert_eq!(Arc::as_ptr(&mine.cell), spare_cell, "the spare cell is reused");
+        assert_eq!(mine.token().unwrap().rtr.as_ptr(), rtr_buf, "rtr keeps its buffer");
+        assert_eq!(mine.token().unwrap().seq, Seq::new(40));
+        assert_eq!(mine.token().unwrap().rtr, [Seq::new(38)]);
+        assert_eq!(mine.encoded().as_ref(), mine.packet().encode().as_slice());
+        // The other holders still see the token as it arrived.
+        assert_eq!(*original.token().unwrap(), arrived);
+        assert_eq!(*original.encoded(), sent);
+
+        // A spare someone else still holds is not written to, and
+        // neither is one that is no token: the fallback is a fresh
+        // handle around a clone.
+        let held = SharedPacket::new(Packet::Token(Token::initial(ring)));
+        for spare in [held.clone(), SharedPacket::new(data(1))] {
+            let mut mine = original.clone();
+            mine.token_mut(Some(spare)).unwrap().aru = Seq::new(39);
+            assert!(!Arc::ptr_eq(&mine.cell, &held.cell));
+            assert!(!Arc::ptr_eq(&mine.cell, &original.cell));
+            assert_eq!(mine.token().unwrap().seq, Seq::new(40));
+            assert_eq!(mine.token().unwrap().aru, Seq::new(39));
+        }
+        assert_eq!(*held.token().unwrap(), Token::initial(ring));
+        assert_eq!(*original.token().unwrap(), arrived);
     }
 
     #[test]

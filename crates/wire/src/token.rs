@@ -17,7 +17,7 @@ use crate::ids::{NodeId, RingId, Rotation, Seq};
 pub const MAX_RTR: usize = 100;
 
 /// The regular (operational) token.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Token {
     /// The ring configuration this token circulates on.
     pub ring: RingId,
@@ -46,6 +46,20 @@ pub struct Token {
     /// missing. A token holder that has a requested packet rebroadcasts
     /// it and removes the request.
     pub rtr: Vec<Seq>,
+}
+
+impl Clone for Token {
+    fn clone(&self) -> Self {
+        Token { rtr: self.rtr.clone(), ..*self }
+    }
+
+    /// Overwrites `self` in place, so `rtr` keeps its capacity: a token
+    /// cell rewritten at every hop allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let rtr = std::mem::take(&mut self.rtr);
+        *self = Token { rtr, ..*source };
+        self.rtr.clone_from(&source.rtr);
+    }
 }
 
 impl Token {
@@ -183,6 +197,17 @@ mod tests {
         a.rotation = a.rotation.next(); // leader bumped the rotation counter
         assert_ne!(a.instance_key(), b.instance_key());
         assert_eq!(a.seq, b.seq);
+    }
+
+    #[test]
+    fn clone_from_copies_every_field_and_keeps_rtr_capacity() {
+        let mut cell = Token::initial(RingId::new(NodeId::new(0), 1));
+        cell.rtr.reserve(MAX_RTR);
+        let (buf, cap) = (cell.rtr.as_ptr(), cell.rtr.capacity());
+        cell.clone_from(&sample());
+        assert_eq!(cell, sample());
+        assert_eq!((cell.rtr.as_ptr(), cell.rtr.capacity()), (buf, cap));
+        assert_eq!(sample().clone(), sample());
     }
 
     #[test]
