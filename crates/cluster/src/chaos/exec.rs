@@ -48,11 +48,8 @@ impl Execution {
     /// legacy chaos behavior), and arms every scheduled fault command.
     pub fn new(schedule: &ChaosSchedule, trace_capacity: Option<usize>) -> Self {
         let nodes = schedule.nodes;
-        let mut cluster = SimCluster::new(
-            ClusterConfig::new(nodes, schedule.style)
-                .with_seed(schedule.seed)
-                .with_start_seq(schedule.start_seq),
-        );
+        let mut cluster =
+            SimCluster::new(ClusterConfig::new(nodes, schedule.style).with_seed(schedule.seed));
         if let Some(capacity) = trace_capacity {
             cluster.enable_trace(capacity);
         }

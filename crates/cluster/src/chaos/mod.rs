@@ -102,12 +102,6 @@ pub struct ChaosSchedule {
     /// additive, and [`generate`] never fills it (see
     /// [`generate_corrupting`]).
     pub corruptions: Vec<ScheduledCorruption>,
-    /// Initial global sequence number of the bootstrapped ring (zero =
-    /// the production default; near-`u64::MAX` values drive the run
-    /// across the serial wrap boundary). Omitted from the TOML repro
-    /// format when zero, so legacy repro files parse — and serialize —
-    /// unchanged.
-    pub start_seq: u64,
     /// Which harness runs the schedule on [`replay`]. Omitted from the
     /// TOML repro format for [`Harness::Chaos`], so chaos and mc repro
     /// files parse — and serialize — unchanged.
@@ -223,7 +217,6 @@ pub fn generate(seed: u64, style: ReplicationStyle, nodes: usize, steps: u64) ->
         commands,
         kflips,
         corruptions: Vec::new(),
-        start_seq: 0,
         harness: Harness::Chaos,
     }
 }
@@ -586,9 +579,6 @@ impl ChaosSchedule {
         out.push_str(&format!("nodes = {}\n", self.nodes));
         out.push_str(&format!("style = \"{}\"\n", self.style.spelling()));
         out.push_str(&format!("steps = {}\n", self.steps));
-        if self.start_seq != 0 {
-            out.push_str(&format!("start_seq = {}\n", self.start_seq));
-        }
         if self.harness == Harness::Soak {
             out.push_str("harness = \"soak\"\n");
         }
@@ -668,7 +658,7 @@ impl ChaosSchedule {
     pub fn from_toml(text: &str) -> Result<Self, String> {
         let doc = toml::parse(text)?;
         let top = &doc.top;
-        top.only(&["seed", "nodes", "style", "steps", "start_seq", "harness"], "header")?;
+        top.only(&["seed", "nodes", "style", "steps", "harness"], "header")?;
         let style = top.get::<&str>("style")?.parse().map_err(|e| top.error("style", e))?;
         let harness = match top.get_opt::<&str>("harness")? {
             None => Harness::Chaos,
@@ -683,7 +673,6 @@ impl ChaosSchedule {
             commands: Vec::new(),
             kflips: Vec::new(),
             corruptions: Vec::new(),
-            start_seq: top.get_opt("start_seq")?.unwrap_or(0),
             harness,
         };
         for t in &doc.tables {
@@ -823,6 +812,17 @@ mod tests {
     }
 
     #[test]
+    fn a_start_seq_key_is_refused() {
+        // The `start_seq` key once started the ring near the counter
+        // wrap. Counters now start at zero on every ring.
+        let text = generate(5, ReplicationStyle::Active, 4, 96)
+            .to_toml()
+            .replace("steps = 96\n", "steps = 96\nstart_seq = 7\n");
+        let err = ChaosSchedule::from_toml(&text).expect_err("a start_seq key must be refused");
+        assert!(err.contains("`start_seq`"), "{err}");
+    }
+
+    #[test]
     fn generated_schedules_pair_crashes_with_restarts() {
         for seed in 0..20 {
             let s = generate(seed, ReplicationStyle::Active, 4, 200);
@@ -900,7 +900,6 @@ mod tests {
                 target: CorruptionTarget::TokenGate,
                 salt: 42,
             }],
-            start_seq: 0,
             harness: Harness::Chaos,
         };
         let text = schedule.to_toml();
@@ -1033,7 +1032,6 @@ mod tests {
             commands,
             kflips: Vec::new(),
             corruptions: Vec::new(),
-            start_seq: 0,
             harness: Harness::Chaos,
         }
     }
@@ -1120,7 +1118,6 @@ mod tests {
             ],
             kflips: Vec::new(),
             corruptions: Vec::new(),
-            start_seq: 0,
             harness: Harness::Chaos,
         };
         let parsed = ChaosSchedule::from_toml(&schedule.to_toml()).expect("roundtrip parse");
@@ -1190,24 +1187,11 @@ mod tests {
                 proptest::collection::vec((0u64..5_000_000_000, arb_cmd()), 0..24),
                 proptest::collection::vec((0u64..5_000_000_000, 0u16..8, 1u64..5), 0..8),
                 proptest::collection::vec(arb_corruption(), 0..8),
-                // Zero (the elided-from-TOML default) and near-wrap
-                // starts both round-trip.
-                prop_oneof![Just(0u64), any::<u64>()],
                 // Both harnesses round-trip (chaos is elided).
                 prop_oneof![Just(Harness::Chaos), Just(Harness::Soak)],
             )
                 .prop_map(
-                    |(
-                        seed,
-                        nodes,
-                        style,
-                        steps,
-                        commands,
-                        kflips,
-                        corruptions,
-                        start_seq,
-                        harness,
-                    )| {
+                    |(seed, nodes, style, steps, commands, kflips, corruptions, harness)| {
                         ChaosSchedule {
                             seed,
                             nodes: nodes as usize,
@@ -1226,7 +1210,6 @@ mod tests {
                                 })
                                 .collect(),
                             corruptions,
-                            start_seq,
                             harness,
                         }
                     },

@@ -88,7 +88,7 @@ pub enum Violation {
     },
     /// A per-state structural invariant failed: malformed membership
     /// view, ring-identity disagreement, or a non-monotone ring
-    /// sequence (RFC 1982 order). Raised by the bounded model checker's
+    /// sequence. Raised by the bounded model checker's
     /// per-state checks ([`check_view_sanity`] and the explorer's
     /// parent/child sequence comparison), not by the end-of-run oracle.
     StateInvariant {

@@ -176,7 +176,6 @@ pub fn plan(seed: u64, opts: &SoakOptions) -> ChaosSchedule {
         commands,
         kflips,
         corruptions,
-        start_seq: 0,
         harness: Harness::Soak,
     }
 }

@@ -53,7 +53,7 @@
 //! Every explored state runs the caller's delivery oracle (default:
 //! the full EVS safety oracle [`oracle::check_safety`]) plus per-state
 //! invariants: membership/view sanity ([`oracle::check_view_sanity`])
-//! and RFC 1982 monotonicity of each node's ring-sequence horizon
+//! and monotonicity of each node's ring-sequence horizon
 //! across the parent→child transition. Spec coverage is recorded from
 //! the simulator's transition trace: which `spec/protocol.toml`
 //! `srp-membership` edges the bounded exploration exercised, and at
@@ -62,7 +62,7 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use totem_sim::{FaultCommand, SimTime};
-use totem_wire::{Incarnation, NetworkId, NodeId, Seq};
+use totem_wire::{Incarnation, NetworkId, NodeId};
 
 use crate::chaos::oracle::{self, Violation};
 use crate::chaos::{exec, ChaosSchedule, Harness, ReplicationStyle, ScheduledCommand, TICK};
@@ -155,11 +155,6 @@ pub struct McOptions {
     pub step_ms: u64,
     /// Simulation seed (the explored graph is seed-deterministic).
     pub seed: u64,
-    /// Initial global sequence number of the bootstrapped ring (zero
-    /// is the production default; `--start-near-wrap` sets a value
-    /// just below `u64::MAX` so exploration crosses the serial wrap
-    /// and the reserved-zero skip).
-    pub start_seq: u64,
     /// Delivery oracle run at every explored state. Defaults to the
     /// full EVS safety oracle; the counterexample harness swaps in
     /// [`oracle::check_prefix_equality`] to prove the
@@ -180,7 +175,6 @@ impl McOptions {
             dups: 0,
             step_ms: 400,
             seed: 0,
-            start_seq: 0,
             oracle: oracle::check_safety,
         }
     }
@@ -365,7 +359,6 @@ pub fn schedule_of(actions: &[Action], opts: &McOptions) -> ChaosSchedule {
         commands,
         kflips: Vec::new(),
         corruptions: Vec::new(),
-        start_seq: opts.start_seq,
         harness: Harness::Chaos,
     }
 }
@@ -394,31 +387,31 @@ fn snapshot(cluster: &SimCluster, nodes: usize) -> Vec<NodeSnap> {
 }
 
 /// The per-state invariants beyond the delivery oracle: view sanity
-/// plus RFC 1982 monotonicity of each node's ring-sequence horizon
-/// (and, within one incarnation, of its current ring's sequence)
-/// across the parent→child transition.
+/// plus monotonicity of each node's ring-sequence horizon (and, within
+/// one incarnation, of its current ring's sequence) across the
+/// parent→child transition.
 fn check_state(cluster: &SimCluster, opts: &McOptions, parent: &[NodeSnap]) -> Vec<Violation> {
     let mut violations = (opts.oracle)(cluster, opts.nodes);
     violations.extend(oracle::check_view_sanity(cluster, opts.nodes));
     for (n, snap) in parent.iter().enumerate() {
         let now = cluster.max_ring_seq(n);
-        if !Seq::new(now).at_or_after(Seq::new(snap.max_ring_seq)) {
+        if now < snap.max_ring_seq {
             violations.push(Violation::StateInvariant {
                 node: n,
                 detail: format!(
-                    "ring-sequence horizon went backwards: {} -> {now} (RFC 1982 order)",
+                    "ring-sequence horizon went backwards: {} -> {now}",
                     snap.max_ring_seq
                 ),
             });
         }
         if cluster.incarnation(n) == snap.incarnation {
             if let (Some(prev), Some(now)) = (snap.ring_seq, cluster.ring_id(n).map(|r| r.seq)) {
-                if !Seq::new(now).at_or_after(Seq::new(prev)) {
+                if now < prev {
                     violations.push(Violation::StateInvariant {
                         node: n,
                         detail: format!(
                             "ring id sequence went backwards within one incarnation: \
-                             {prev} -> {now} (RFC 1982 order)"
+                             {prev} -> {now}"
                         ),
                     });
                 }

@@ -87,15 +87,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Starts the statically bootstrapped ring's global sequence
-    /// numbers at `seq` instead of zero (see
-    /// [`totem_srp::SrpConfig::initial_seq`]). Wrap-equivariance tests
-    /// place this just below `u64::MAX`.
-    pub fn with_start_seq(mut self, seq: u64) -> Self {
-        self.srp.initial_seq = totem_wire::Seq::new(seq);
-        self
-    }
-
     /// Starts all nodes through the membership protocol (cold start)
     /// instead of a statically bootstrapped ring.
     pub fn joining(mut self) -> Self {

@@ -1,6 +1,5 @@
 //! The one reader for the repository's hand-written TOML files:
-//! `spec/protocol.toml`, `spec/counters.toml`, and the chaos / mc /
-//! soak repro schedules.
+//! `spec/protocol.toml` and the chaos / mc / soak repro schedules.
 //!
 //! The build is offline, so no TOML crate is available; every file
 //! keeps to this subset:

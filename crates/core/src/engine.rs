@@ -30,9 +30,9 @@
 //! is swapped fresh when the K=N boundary is crossed — the two
 //! strategies' histories are not comparable.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use totem_wire::{NetworkId, NodeId, RingId, Rotation, Seq, SerialOrdKey, SharedPacket};
+use totem_wire::{NetworkId, NodeId, RingId, Rotation, Seq, SharedPacket};
 
 use crate::config::RrpConfig;
 use crate::fault::{FaultReason, FaultReport, MonitorKind};
@@ -43,18 +43,15 @@ use crate::pernet::PerNet;
 /// Ordering key for token instances: `(ring seq, rotation, seq)`.
 /// Copies of the same token instance share the key; a genuinely newer
 /// token always compares greater (the ring leader bumps `rotation`
-/// every full rotation, even on an idle ring). The serial counters go
-/// through their explicit [`SerialOrdKey`] adapters: the key orders by
-/// raw value, which is correct here because the gate only compares
-/// tokens from the same short-lived circulation neighbourhood.
+/// every full rotation, even on an idle ring).
 ///
 /// The key is all of a token the gate ever reads, and it sits in the
 /// token's fixed header — which is why a copy the gate will neither
 /// hold nor deliver never has to be decoded.
-pub(crate) type TokenKey = (u64, SerialOrdKey, SerialOrdKey);
+pub(crate) type TokenKey = (u64, Rotation, Seq);
 
 pub(crate) fn token_key(ring: RingId, rotation: Rotation, seq: Seq) -> TokenKey {
-    (ring.seq, rotation.ord_key(), seq.ord_key())
+    (ring.seq, rotation, seq)
 }
 
 /// The key of a token the gate holds (`None` for any other packet
@@ -184,7 +181,8 @@ pub(crate) trait MonitorStrategy: std::fmt::Debug + Send {
     fn problem_counters(&self, networks: usize) -> Vec<u32>;
 
     /// Diagnostic snapshot of the Figure-5 reception counts (empty
-    /// under the problem-counter strategy).
+    /// under the problem-counter strategy): the token module, then one
+    /// module per sender in sender order.
     fn monitor_report(&self) -> Vec<(MonitorKind, Vec<u64>)>;
 
     /// Deterministically corrupts the strategy's health bookkeeping
@@ -298,7 +296,7 @@ impl MonitorStrategy for ProblemCounter {
 #[derive(Debug)]
 struct Divergence {
     token_monitor: MonitorModule,
-    msg_monitors: HashMap<NodeId, MonitorModule>,
+    msg_monitors: BTreeMap<NodeId, MonitorModule>,
 }
 
 impl Divergence {
@@ -309,7 +307,7 @@ impl Divergence {
                 cfg.monitor_threshold,
                 cfg.compensation_every,
             ),
-            msg_monitors: HashMap::new(),
+            msg_monitors: BTreeMap::new(),
         }
     }
 
@@ -384,17 +382,12 @@ impl MonitorStrategy for Divergence {
 
     fn corrupt(&mut self, rng: &mut rand::rngs::SmallRng) {
         use rand::Rng as _;
-        // Corrupt the token module or one message module, picked
-        // deterministically (BTree-free map: order by sender id for
-        // reproducibility).
-        let mut senders: Vec<NodeId> = self.msg_monitors.keys().copied().collect();
-        senders.sort_unstable();
-        let pick = rng.gen_range(0..(1 + senders.len() as u64));
+        // Corrupt the token module or one message module, picked in
+        // sender order.
+        let pick = rng.gen_range(0..(1 + self.msg_monitors.len() as u64));
         if pick == 0 {
             self.token_monitor.corrupt(rng);
-        } else if let Some(m) =
-            senders.get(pick as usize - 1).and_then(|s| self.msg_monitors.get_mut(s))
-        {
+        } else if let Some(m) = self.msg_monitors.values_mut().nth(pick as usize - 1) {
             m.corrupt(rng);
         }
     }
@@ -775,11 +768,8 @@ impl Engine {
             0 => {
                 let base = self.last_key.map(|(ring, _, _)| ring).unwrap_or(0);
                 let jump = rng.gen_range(1..1_000_000);
-                self.last_key = Some((
-                    base.saturating_add(jump),
-                    Rotation::new(jump).ord_key(),
-                    Seq::new(jump).ord_key(),
-                ));
+                self.last_key =
+                    Some((base.saturating_add(jump), Rotation::new(jump), Seq::new(jump)));
             }
             1 => {
                 let nets: Vec<NetworkId> = self.seen.ids().collect();
@@ -1120,6 +1110,10 @@ mod tests {
         on_token(&mut s, 0, NetworkId::new(0), token(1, 0, 5), true, &cfg);
         let deadline = s.next_deadline().unwrap();
         assert_eq!(deadline, cfg.passive_token_timeout);
+        // Paper §6: the buffered token is released 10 ms after it was
+        // buffered, not a nanosecond earlier.
+        assert_eq!(deadline, 10_000_000);
+        assert!(on_timer(&mut s, deadline - 1, &cfg).is_empty());
         let ev = on_timer(&mut s, deadline, &cfg);
         assert!(matches!(ev.as_slice(), [RrpEvent::Deliver(p, _)] if p.is_token_class()));
     }

@@ -250,7 +250,7 @@ fn trace_digest(cfg: &RrpConfig, seed: u64) -> u64 {
     h.str(&format!("{:?}", l.problem_counters()));
     let mut monitors: Vec<String> =
         l.monitor_report().iter().map(|(k, c)| format!("{k:?}:{c:?}")).collect();
-    monitors.sort(); // HashMap iteration order is not part of the trace
+    monitors.sort(); // the recorded traces list the modules in string order
     h.str(&format!("{monitors:?}"));
     h.str(&format!("{:?}", l.take_transitions()));
     h.0

@@ -157,6 +157,9 @@ proptest! {
         }
         prop_assert_eq!(faults, 1, "a dead network is reported exactly once");
         prop_assert_eq!(faulted_after, Some(u64::from(cfg.problem_threshold)));
+        // Pinned as a literal too: the default is the paper's threshold
+        // of ten, so a changed default turns this red.
+        prop_assert_eq!(faulted_after, Some(10), "the 10th timed-out visit reports");
         prop_assert_eq!(layer.faulty(), vec![false, true]);
     }
 }

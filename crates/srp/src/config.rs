@@ -1,7 +1,6 @@
 //! Configuration of the single ring protocol.
 
 use serde::{Deserialize, Serialize};
-use totem_wire::Seq;
 
 /// When a message may be delivered to the application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -62,17 +61,6 @@ pub struct SrpConfig {
     /// Maximum application messages queued locally before
     /// [`crate::SrpNode::submit`] applies backpressure.
     pub send_queue_limit: usize,
-    /// Initial global sequence number of a **statically bootstrapped**
-    /// ring ([`crate::SrpNode::new_operational`] +
-    /// [`crate::SrpNode::bootstrap_token`]): the windows and the
-    /// initial token start here instead of [`Seq::ZERO`]. Production
-    /// rings use the default zero; wrap-equivariance tests place it
-    /// just below `u64::MAX` so a run crosses the serial wrap (and the
-    /// reserved-zero skip) within a few packets. Rings formed through
-    /// the membership protocol always restart at zero, as the paper's
-    /// reformation does.
-    #[serde(default)]
-    pub initial_seq: Seq,
 }
 
 impl SrpConfig {
@@ -91,7 +79,6 @@ impl SrpConfig {
             max_messages_per_token: 20,
             max_retransmit_per_token: 20,
             send_queue_limit: 1024,
-            initial_seq: Seq::ZERO,
         }
     }
 

@@ -11,7 +11,7 @@
 //! [`SrpNode`] — no `unsafe`, no field pokes from outside the crate —
 //! and draws its wrong bits from a caller-seeded RNG so a replay
 //! reproduces the exact same corruption. The mutations are bounded
-//! (small serial jumps, single-member set edits) so that detection
+//! (small counter jumps, single-member set edits) so that detection
 //! walks stay bounded too; the *protocol* hardening that routes the
 //! resulting inconsistencies into the Gather reformation path lives in
 //! [`crate::node`] and [`crate::member`].

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use totem_wire::{
     CommitToken, DataPacket, JoinMessage, MembEntry, NodeId, Packet, RingId, Seq, SharedPacket,
-    Token,
+    Token, MAX_COUNTER,
 };
 
 use crate::events::{ConfigChange, ConfigKind, SrpEvent};
@@ -405,7 +405,12 @@ impl SrpNode {
         match &self.ring {
             Some(r) => {
                 entry.old_ring = r.ring;
-                entry.my_aru = r.window.my_aru();
+                // A cursor a transient fault dragged below zero fails
+                // `is_consistent` and is past the counter bound every
+                // peer's decoder enforces: claim nothing received
+                // rather than send a commit token nobody accepts.
+                let my_aru = r.window.my_aru();
+                entry.my_aru = if my_aru.as_u64() < MAX_COUNTER { my_aru } else { Seq::ZERO };
                 entry.high_delivered = r.window.high_seen();
             }
             None => {
@@ -545,11 +550,8 @@ impl SrpNode {
         let my_old_ring = self.ring.as_ref().map(|r| r.ring).unwrap_or(RingId::new(self.me, 0));
         let group: Vec<&MembEntry> =
             ct.entries.iter().filter(|e| e.old_ring == my_old_ring).collect();
-        // Serial-number min/max: the recovery plan must stay correct
-        // when the old ring's sequence numbers straddle the wrap.
-        let plan_low = group.iter().map(|e| e.my_aru).reduce(Seq::serial_min).unwrap_or(Seq::ZERO);
-        let plan_high =
-            group.iter().map(|e| e.high_delivered).reduce(Seq::serial_max).unwrap_or(Seq::ZERO);
+        let plan_low = group.iter().map(|e| e.my_aru).min().unwrap_or(Seq::ZERO);
+        let plan_high = group.iter().map(|e| e.high_delivered).max().unwrap_or(Seq::ZERO);
         let token = TokenCtx {
             loss_deadline: Some(now + self.cfg.token_loss_timeout),
             ..Default::default()
@@ -628,7 +630,7 @@ impl SrpNode {
         // Self-stabilization: same inconsistency check as the
         // operational token path — a corrupted new-ring window must
         // abort recovery into reformation, not pollute the token.
-        if rec.new.window.high_seen().follows(t.seq) || !rec.new.window.is_consistent() {
+        if rec.new.window.high_seen() > t.seq || !rec.new.window.is_consistent() {
             self.note_transition("srp-membership", "Recovery", "TokenLoss", "Gather");
             return self.enter_gather(now, Vec::new());
         }
@@ -697,11 +699,11 @@ impl SrpNode {
 
         // aru bookkeeping on the new ring.
         let my_aru = rec.new.window.my_aru();
-        if my_aru.precedes(t.aru) {
+        if my_aru < t.aru {
             t.aru = my_aru;
             t.aru_id = Some(self.me);
         } else if t.aru_id == Some(self.me) {
-            if my_aru.at_or_after(t.seq) {
+            if my_aru >= t.seq {
                 t.aru = t.seq;
                 t.aru_id = None;
             } else {

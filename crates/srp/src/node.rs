@@ -184,15 +184,9 @@ pub(crate) struct TokenCtx {
 
 impl TokenCtx {
     /// Whether a token stamped `(rotation, seq)` is fresh relative to
-    /// the last one processed. Both counters are compared in
-    /// serial-number order, so freshness survives the wrap boundary.
+    /// the last one processed.
     pub(crate) fn is_fresh(&self, rotation: Rotation, seq: Seq) -> bool {
-        match self.last_key {
-            None => true,
-            Some((last_rot, last_seq)) => {
-                rotation.follows(last_rot) || (rotation == last_rot && seq.follows(last_seq))
-            }
-        }
+        self.last_key.is_none_or(|last| (rotation, seq) > last)
     }
 
     /// Whether a data packet numbered `seq` proves the token this
@@ -201,7 +195,7 @@ impl TokenCtx {
     pub(crate) fn sent_token_precedes(&self, seq: Seq) -> bool {
         self.sent_token
             .as_ref()
-            .is_some_and(|p| matches!(p.packet(), Packet::Token(t) if seq.follows(t.seq)))
+            .is_some_and(|p| matches!(p.packet(), Packet::Token(t) if seq > t.seq))
     }
 
     /// The sent token was received: stop retransmitting it and keep
@@ -218,7 +212,7 @@ impl TokenCtx {
     /// it and the previous visit's `aru`, which every member holds.
     /// `None` on a node's first visit, when nothing is known yet.
     pub(crate) fn push_aru(&mut self, aru: Seq) -> Option<Seq> {
-        let low_water = self.last_aru.map(|prev| Seq::serial_min(prev, aru));
+        let low_water = self.last_aru.map(|prev| prev.min(aru));
         self.last_aru = Some(aru);
         low_water
     }
@@ -298,11 +292,7 @@ impl SrpNode {
             return Err(NodeInitError::NotAMember(me));
         }
         let rep = members.iter().min().copied().unwrap_or(me);
-        let mut ring_ctx = RingCtx::new(RingId::new(rep, 1), members.to_vec());
-        // A nonzero `initial_seq` places the ring's sequence space just
-        // where the config says (wrap-equivariance tests start near
-        // `u64::MAX`); `starting_at(ZERO)` is exactly `new()`.
-        ring_ctx.window = ReceiveWindow::starting_at(cfg.initial_seq);
+        let ring_ctx = RingCtx::new(RingId::new(rep, 1), members.to_vec());
         let token = TokenCtx {
             loss_deadline: Some(now + cfg.token_loss_timeout),
             announce_deadline: (ring_ctx.rep() == me).then(|| now + cfg.merge_detect_interval),
@@ -507,10 +497,7 @@ impl SrpNode {
         let Some(ring) = self.ring.as_ref() else { return Vec::new() };
         assert_eq!(ring.rep(), self.me, "only the representative bootstraps the token");
         assert!(matches!(self.state, StateImpl::Operational(_)), "node must be operational");
-        let mut token = Token::initial(ring.ring);
-        token.seq = self.cfg.initial_seq;
-        token.aru = self.cfg.initial_seq;
-        self.handle_token(now, Packet::Token(token).into())
+        self.handle_token(now, Packet::Token(Token::initial(ring.ring)).into())
     }
 
     /// Queues an application message for totally ordered broadcast.
@@ -611,11 +598,11 @@ impl SrpNode {
         // below `seq` for good (nobody ever lowers it, and the
         // equal-to-seq advancement rule never fires again).
         let my_aru = ring.window.my_aru();
-        if my_aru.precedes(t.aru) {
+        if my_aru < t.aru {
             t.aru = my_aru;
             t.aru_id = Some(self.me);
         } else if t.aru_id == Some(self.me) {
-            if my_aru.at_or_after(t.seq) {
+            if my_aru >= t.seq {
                 t.aru = t.seq;
                 t.aru_id = None;
             } else {
@@ -896,7 +883,7 @@ impl SrpNode {
         // that would park forever-unserviceable retransmission
         // requests on the token; a broken contiguity invariant under
         // `my_aru` would deliver around a gap.
-        if ring.window.high_seen().follows(t.seq) || !ring.window.is_consistent() {
+        if ring.window.high_seen() > t.seq || !ring.window.is_consistent() {
             self.note_transition("srp-membership", "Operational", "TokenLoss", "Gather");
             events.extend(self.enter_gather(now, Vec::new()));
             return events;

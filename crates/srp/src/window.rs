@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use totem_wire::{Seq, SharedPacket};
+use totem_wire::{Seq, SharedPacket, MAX_COUNTER};
 
 /// How far ahead of the discard floor the window reaches, in sequence
 /// numbers. Flow control keeps a live ring orders of magnitude below
@@ -51,11 +51,10 @@ pub const SPAN_CAP: u64 = 65_536;
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveWindow {
     /// Ring of buffered packets: slot `i` belongs to the sequence
-    /// number `i + 1` steps after `floor` (`seq.gap_from(floor) - 1`,
-    /// which already skips the reserved zero across the wrap).
+    /// number `i + 1` steps after `floor` (`seq.gap_from(floor) - 1`).
     slots: VecDeque<Option<SharedPacket>>,
-    /// Everything serially at or below this has been discarded (or
-    /// predates the window); the ring's anchor.
+    /// Everything at or below this has been discarded (or predates the
+    /// window); the ring's anchor.
     floor: Seq,
     /// Highest sequence number such that all packets `1..=my_aru` are
     /// present.
@@ -80,25 +79,8 @@ impl ReceiveWindow {
         Self::default()
     }
 
-    /// A window whose watermarks start at `aru` instead of
-    /// [`Seq::ZERO`]: the first expected packet is `aru.next()`.
-    ///
-    /// Production rings always start at zero; this constructor exists
-    /// so tests can place the window just below the `u64::MAX` wrap
-    /// boundary and exercise the serial-number arithmetic across it.
-    pub fn starting_at(aru: Seq) -> Self {
-        ReceiveWindow {
-            floor: aru,
-            my_aru: aru,
-            high_seen: aru,
-            delivered_up_to: aru,
-            ..Self::default()
-        }
-    }
-
     /// The ring slot of `seq`, if it lies above the floor. The
-    /// reserved zero owns no slot (its serial distance would alias the
-    /// one of `u64::MAX`).
+    /// reserved zero owns no slot.
     fn slot_of(&self, seq: Seq) -> Option<usize> {
         if seq == Seq::ZERO {
             return None;
@@ -121,7 +103,7 @@ impl ReceiveWindow {
         if seq == Seq::ZERO {
             return false; // sequence numbers start at 1
         }
-        if !seq.follows(self.my_aru) {
+        if seq <= self.my_aru {
             self.duplicates += 1;
             return false;
         }
@@ -130,7 +112,7 @@ impl ReceiveWindow {
         // the ground in between reads as what it is — discarded,
         // buffered nowhere — and a retransmission of it is buffered
         // again instead of bouncing off the floor.
-        let anchor = self.floor.serial_min(self.my_aru);
+        let anchor = self.floor.min(self.my_aru);
         let lowered = self.floor.gap_from(anchor);
         if seq.gap_from(anchor).max(lowered) > SPAN_CAP {
             self.refused += 1;
@@ -151,8 +133,7 @@ impl ReceiveWindow {
         }
         *entry = Some(pkt);
         self.note_seq(seq);
-        // Advance the contiguity watermark (stepping with `next`, so
-        // the walk is correct across the wrap boundary).
+        // Advance the contiguity watermark.
         while self.get(self.my_aru.next()).is_some() {
             self.my_aru = self.my_aru.next();
         }
@@ -169,10 +150,10 @@ impl ReceiveWindow {
     /// a frame beyond [`SPAN_CAP`], a cursor that a transient fault
     /// dragged below the floor), which stay `insert`'s to decide.
     pub fn suppress_duplicate(&mut self, seq: Seq) -> bool {
-        if seq == Seq::ZERO || self.my_aru.precedes(self.floor) {
+        if seq == Seq::ZERO || self.my_aru < self.floor {
             return false;
         }
-        if seq.follows(self.my_aru) && self.get(seq).is_none() {
+        if seq > self.my_aru && self.get(seq).is_none() {
             return false;
         }
         self.duplicates += 1;
@@ -182,9 +163,7 @@ impl ReceiveWindow {
     /// Records that sequence number `seq` exists on the ring (learned
     /// from a token or another packet's header).
     pub fn note_seq(&mut self, seq: Seq) {
-        if seq.follows(self.high_seen) {
-            self.high_seen = seq;
-        }
+        self.high_seen = self.high_seen.max(seq);
     }
 
     /// The contiguity watermark: all of `1..=my_aru` are present.
@@ -207,7 +186,7 @@ impl ReceiveWindow {
     /// releasing a buffered token (paper Figure 4,
     /// `anyMessagesMissing`).
     pub fn any_missing(&self) -> bool {
-        self.high_seen.follows(self.my_aru)
+        self.high_seen > self.my_aru
     }
 
     /// The missing sequence numbers in `(my_aru, high_seen]`, capped
@@ -239,7 +218,7 @@ impl ReceiveWindow {
     /// stay buffered for retransmission until
     /// [`ReceiveWindow::discard_up_to`].
     pub fn take_deliverable(&mut self, up_to: Seq, mut deliver: impl FnMut(&SharedPacket)) {
-        let hi = up_to.serial_min(self.my_aru);
+        let hi = up_to.min(self.my_aru);
         let mut delivered_to = self.delivered_up_to;
         for s in self.delivered_up_to.missing_until(hi) {
             // Contiguity below `my_aru` is an invariant; if it is ever
@@ -251,12 +230,12 @@ impl ReceiveWindow {
         self.delivered_up_to = delivered_to;
     }
 
-    /// Discards buffered packets serially at or below `floor`. The
+    /// Discards buffered packets at or below `floor`. The
     /// caller must guarantee no ring member can still request them
     /// (the token's rotation-minimum `aru`) and that they have been
     /// delivered locally.
     pub fn discard_up_to(&mut self, floor: Seq) {
-        let floor = floor.serial_min(self.delivered_up_to);
+        let floor = floor.min(self.delivered_up_to);
         let gone = usize::try_from(floor.gap_from(self.floor)).unwrap_or(usize::MAX);
         if gone > 0 {
             // The floor only ever moves forward here.
@@ -282,16 +261,16 @@ impl ReceiveWindow {
     }
 
     /// Iterates over buffered packets with `seq` in `(lo, hi]`, in
-    /// serial order (used by membership recovery to retransmit
-    /// old-ring packets). Walks sequence numbers with [`Seq::next`],
-    /// so the interval is correct across the wrap boundary.
+    /// order (used by membership recovery to retransmit old-ring
+    /// packets).
     pub fn range(&self, lo: Seq, hi: Seq) -> impl Iterator<Item = &SharedPacket> {
         lo.missing_until(hi).filter_map(move |s| self.get(s))
     }
 
     /// Whether the window's internal invariants hold: the cursors are
-    /// serially ordered (`delivered_up_to ≤ my_aru ≤ high_seen`) and
-    /// every sequence number in `(delivered_up_to, my_aru]` is
+    /// ordered and bounded (`delivered_up_to ≤ my_aru ≤ high_seen <`
+    /// [`MAX_COUNTER`], so a cursor a fault dragged below zero fails)
+    /// and every sequence number in `(delivered_up_to, my_aru]` is
     /// buffered (the contiguity guarantee behind `my_aru`). A window
     /// whose counters were corrupted by a transient fault fails this
     /// check; token processing routes the node into membership
@@ -301,8 +280,9 @@ impl ReceiveWindow {
     /// itself impossible under flow control, so it reports
     /// inconsistency.
     pub fn is_consistent(&self) -> bool {
-        if !self.my_aru.at_or_after(self.delivered_up_to)
-            || !self.high_seen.at_or_after(self.my_aru)
+        if self.delivered_up_to > self.my_aru
+            || self.my_aru > self.high_seen
+            || self.high_seen.as_u64() >= MAX_COUNTER
         {
             return false;
         }
@@ -495,98 +475,24 @@ mod tests {
         assert_eq!(w.my_aru(), Seq::ZERO);
     }
 
-    // ---- wrap boundary (satellite: RFC 1982-style serial ordering) ----
-
-    #[test]
-    fn aru_advances_across_the_wrap_boundary() {
-        let start = Seq::new(u64::MAX - 2);
-        let mut w = ReceiveWindow::starting_at(start);
-        // MAX-1, MAX, then the wrap to 1 (zero is skipped), then 2.
-        for s in [u64::MAX - 1, u64::MAX, 1, 2] {
-            assert!(w.insert(pkt(s)), "seq {s} rejected");
-        }
-        assert_eq!(w.my_aru(), Seq::new(2));
-        assert!(!w.any_missing());
-    }
-
-    #[test]
-    fn gaps_and_retransmission_requests_across_the_wrap() {
-        let start = Seq::new(u64::MAX - 1);
-        let mut w = ReceiveWindow::starting_at(start);
-        w.insert(pkt(u64::MAX));
-        w.insert(pkt(2)); // gap at 1 (post-wrap)
-        assert_eq!(w.my_aru(), Seq::new(u64::MAX));
-        assert!(w.any_missing());
-        assert_eq!(w.missing(10), vec![Seq::new(1)]);
-        w.insert(pkt(1));
-        assert_eq!(w.my_aru(), Seq::new(2));
-        assert_eq!(w.missing(10), Vec::<Seq>::new());
-    }
-
-    #[test]
-    fn delivery_and_discard_across_the_wrap() {
-        let start = Seq::new(u64::MAX - 1);
-        let mut w = ReceiveWindow::starting_at(start);
-        for s in [u64::MAX, 1, 2, 3] {
-            w.insert(pkt(s));
-        }
-        assert_eq!(take(&mut w, 1), vec![u64::MAX, 1]);
-        assert_eq!(take(&mut w, 3), vec![2, 3]);
-        // Discard up to the post-wrap floor: the pre-wrap packet at
-        // MAX is serially below 2 and must go; 3 must stay.
-        w.discard_up_to(Seq::new(2));
-        assert!(w.get(Seq::new(u64::MAX)).is_none());
-        assert!(w.get(Seq::new(1)).is_none());
-        assert!(w.get(Seq::new(3)).is_some());
-    }
-
-    #[test]
-    fn pre_wrap_duplicates_are_suppressed_after_the_wrap() {
-        let start = Seq::new(u64::MAX - 1);
-        let mut w = ReceiveWindow::starting_at(start);
-        w.insert(pkt(u64::MAX));
-        w.insert(pkt(1));
-        // A stale retransmission of the pre-wrap packet is a duplicate,
-        // not a "future" packet, even though its raw value is larger.
-        assert!(!w.insert(pkt(u64::MAX)));
-        assert_eq!(w.duplicates(), 1);
-    }
-
-    #[test]
-    fn range_spans_the_wrap_boundary() {
-        let start = Seq::new(u64::MAX - 1);
-        let mut w = ReceiveWindow::starting_at(start);
-        for s in [u64::MAX, 1, 2] {
-            w.insert(pkt(s));
-        }
-        let seqs: Vec<u64> = w.range(Seq::new(u64::MAX - 1), Seq::new(2)).map(seq_of).collect();
-        assert_eq!(seqs, vec![u64::MAX, 1, 2]);
-    }
-
     // ---- what the ring adds ----
 
     #[test]
     fn a_frame_beyond_the_span_cap_is_refused_without_growth() {
-        for start in [0, u64::MAX - 3] {
-            let mut w = ReceiveWindow::starting_at(Seq::new(start));
-            let mut far = Seq::new(start);
-            for _ in 0..=SPAN_CAP {
-                far = far.next();
-            }
-            assert!(!w.insert(pkt(far.as_u64())), "one past the cap is refused");
-            assert_eq!(w.refused(), 1);
-            assert_eq!((w.buffered(), w.slots.len()), (0, 0), "nothing stored, ring not sized");
-            assert_eq!(w.high_seen(), Seq::new(start), "a refused frame teaches nothing");
-            assert!(!w.any_missing());
-            assert_eq!(w.duplicates(), 0);
-            // The window still works, and the cap moves with the floor.
-            let first = Seq::new(start).next();
-            assert!(w.insert(pkt(first.as_u64())));
-            take(&mut w, first.as_u64());
-            w.discard_up_to(first);
-            assert!(w.insert(pkt(far.as_u64())), "exactly the cap ahead of the new floor");
-            assert_eq!(w.slots.len() as u64, SPAN_CAP);
-        }
+        let mut w = ReceiveWindow::new();
+        let far = SPAN_CAP + 1;
+        assert!(!w.insert(pkt(far)), "one past the cap is refused");
+        assert_eq!(w.refused(), 1);
+        assert_eq!((w.buffered(), w.slots.len()), (0, 0), "nothing stored, ring not sized");
+        assert_eq!(w.high_seen(), Seq::ZERO, "a refused frame teaches nothing");
+        assert!(!w.any_missing());
+        assert_eq!(w.duplicates(), 0);
+        // The window still works, and the cap moves with the floor.
+        assert!(w.insert(pkt(1)));
+        take(&mut w, 1);
+        w.discard_up_to(Seq::new(1));
+        assert!(w.insert(pkt(far)), "exactly the cap ahead of the new floor");
+        assert_eq!(w.slots.len() as u64, SPAN_CAP);
     }
 
     #[test]
@@ -621,13 +527,13 @@ mod tests {
             take(&mut w, 200);
             w.discard_up_to(floor);
             w.corrupt(&mut rand::rngs::SmallRng::seed_from_u64(seed));
-            if w.my_aru().precedes(floor) || w.delivered_up_to().precedes(floor) {
+            if w.my_aru() < floor || w.delivered_up_to() < floor {
                 dragged += 1;
                 // Discarded ground now lies inside the cursors' reach.
                 assert!(!w.is_consistent(), "seed {seed}");
                 // It is missing, not lost: a retransmission of it is
                 // buffered again instead of bouncing off the floor.
-                if w.my_aru().precedes(floor) {
+                if w.my_aru() < floor {
                     let again = w.my_aru().next();
                     assert!(w.insert(pkt(again.as_u64())), "seed {seed}");
                     assert_eq!(w.get(again).map(seq_of), Some(again.as_u64()));
@@ -643,5 +549,35 @@ mod tests {
             let _ = (w.get(Seq::new(150)), w.any_missing(), w.is_consistent());
         }
         assert!(dragged >= 8, "only {dragged} of 64 seeds dragged a cursor below the floor");
+    }
+
+    #[test]
+    fn a_cursor_dragged_below_zero_is_inconsistent() {
+        use rand::SeedableRng;
+        let mut dragged = 0;
+        for seed in 0..64 {
+            let mut w = ReceiveWindow::new();
+            for s in 1..=3 {
+                w.insert(pkt(s));
+            }
+            take(&mut w, 3);
+            w.corrupt(&mut rand::rngs::SmallRng::seed_from_u64(seed));
+            if w.my_aru().as_u64() >= MAX_COUNTER || w.delivered_up_to().as_u64() >= MAX_COUNTER {
+                dragged += 1;
+                assert!(!w.is_consistent(), "seed {seed}");
+                if w.my_aru().as_u64() >= MAX_COUNTER {
+                    // Every frame a peer can send lies below it.
+                    assert!(!w.insert(pkt(4)), "seed {seed}");
+                }
+            }
+        }
+        assert!(dragged >= 8, "only {dragged} of 64 seeds dragged a cursor below zero");
+        // The bound is a clause of its own: a horizon at it is corrupt
+        // even with every cursor below it in order.
+        for (high, legal) in [(MAX_COUNTER - 1, true), (MAX_COUNTER, false)] {
+            let mut w = ReceiveWindow::new();
+            w.note_seq(Seq::new(high));
+            assert_eq!(w.is_consistent(), legal, "high_seen {high}");
+        }
     }
 }

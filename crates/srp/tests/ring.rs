@@ -7,8 +7,11 @@ use std::collections::{HashSet, VecDeque};
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use totem_srp::window::ReceiveWindow;
 use totem_srp::{ConfigKind, DeliveryGuarantee, SrpConfig, SrpEvent, SrpNode, SrpState};
-use totem_wire::{NodeId, Packet, RingId, Seq, SharedPacket};
+use totem_wire::{NodeId, Packet, RingId, Seq, SharedPacket, MAX_COUNTER};
 
 /// Decides whether a packet (src, dst, pkt) is delivered.
 type DropFilter = Box<dyn FnMut(NodeId, NodeId, &Packet) -> bool>;
@@ -349,6 +352,33 @@ fn token_loss_triggers_reformation_with_same_members() {
     // And the ring still works afterwards.
     h.submit(1, b"after");
     assert!(h.run_until(400_000, |h| h.all_alive_delivered(2)));
+    h.assert_same_order();
+}
+
+/// A node whose `my_aru` a transient fault dragged below zero goes to
+/// Gather and reforms the ring with its peers, with every packet
+/// crossing the codec: a commit entry that carried the dragged cursor
+/// would be refused by every receiver, and the ring would never form.
+#[test]
+fn a_cursor_dragged_below_zero_reforms_over_the_wire() {
+    let drags_my_aru = |seed: &u64| {
+        let mut w = ReceiveWindow::new();
+        w.corrupt(&mut SmallRng::seed_from_u64(*seed));
+        w.my_aru().as_u64() >= MAX_COUNTER
+    };
+    let seed = (0..).find(drags_my_aru).expect("some seed drags my_aru");
+    let mut h = Harness::operational(3, cfg());
+    h.nodes[1].corrupt_seq_counters(&mut SmallRng::seed_from_u64(seed));
+    h.drop_filter = Box::new(|_, _, pkt| Packet::decode(&pkt.encode()).is_ok());
+    assert!(
+        h.run_until(400_000, |h| h
+            .configs
+            .iter()
+            .all(|c| c.iter().any(|(k, m)| *k == ConfigKind::Regular && m.len() == 3))),
+        "all nodes must deliver a regular configuration with all 3 members"
+    );
+    h.submit(1, b"after");
+    assert!(h.run_until(400_000, |h| h.all_alive_delivered(1)));
     h.assert_same_order();
 }
 

@@ -13,6 +13,8 @@ use core::fmt;
 
 use bytes::Bytes;
 
+use crate::ids::MAX_COUNTER;
+
 /// Error returned when decoding a malformed packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -43,6 +45,14 @@ pub enum CodecError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
+    /// A sequence number or rotation at or above [`MAX_COUNTER`],
+    /// which no ring lives long enough to reach.
+    CounterOutOfRange {
+        /// What was being decoded.
+        what: &'static str,
+        /// The offending value.
+        value: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -59,6 +69,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after packet")
+            }
+            CodecError::CounterOutOfRange { what, value } => {
+                write!(f, "{what} {value} is not below the counter bound 2^62")
             }
         }
     }
@@ -322,6 +335,23 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(self.array()?))
     }
 
+    /// Reads a big-endian [`Seq`](crate::Seq) or
+    /// [`Rotation`](crate::Rotation) counter: every such field on the
+    /// wire is decoded here, so none reaches the protocol at or above
+    /// [`MAX_COUNTER`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::CounterOutOfRange`] for a value at or
+    /// above [`MAX_COUNTER`], and [`CodecError::Truncated`] if fewer
+    /// than 8 bytes remain.
+    pub fn counter<T: From<u64>>(&mut self, what: &'static str) -> Result<T, CodecError> {
+        match self.u64()? {
+            value if value >= MAX_COUNTER => Err(CodecError::CounterOutOfRange { what, value }),
+            value => Ok(T::from(value)),
+        }
+    }
+
     /// Reads a boolean encoded as a `0`/`1` byte.
     ///
     /// # Errors
@@ -477,6 +507,7 @@ mod tests {
             CodecError::UnknownTag { what: "packet", tag: 9 },
             CodecError::BadLength { what: "rtr list", len: 1 << 30 },
             CodecError::TrailingBytes { remaining: 3 },
+            CodecError::CounterOutOfRange { what: "token seq", value: MAX_COUNTER },
         ] {
             let msg = err.to_string();
             assert!(!msg.is_empty());

@@ -148,23 +148,23 @@ impl fmt::Display for RingId {
     }
 }
 
+/// Exclusive upper bound of every decoded [`Seq`] and [`Rotation`].
+///
+/// Each ring starts its counters at zero, and a ring would need 2^62
+/// packets or rotations — millennia at line rate — to reach this, so
+/// the codec treats a counter at or above it as malformed input and
+/// the receive window treats one as corrupt state.
+pub const MAX_COUNTER: u64 = 1 << 62;
+
 /// A global message (packet) sequence number on a ring.
 ///
 /// The token carries the sequence number of the last packet broadcast
 /// on the ring; each node increments it for every packet it sends
 /// while holding the token, which imposes the total order.
 ///
-/// Totem's global sequence numbers wrap: the paper treats them as a
-/// circular space, and so does this type. [`Seq::next`] wraps past
-/// `u64::MAX` (skipping the reserved [`Seq::ZERO`], which means "no
-/// packet broadcast yet"), and order-sensitive protocol code must
-/// compare with the RFC 1982-style serial-number methods
-/// ([`Seq::follows`], [`Seq::serial_max`], ...). `Seq` deliberately
-/// implements **no** `Ord`/`PartialOrd`: serial order is not a total
-/// order, so a raw `<` across the wrap boundary is a protocol bug,
-/// and removing the derive turns that bug into a compile error. The
-/// few container-key sites that need a stable (raw-value, non-serial)
-/// total order go through the explicit [`Seq::ord_key`] adapter.
+/// Every installed ring starts at the reserved [`Seq::ZERO`] ("no
+/// packet broadcast yet") and stays below [`MAX_COUNTER`], so `Seq` is
+/// a plain ordered counter.
 ///
 /// # Example
 ///
@@ -172,24 +172,17 @@ impl fmt::Display for RingId {
 /// # use totem_wire::Seq;
 /// let s = Seq::ZERO.next();
 /// assert_eq!(s, Seq::new(1));
+/// assert!(s > Seq::ZERO);
 /// assert_eq!(s.gap_from(Seq::ZERO), 1);
-/// // Wrap boundary: MAX + 1 skips the reserved zero...
-/// let wrapped = Seq::new(u64::MAX).next();
-/// assert_eq!(wrapped, Seq::new(1));
-/// // ...and serial comparison still orders it after MAX.
-/// assert!(wrapped.follows(Seq::new(u64::MAX)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Seq(u64);
 
 impl Seq {
     /// The zero sequence number: "no packet broadcast yet".
     pub const ZERO: Seq = Seq(0);
-
-    /// Half the sequence space; the serial-number comparison horizon
-    /// (RFC 1982). Two live sequence numbers on one ring are always
-    /// far less than this far apart.
-    const HALF: u64 = 1 << 63;
 
     /// Creates a sequence number from its raw value.
     pub const fn new(raw: u64) -> Self {
@@ -201,100 +194,25 @@ impl Seq {
         self.0
     }
 
-    /// Explicit total-order adapter for container keys.
-    ///
-    /// The returned [`SerialOrdKey`] orders by **raw value**, not
-    /// serial order — correct for deduplication sets, map keys and
-    /// stable display sorting, and deliberately *not* usable for
-    /// "which sequence number is later" protocol decisions (use
-    /// [`Seq::follows`] / [`Seq::serial_max`] for those).
-    pub const fn ord_key(self) -> SerialOrdKey {
-        SerialOrdKey(self.0)
-    }
-
-    /// Returns the next sequence number, wrapping past `u64::MAX` and
-    /// skipping the reserved [`Seq::ZERO`] sentinel, as the paper's
-    /// circular global sequence space requires.
-    pub fn next(self) -> Seq {
-        match self.0.wrapping_add(1) {
-            0 => Seq(1),
-            n => Seq(n),
-        }
-    }
-
-    /// Serial-number (RFC 1982) "strictly after": true when `self` is
-    /// within half the sequence space ahead of `other`, including
-    /// across the wrap boundary.
-    pub fn follows(self, other: Seq) -> bool {
-        self.0 != other.0 && self.0.wrapping_sub(other.0) < Self::HALF
-    }
-
-    /// Serial-number "at or after": [`Seq::follows`] or equal.
-    pub fn at_or_after(self, other: Seq) -> bool {
-        self.0 == other.0 || self.follows(other)
-    }
-
-    /// Serial-number "strictly before": the dual of [`Seq::follows`].
-    pub fn precedes(self, other: Seq) -> bool {
-        other.follows(self)
-    }
-
-    /// The serially later of `self` and `other`.
-    pub fn serial_max(self, other: Seq) -> Seq {
-        if self.follows(other) {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The serially earlier of `self` and `other`.
-    pub fn serial_min(self, other: Seq) -> Seq {
-        if self.follows(other) {
-            other
-        } else {
-            self
-        }
+    /// Returns the next sequence number, which is never the reserved
+    /// [`Seq::ZERO`]. Saturates rather than overflows, so even a
+    /// corrupted counter cannot panic.
+    pub const fn next(self) -> Seq {
+        Seq(self.0.saturating_add(1))
     }
 
     /// Returns how many sequence numbers lie strictly after `earlier`
-    /// up to and including `self` (zero if `self` is at or serially
-    /// before `earlier`), wrapping across the top of the space.
-    pub fn gap_from(self, earlier: Seq) -> u64 {
-        if self.follows(earlier) {
-            // A wrap step skips the reserved zero, so a distance that
-            // crosses it counts one fewer actual sequence number.
-            let raw = self.0.wrapping_sub(earlier.0);
-            if self.0 < earlier.0 {
-                raw - 1
-            } else {
-                raw
-            }
-        } else {
-            0
-        }
+    /// up to and including `self` (zero if `self` is at or before
+    /// `earlier`).
+    pub const fn gap_from(self, earlier: Seq) -> u64 {
+        self.0.saturating_sub(earlier.0)
     }
 
     /// Iterates over all sequence numbers in `(self, until]`, i.e. the
     /// numbers a node is missing when its high watermark is `self`
-    /// and the ring has reached `until`. Steps with [`Seq::next`], so
-    /// the range is correct across the wrap boundary.
+    /// and the ring has reached `until`.
     pub fn missing_until(self, until: Seq) -> impl Iterator<Item = Seq> {
-        let mut cur = self;
-        // `ZERO` is the reserved "nothing broadcast yet" sentinel, so
-        // nothing can be missing up to it (and it is unreachable by
-        // `next`, which would otherwise make the walk unbounded).
-        let mut done = until == Seq::ZERO || !until.follows(self);
-        core::iter::from_fn(move || {
-            if done {
-                return None;
-            }
-            cur = cur.next();
-            if cur == until {
-                done = true;
-            }
-            Some(cur)
-        })
+        (self.0..until.0).map(|s| Seq(s + 1))
     }
 }
 
@@ -310,34 +228,14 @@ impl From<u64> for Seq {
     }
 }
 
-/// Raw-value total-order key for serially wrapping counters.
-///
-/// [`Seq`] and [`Rotation`] implement no `Ord` because serial (RFC
-/// 1982) order is not a total order. Containers and duplicate-
-/// detection tuples still need *some* stable total order; this adapter
-/// provides it explicitly, so every site that opts into raw-value
-/// order is grep-able and auditable. Obtain one via [`Seq::ord_key`]
-/// or [`Rotation::ord_key`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SerialOrdKey(u64);
-
-impl SerialOrdKey {
-    /// The raw counter value this key was built from.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 /// The token's rotation counter (paper §2, footnote 1).
 ///
 /// Incremented by the ring leader every time the token completes a
 /// rotation, so an idle ring's retransmitted token (same [`Seq`]) is
-/// never mistaken for a fresh one. Like [`Seq`] it lives in a circular
-/// space on a long-running ring, so it carries the same RFC 1982
-/// serial-number comparison methods and — deliberately — no
-/// `Ord`/`PartialOrd`. Unlike [`Seq`] there is no reserved zero:
-/// `Rotation::ZERO` is the valid first rotation of a fresh ring, and
-/// [`Rotation::next`] wraps straight through it.
+/// never mistaken for a fresh one. Like [`Seq`] it restarts on every
+/// installed ring and stays below [`MAX_COUNTER`]; unlike [`Seq`] it
+/// has no reserved value: `Rotation::ZERO` is the first rotation of a
+/// fresh ring.
 ///
 /// # Example
 ///
@@ -345,10 +243,9 @@ impl SerialOrdKey {
 /// # use totem_wire::Rotation;
 /// let r = Rotation::ZERO.next();
 /// assert_eq!(r, Rotation::new(1));
-/// // Serial comparison is wrap-safe.
-/// assert!(Rotation::new(2).follows(Rotation::new(u64::MAX)));
+/// assert!(r > Rotation::ZERO);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Rotation(u64);
 
 impl fmt::Debug for Rotation {
@@ -364,9 +261,6 @@ impl Rotation {
     /// The first rotation of a freshly formed ring.
     pub const ZERO: Rotation = Rotation(0);
 
-    /// Half the rotation space; the serial comparison horizon.
-    const HALF: u64 = 1 << 63;
-
     /// Creates a rotation counter from its raw value.
     pub const fn new(raw: u64) -> Self {
         Rotation(raw)
@@ -377,26 +271,10 @@ impl Rotation {
         self.0
     }
 
-    /// The next rotation, wrapping past `u64::MAX` (no reserved
-    /// values: zero is a legal rotation).
+    /// The next rotation. Saturates rather than overflows, like
+    /// [`Seq::next`].
     pub const fn next(self) -> Rotation {
-        Rotation(self.0.wrapping_add(1))
-    }
-
-    /// Serial-number (RFC 1982) "strictly after", wrap-safe.
-    pub fn follows(self, other: Rotation) -> bool {
-        self.0 != other.0 && self.0.wrapping_sub(other.0) < Self::HALF
-    }
-
-    /// Serial-number "at or after": [`Rotation::follows`] or equal.
-    pub fn at_or_after(self, other: Rotation) -> bool {
-        self.0 == other.0 || self.follows(other)
-    }
-
-    /// Explicit total-order adapter for container keys; see
-    /// [`Seq::ord_key`] for the contract.
-    pub const fn ord_key(self) -> SerialOrdKey {
-        SerialOrdKey(self.0)
+        Rotation(self.0.saturating_add(1))
     }
 }
 
@@ -416,12 +294,11 @@ impl From<u64> for Rotation {
 ///
 /// The coordinator assigns one instance per proposal and learners
 /// deliver strictly in instance order, so this is the Ring Paxos
-/// analogue of [`Seq`]: a serially wrapping ordering counter with a
-/// reserved [`InstanceId::ZERO`] sentinel meaning "no instance opened
-/// yet". Like [`Seq`] it implements **no** `Ord`/`PartialOrd` — a raw
-/// `<` across the wrap boundary is a protocol bug — and protocol code
-/// compares with the RFC 1982 serial methods. Container keys go
-/// through the explicit [`InstanceId::ord_key`] adapter.
+/// analogue of [`Seq`], with a reserved [`InstanceId::ZERO`] sentinel
+/// meaning "no instance opened yet". It lives in a circular space
+/// compared with RFC 1982 serial methods and implements **no**
+/// `Ord`/`PartialOrd`: a raw `<` across the wrap boundary would be a
+/// protocol bug.
 ///
 /// # Example
 ///
@@ -481,12 +358,6 @@ impl InstanceId {
             other
         }
     }
-
-    /// Explicit total-order adapter for container keys; see
-    /// [`Seq::ord_key`] for the contract.
-    pub const fn ord_key(self) -> SerialOrdKey {
-        SerialOrdKey(self.0)
-    }
 }
 
 impl fmt::Display for InstanceId {
@@ -506,10 +377,9 @@ impl From<u64> for InstanceId {
 /// Carried by `Accept` and `RingAck` messages so acceptors can gate
 /// stale coordinator traffic; here it tracks the coordinator's
 /// incarnation, so it advances once per coordinator reboot. It lives
-/// in the same circular space discipline as the other protocol
-/// counters: RFC 1982 serial comparison, **no** `Ord`/`PartialOrd`,
-/// and no reserved values (ballot zero is the original coordinator's
-/// first round, like [`Rotation::ZERO`]).
+/// in the same circular space as [`InstanceId`]: RFC 1982 serial
+/// comparison, **no** `Ord`/`PartialOrd`, and no reserved values
+/// (ballot zero is the original coordinator's first round).
 ///
 /// # Example
 ///
@@ -551,12 +421,6 @@ impl Ballot {
     /// Serial-number "at or after": [`Ballot::follows`] or equal.
     pub fn at_or_after(self, other: Ballot) -> bool {
         self.0 == other.0 || self.follows(other)
-    }
-
-    /// Explicit total-order adapter for container keys; see
-    /// [`Seq::ord_key`] for the contract.
-    pub const fn ord_key(self) -> SerialOrdKey {
-        SerialOrdKey(self.0)
     }
 }
 
@@ -675,36 +539,14 @@ mod tests {
     }
 
     #[test]
-    fn seq_next_wraps_past_max_skipping_zero() {
-        assert_eq!(Seq::new(u64::MAX).next(), Seq::new(1));
-        assert_eq!(Seq::new(u64::MAX - 1).next(), Seq::new(u64::MAX));
-    }
-
-    #[test]
-    fn serial_order_across_the_wrap_boundary() {
-        let before = Seq::new(u64::MAX - 2);
-        let after = Seq::new(3); // five `next` steps later (zero skipped)
-        assert!(after.follows(before));
-        assert!(!before.follows(after));
-        assert!(before.precedes(after));
-        assert!(after.at_or_after(before));
-        assert!(after.at_or_after(after));
-        assert_eq!(before.serial_max(after), after);
-        assert_eq!(before.serial_min(after), before);
-        // The explicit raw-order adapter disagrees across the wrap —
-        // that is exactly why `Seq` itself implements no `Ord` and
-        // protocol code must use the serial methods.
-        assert!(after.ord_key() < before.ord_key());
-    }
-
-    #[test]
-    fn rotation_is_serial_and_wraps_through_zero() {
+    fn counters_order_plainly_and_saturate() {
+        assert!(Seq::new(3) < Seq::new(4));
+        assert_eq!(Seq::new(3).max(Seq::new(9)), Seq::new(9));
+        assert_eq!(Seq::new(u64::MAX).next(), Seq::new(u64::MAX));
+        assert_eq!(Seq::new(u64::MAX).missing_until(Seq::new(u64::MAX)).count(), 0);
         assert_eq!(Rotation::ZERO.next(), Rotation::new(1));
-        // No reserved values: MAX wraps straight to zero.
-        assert_eq!(Rotation::new(u64::MAX).next(), Rotation::ZERO);
-        assert!(Rotation::ZERO.follows(Rotation::new(u64::MAX)));
-        assert!(Rotation::new(5).at_or_after(Rotation::new(5)));
-        assert!(!Rotation::new(u64::MAX).follows(Rotation::ZERO));
+        assert!(Rotation::new(1) < Rotation::new(2));
+        assert_eq!(Rotation::new(u64::MAX).next(), Rotation::new(u64::MAX));
         assert_eq!(Rotation::new(9).to_string(), "rot9");
         assert_eq!(Rotation::from(4).as_u64(), 4);
     }
@@ -721,7 +563,6 @@ mod tests {
             InstanceId::new(2),
             "serial max must respect the wrap"
         );
-        assert!(InstanceId::new(2).ord_key() < InstanceId::new(u64::MAX).ord_key());
         assert_eq!(InstanceId::from(6).as_u64(), 6);
         assert_eq!(InstanceId::new(9).to_string(), "i9");
         assert_eq!(InstanceId::default(), InstanceId::ZERO);
@@ -734,7 +575,6 @@ mod tests {
         assert!(Ballot::ZERO.follows(Ballot::new(u64::MAX)));
         assert!(Ballot::new(3).at_or_after(Ballot::new(3)));
         assert!(!Ballot::new(3).at_or_after(Ballot::new(4)));
-        assert!(Ballot::new(1).ord_key() < Ballot::new(2).ord_key());
         assert_eq!(Ballot::from(5).as_u64(), 5);
         assert_eq!(Ballot::new(7).to_string(), "b7");
     }
@@ -745,30 +585,6 @@ mod tests {
         assert_eq!(Incarnation::new(u64::MAX).next(), Incarnation::new(u64::MAX));
         assert_eq!(Incarnation::from(3).as_u64(), 3);
         assert_eq!(Incarnation::new(2).to_string(), "inc2");
-    }
-
-    #[test]
-    fn ord_key_orders_by_raw_value() {
-        assert!(Seq::new(1).ord_key() < Seq::new(2).ord_key());
-        assert!(Rotation::new(1).ord_key() < Rotation::new(2).ord_key());
-        assert_eq!(Seq::new(7).ord_key(), Rotation::new(7).ord_key());
-        assert_eq!(Seq::new(7).ord_key().as_u64(), 7);
-    }
-
-    #[test]
-    fn serial_gap_counts_steps_across_the_wrap() {
-        // MAX -> 1 -> 2 -> 3: three next() steps, zero skipped.
-        assert_eq!(Seq::new(3).gap_from(Seq::new(u64::MAX)), 3);
-        assert_eq!(Seq::new(u64::MAX).gap_from(Seq::new(3)), 0);
-        assert_eq!(Seq::new(1).gap_from(Seq::new(u64::MAX)), 1);
-    }
-
-    #[test]
-    fn missing_until_walks_across_the_wrap() {
-        let missing: Vec<Seq> = Seq::new(u64::MAX - 1).missing_until(Seq::new(2)).collect();
-        assert_eq!(missing, vec![Seq::new(u64::MAX), Seq::new(1), Seq::new(2)]);
-        // Nothing is ever missing "up to ZERO".
-        assert_eq!(Seq::new(u64::MAX - 1).missing_until(Seq::ZERO).count(), 0);
     }
 
     #[test]

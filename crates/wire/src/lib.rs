@@ -5,9 +5,9 @@
 //!
 //! * [`ids`] — strongly typed identifiers ([`NodeId`], [`NetworkId`],
 //!   [`RingId`], [`Seq`]) and protocol counters ([`Rotation`],
-//!   [`Incarnation`]) with wrap-safe RFC 1982 comparison built in
-//!   (the serially wrapping ones deliberately implement no `Ord`;
-//!   container keys go through the explicit [`SerialOrdKey`] adapter).
+//!   [`Incarnation`]). [`Seq`] and [`Rotation`] restart at zero on
+//!   every ring, are plainly ordered, and decode only below
+//!   [`MAX_COUNTER`].
 //! * [`packet`] — the top-level [`Packet`] enum and the broadcast
 //!   [`DataPacket`] carrying packed/fragmented application messages.
 //! * [`token`] — the unicast regular [`Token`] that schedules
@@ -75,7 +75,7 @@ pub use frame::{
 };
 pub use header::WireHeader;
 pub use ids::{
-    Ballot, Incarnation, InstanceId, NetworkId, NodeId, RingId, Rotation, Seq, SerialOrdKey,
+    Ballot, Incarnation, InstanceId, NetworkId, NodeId, RingId, Rotation, Seq, MAX_COUNTER,
 };
 pub use membership::{CommitToken, JoinMessage, MembEntry};
 pub use packet::{Chunk, ChunkKind, Chunks, DataPacket, Packet};

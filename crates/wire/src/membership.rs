@@ -101,8 +101,8 @@ impl MembEntry {
         Ok(MembEntry {
             node: NodeId::new(r.u16()?),
             old_ring: RingId::new(NodeId::new(r.u16()?), r.u64()?),
-            my_aru: Seq::new(r.u64()?),
-            high_delivered: Seq::new(r.u64()?),
+            my_aru: r.counter("commit entry aru")?,
+            high_delivered: r.counter("commit entry high_delivered")?,
             received_flag: r.bool()?,
         })
     }

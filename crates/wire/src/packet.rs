@@ -347,7 +347,8 @@ impl Packet {
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncation, unknown tags,
-    /// implausible lengths, or trailing bytes.
+    /// implausible lengths, counters at or above
+    /// [`MAX_COUNTER`](crate::MAX_COUNTER), or trailing bytes.
     ///
     /// # Example
     ///
@@ -378,7 +379,8 @@ impl Packet {
     /// # Errors
     ///
     /// Returns a [`CodecError`] on truncation, unknown tags,
-    /// implausible lengths, or trailing bytes.
+    /// implausible lengths, counters at or above
+    /// [`MAX_COUNTER`](crate::MAX_COUNTER), or trailing bytes.
     pub fn decode_shared(buf: &Bytes) -> Result<Self, CodecError> {
         Self::decode_whole(Reader::over(buf))
     }
@@ -395,13 +397,14 @@ impl Packet {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncation, unknown tags or
-    /// implausible lengths.
+    /// Returns a [`CodecError`] on truncation, unknown tags,
+    /// implausible lengths or counters at or above
+    /// [`MAX_COUNTER`](crate::MAX_COUNTER).
     pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             TAG_DATA => {
                 let ring = RingId::new(NodeId::new(r.u16()?), r.u64()?);
-                let seq = Seq::new(r.u64()?);
+                let seq = r.counter("data seq")?;
                 let sender = NodeId::new(r.u16()?);
                 let n = r.u16()? as usize;
                 // A lone chunk is held inline; a validating reader

@@ -109,9 +109,9 @@ impl Token {
 
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let ring = RingId::new(NodeId::new(r.u16()?), r.u64()?);
-        let rotation = Rotation::new(r.u64()?);
-        let seq = Seq::new(r.u64()?);
-        let aru = Seq::new(r.u64()?);
+        let rotation = r.counter("token rotation")?;
+        let seq = r.counter("token seq")?;
+        let aru = r.counter("token aru")?;
         let aru_id = if r.bool()? { Some(NodeId::new(r.u16()?)) } else { None };
         let fcc = r.u32()?;
         let backlog = r.u32()?;
@@ -119,7 +119,7 @@ impl Token {
         if n > MAX_RTR {
             return Err(CodecError::BadLength { what: "rtr list", len: n });
         }
-        let rtr = r.list(n, MAX_RTR, |r| r.u64().map(Seq::new))?;
+        let rtr = r.list(n, MAX_RTR, |r| r.counter("token rtr"))?;
         Ok(Token { ring, rotation, seq, aru, aru_id, fcc, backlog, rtr })
     }
 

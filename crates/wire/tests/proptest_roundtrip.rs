@@ -1,13 +1,16 @@
 //! Property-based tests: every structurally valid packet round-trips
-//! through the codec, the decoder never panics on arbitrary bytes, and
-//! its three entries — borrowing, zero-copy, and the header-only
-//! validation — are indistinguishable in what they accept and report.
+//! through the codec, the decoder never panics on arbitrary bytes, a
+//! sequence number or rotation at or above the counter bound is
+//! refused, and the decoder's three entries — borrowing, zero-copy, and
+//! the header-only validation — are indistinguishable in what they
+//! accept and report.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use totem_wire::{
-    Ballot, Chunk, ChunkKind, CommitToken, DataPacket, InstanceId, JoinMessage, MembEntry, NodeId,
-    Packet, Proposal, RingId, RingPaxosMsg, Seq, Token, WireHeader,
+    Ballot, Chunk, ChunkKind, CodecError, CommitToken, DataPacket, InstanceId, JoinMessage,
+    MembEntry, NodeId, Packet, Proposal, RingId, RingPaxosMsg, Rotation, Seq, Token, WireHeader,
+    MAX_COUNTER,
 };
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
@@ -19,7 +22,7 @@ fn arb_ring() -> impl Strategy<Value = RingId> {
 }
 
 fn arb_seq() -> impl Strategy<Value = Seq> {
-    (0u64..u64::MAX / 2).prop_map(Seq::new)
+    (0u64..MAX_COUNTER).prop_map(Seq::new)
 }
 
 fn arb_chunk_kind() -> impl Strategy<Value = ChunkKind> {
@@ -61,7 +64,7 @@ fn arb_token() -> impl Strategy<Value = Token> {
     )
         .prop_map(|(ring, rotation, seq, aru, aru_id, fcc, backlog, rtr)| Token {
             ring,
-            rotation: totem_wire::Rotation::new(rotation as u64),
+            rotation: Rotation::new(rotation as u64),
             seq,
             aru,
             aru_id,
@@ -144,10 +147,53 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
     ]
 }
 
+/// A counter value either side of [`MAX_COUNTER`], edges included.
+fn arb_counter() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0..MAX_COUNTER,
+        MAX_COUNTER..=u64::MAX,
+        Just(MAX_COUNTER - 1),
+        Just(MAX_COUNTER),
+        Just(u64::MAX),
+    ]
+}
+
+/// A valid packet with one of its sequence-number or rotation fields —
+/// data `seq`; token `seq`, `aru`, `rotation` or an `rtr` entry; a
+/// commit entry's `my_aru` or `high_delivered` — set to `v`, and the
+/// name the decoder reports for that field.
+fn arb_packet_with_counter(v: u64) -> impl Strategy<Value = (Packet, &'static str)> {
+    let token = move |what: &'static str, set: fn(&mut Token, u64)| {
+        arb_token().prop_map(move |mut t| {
+            set(&mut t, v);
+            (Packet::Token(t), what)
+        })
+    };
+    let entry = move |what: &'static str, set: fn(&mut MembEntry, u64)| {
+        (arb_commit(), arb_memb_entry()).prop_map(move |(mut c, mut e)| {
+            set(&mut e, v);
+            c.entries.push(e);
+            (Packet::Commit(c), what)
+        })
+    };
+    prop_oneof![
+        arb_data_packet().prop_map(move |mut d| {
+            d.seq = Seq::new(v);
+            (Packet::Data(d), "data seq")
+        }),
+        token("token seq", |t, v| t.seq = Seq::new(v)),
+        token("token aru", |t, v| t.aru = Seq::new(v)),
+        token("token rotation", |t, v| t.rotation = Rotation::new(v)),
+        token("token rtr", |t, v| t.rtr.push(Seq::new(v))),
+        entry("commit entry aru", |e, v| e.my_aru = Seq::new(v)),
+        entry("commit entry high_delivered", |e, v| e.high_delivered = Seq::new(v)),
+    ]
+}
+
 /// Every decode entry on the same bytes: same packet or same error,
 /// and the non-allocating header validation accepts exactly when they
 /// do, reporting that packet's header or that error.
-fn decoders_agree(bytes: &[u8]) -> Result<Packet, totem_wire::CodecError> {
+fn decoders_agree(bytes: &[u8]) -> Result<Packet, CodecError> {
     let borrowed = Packet::decode(bytes);
     let shared = Packet::decode_shared(&Bytes::copy_from_slice(bytes));
     assert_eq!(borrowed, shared, "decode and decode_shared disagree on {bytes:02x?}");
@@ -162,6 +208,22 @@ proptest! {
         let bytes = pkt.encode();
         let decoded = Packet::decode(&bytes).expect("valid packet must decode");
         prop_assert_eq!(decoded, pkt);
+    }
+
+    // Every counter field decodes through one bounded read: below
+    // `MAX_COUNTER` the packet round-trips, at or above it every entry
+    // — the header peek included — refuses it with the typed error.
+    #[test]
+    fn counters_decode_only_below_the_bound(
+        case in arb_counter().prop_flat_map(|v| (Just(v), arb_packet_with_counter(v))),
+    ) {
+        let (v, (pkt, what)) = case;
+        let expected = if v < MAX_COUNTER {
+            Ok(pkt.clone())
+        } else {
+            Err(CodecError::CounterOutOfRange { what, value: v })
+        };
+        prop_assert_eq!(decoders_agree(&pkt.encode()), expected);
     }
 
     #[test]

@@ -14,9 +14,7 @@
 //! across cores (see [`soak`]). `cargo xtask mc` exhaustively explores every fault
 //! interleaving up to a bounded depth, checking the same oracle plus
 //! per-state invariants at every explored state and reporting spec-edge
-//! coverage (see [`mc`]). `cargo xtask wrap-audit` checks RFC 1982
-//! serial-arithmetic discipline for every counter declared in
-//! `spec/counters.toml` (see [`wrap`]).
+//! coverage (see [`mc`]).
 //!
 //! Diagnostics are `file:line: rule: message`, one per line on stdout,
 //! so editors and CI can jump straight to the site.
@@ -28,7 +26,7 @@
 //!   exercised; chaos: every schedule passed the oracle),
 //! * `1` — at least one violation,
 //! * `2` — usage or I/O error (bad arguments, unreadable files,
-//!   malformed `spec/protocol.toml` or `spec/counters.toml`).
+//!   malformed `spec/protocol.toml`).
 
 mod chaos;
 mod conformance;
@@ -38,7 +36,6 @@ mod par;
 mod rules;
 mod soak;
 mod spec;
-mod wrap;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -119,19 +116,9 @@ commands:
         --dups U            one-step net-duplication budget (default 0)
         --step-ms MS        virtual time per quiet step (default 400)
         --seed S            simulation seed (default 0)
-        --start-near-wrap   bootstrap the ring just below u64::MAX so
-                            exploration crosses the serial wrap
         --markdown <path>   append the edge table as GitHub markdown
         --repro-dir <dir>   where counterexample TOMLs go (default .)
-        --expect-edges E    fail unless at least E spec edges reached
-
-  wrap-audit [--markdown <path>]
-      Run the serial-arithmetic wrap-safety audit: every counter in
-      spec/counters.toml is checked for raw ordering, bare increments,
-      and truncating casts according to its declared kind (serial /
-      monotone / epoch), plus registry drift in both directions.
-        --markdown <path>   append the per-counter table as GitHub
-                            markdown (append to $GITHUB_STEP_SUMMARY)";
+        --expect-edges E    fail unless at least E spec edges reached";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -141,7 +128,6 @@ fn main() -> ExitCode {
         Some("chaos") => chaos::run(&args[1..]),
         Some("soak") => soak::run(&args[1..]),
         Some("mc") => mc::run(&args[1..]),
-        Some("wrap-audit") => wrap::run(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)

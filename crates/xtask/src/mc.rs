@@ -42,10 +42,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--dups" => opts.mc.dups = flags.parse(flag, "an integer")?,
             "--step-ms" => opts.mc.step_ms = flags.parse(flag, "an integer")?,
             "--seed" => opts.mc.seed = flags.parse(flag, "an integer")?,
-            // Places the bootstrapped ring's sequence space just below
-            // u64::MAX so exploration crosses the RFC 1982 wrap and
-            // the reserved-zero skip within the first quiet step.
-            "--start-near-wrap" => opts.mc.start_seq = u64::MAX - 2,
             "--markdown" => opts.markdown = Some(flags.value(flag)?.into()),
             "--repro-dir" => opts.repro_dir = flags.value(flag)?.into(),
             "--expect-edges" => opts.expect_edges = Some(flags.parse(flag, "an integer")?),
@@ -94,9 +90,6 @@ pub fn run(args: &[String]) -> ExitCode {
         opts.mc.dups,
         opts.mc.seed
     );
-    if opts.mc.start_seq != 0 {
-        println!("mc: start_seq {} (exploring across the serial wrap)", opts.mc.start_seq);
-    }
     let report = explore(&opts.mc);
     println!(
         "mc: {} state(s) explored ({} execution(s), {} pruned), deepest {} step(s), \

@@ -75,11 +75,7 @@ const NONDETERMINISM: &[&[&str]] = &[
 /// named `totem_wire::frame` constants outside the wire crate.
 const WIRE_MAGIC: &[u64] = &[1518, 1424, 1412, 94];
 
-/// The lint rules plus the wrap-safety rule family.
-///
-/// The first four run under `cargo xtask lint`; the `Wrap*` family
-/// runs under `cargo xtask wrap-audit` (see [`crate::wrap`]) against
-/// the counter registry in `spec/counters.toml`.
+/// The lint rules `cargo xtask lint` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Panic-free protocol crates.
@@ -90,17 +86,6 @@ pub enum Rule {
     SimDeterminism,
     /// Payload-model constants consistent and named.
     WireInvariants,
-    /// No raw ordering (`<`/`>`/`min`/`max`/`sort`/`cmp`) on serial
-    /// counters, and no `Ord`/`PartialOrd` derive on serial newtypes.
-    WrapSerialCompare,
-    /// No bare `+ 1` / `+=` / `wrapping_add` increments that bypass a
-    /// serial counter's `next()`.
-    WrapBareIncrement,
-    /// No truncating `as` casts of registered counters.
-    WrapTruncatingCast,
-    /// Registry drift: counters declared but unused, or counter-shaped
-    /// raw fields not declared in `spec/counters.toml`.
-    WrapRegistryDrift,
 }
 
 impl Rule {
@@ -111,25 +96,12 @@ impl Rule {
             Rule::ExplicitTransitions => "explicit-transitions",
             Rule::SimDeterminism => "sim-determinism",
             Rule::WireInvariants => "wire-invariants",
-            Rule::WrapSerialCompare => "wrap-serial-compare",
-            Rule::WrapBareIncrement => "wrap-bare-increment",
-            Rule::WrapTruncatingCast => "wrap-truncating-cast",
-            Rule::WrapRegistryDrift => "wrap-registry-drift",
         }
     }
 
     /// All rules, in stats order.
-    pub fn all() -> [Rule; 8] {
-        [
-            Rule::NoPanicPaths,
-            Rule::ExplicitTransitions,
-            Rule::SimDeterminism,
-            Rule::WireInvariants,
-            Rule::WrapSerialCompare,
-            Rule::WrapBareIncrement,
-            Rule::WrapTruncatingCast,
-            Rule::WrapRegistryDrift,
-        ]
+    pub fn all() -> [Rule; 4] {
+        [Rule::NoPanicPaths, Rule::ExplicitTransitions, Rule::SimDeterminism, Rule::WireInvariants]
     }
 }
 

@@ -69,10 +69,7 @@ fn fingerprint(n: &TotemNode) -> u64 {
 }
 
 fn monitors(n: &TotemNode) -> Vec<String> {
-    let mut report: Vec<String> =
-        n.rrp().monitor_report().iter().map(|m| format!("{m:?}")).collect();
-    report.sort();
-    report
+    n.rrp().monitor_report().iter().map(|m| format!("{m:?}")).collect()
 }
 
 impl Twins {

@@ -111,30 +111,6 @@ fn explored_state_space_is_pinned() {
     );
 }
 
-/// The explorer with the ring bootstrapped just below `u64::MAX`
-/// (`cargo xtask mc --start-near-wrap`) still exhausts its bound with
-/// zero violations — every oracle check holds across the RFC 1982
-/// wrap and the reserved-zero skip. The pin is deliberately the SAME
-/// `(states, digest)` as the zero-start `(nodes=2, depth=2)` run
-/// above: state fingerprints hash only position-independent protocol
-/// state (membership, epochs, delivery logs — never absolute sequence
-/// numbers), so an equal digest means the explorer built the exact
-/// same state graph across the wrap. Any divergence — a wrap-induced
-/// stall, an extra reformation, a delivery difference — would split a
-/// fingerprint and move both numbers.
-#[test]
-fn near_wrap_state_space_is_pinned() {
-    let mut opts = McOptions::new(2, 2);
-    opts.start_seq = u64::MAX - 2;
-    let report = explore(&opts);
-    assert!(report.passed(), "violations across the wrap: {:?}", report.counterexample);
-    assert_eq!(
-        (report.states, report.digest),
-        (58, 0xb719_0d72_0c9f_5de3),
-        "state space changed for (nodes=2, depth=2, start near wrap); if intentional, update the pin"
-    );
-}
-
 /// Two runs of the same configuration agree exactly — state count,
 /// digest, edge coverage, and first-seen depths.
 #[test]

@@ -18,7 +18,8 @@ use totem_rrp::{ReplicationStyle, RrpConfig};
 use totem_srp::SrpConfig;
 use totem_transport::{Destination, InMemoryHub, InMemoryTransport, Transport};
 use totem_wire::{
-    Chunk, DataPacket, JoinMessage, NetworkId, NodeId, Packet, RingId, Seq, Token, Writer,
+    Chunk, CodecError, DataPacket, JoinMessage, NetworkId, NodeId, Packet, RingId, Seq, Token,
+    Writer, MAX_COUNTER,
 };
 
 fn spawn_cluster(n: usize) -> (Vec<RuntimeHandle>, Vec<InMemoryTransport>) {
@@ -209,23 +210,25 @@ fn hostile_datagrams() -> Vec<Bytes> {
     out
 }
 
-/// Well-formed data frames on the live ring, "from" a member, whose
-/// sequence numbers lie far beyond anything flow control lets a ring
-/// reach: just past the receive window's span cap, and astronomically
-/// past it. They decode, so they reach the SRP — which must refuse
-/// them outright rather than size its window by them or take the
-/// phantom sequence number for a reason to reform the ring.
-fn forged_far_ahead_frames() -> Vec<Bytes> {
-    [totem_srp::window::SPAN_CAP + 500, 1 << 40, u64::MAX >> 2]
+/// Data frames on the live ring, "from" a member, whose sequence
+/// numbers lie far beyond anything flow control lets a ring reach, each
+/// with its sequence number: just past the receive window's span cap,
+/// astronomically past it, and at or past the counter bound. Those
+/// below [`MAX_COUNTER`] decode, so they reach the SRP — which must
+/// refuse them outright rather than size its window by them or take the
+/// phantom sequence number for a reason to reform the ring. The rest
+/// the decoder refuses.
+fn forged_far_ahead_frames() -> Vec<(u64, Bytes)> {
+    [totem_srp::window::SPAN_CAP + 500, 1 << 40, u64::MAX >> 2, 1 << 62, u64::MAX]
         .into_iter()
         .map(|seq| {
-            Packet::Data(DataPacket {
+            let frame = Packet::Data(DataPacket {
                 ring: RingId::new(NodeId::new(0), 1),
                 seq: Seq::new(seq),
                 sender: NodeId::new(1),
                 chunks: Chunk::complete(9, Bytes::from_static(b"from the future")).into(),
-            })
-            .encode_shared()
+            });
+            (seq, frame.encode_shared())
         })
         .collect()
 }
@@ -244,8 +247,14 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
     }
 
     let forged = forged_far_ahead_frames();
-    for d in &forged {
-        assert!(Packet::decode(d).is_ok(), "a forged frame must get past the decoder");
+    for (seq, d) in &forged {
+        let decoded = Packet::decode(d).map(|_| ());
+        if *seq < MAX_COUNTER {
+            assert_eq!(decoded, Ok(()), "a forged frame below the bound must get past the decoder");
+        } else {
+            let refused = CodecError::CounterOutOfRange { what: "data seq", value: *seq };
+            assert_eq!(decoded, Err(refused));
+        }
     }
 
     let (handles, attacker) = spawn_cluster(3);
@@ -267,7 +276,7 @@ fn hostile_datagrams_are_dropped_while_live_traffic_keeps_its_order() {
             if i % 5 == 0 {
                 // On both networks, as a replicated broadcast
                 // would arrive.
-                let datagram = forged_feed.next().expect("cycle never ends");
+                let (_, datagram) = forged_feed.next().expect("cycle never ends");
                 for net in [NetworkId::new(0), NetworkId::new(1)] {
                     attacker.send(net, Destination::Broadcast, datagram.clone()).unwrap();
                 }

@@ -122,7 +122,7 @@ fn corruption_pin(target: CorruptionTarget, salt: u64) {
 
 #[test]
 fn seq_counter_corruption_reconverges() {
-    // Pins the window-consistency hardening: a scrambled serial cursor
+    // Pins the window-consistency hardening: a scrambled sequence cursor
     // set must be detected on token receipt and routed into Gather.
     corruption_pin(CorruptionTarget::SeqCounters, 0xA11CE);
 }
