@@ -160,7 +160,7 @@ fn bench_window(c: &mut Criterion) {
                 for (f, s) in frames.iter().skip(60).zip(61u64..) {
                     w.insert(f.clone());
                     w.take_deliverable(Seq::new(s), |_| delivered += 1);
-                    w.discard_up_to(Seq::new(s - 60));
+                    w.discard_up_to(Seq::new(s - 60), drop);
                 }
                 delivered
             },

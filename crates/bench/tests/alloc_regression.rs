@@ -27,7 +27,7 @@ use totem_sim::{SimDuration, SimTime};
 use totem_srp::packing::{Packer, Reassembler};
 use totem_srp::{SrpConfig, SrpEvent, SrpNode};
 use totem_wire::{
-    Chunk, ChunkKind, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, SharedPacket,
+    Chunk, ChunkKind, DataPacket, NetworkId, NodeId, Packet, RingId, Seq, SharedPacket, WireHeader,
     MAX_DECODE_LEN,
 };
 
@@ -420,9 +420,10 @@ fn a_fragmented_message_costs_no_payload_sized_allocation_at_any_node() {
 
 /// A token that arrives in a handle its sender still holds (the
 /// simulator's way: the sender keeps it for retransmission) is not
-/// cloned: the visit rewrites the node's own retired token. On an idle
+/// cloned: the visit rewrites the token cell the node retired, which it
+/// recycled. On an idle
 /// ring, every visit and every hold release then allocates nothing —
-/// the shared-handle companion of `idle_token_visit_allocates_at_most_twice`.
+/// the shared-handle companion of `idle_token_visit_allocates_nothing`.
 #[test]
 fn idle_token_visit_through_a_shared_handle_allocates_nothing() {
     let mut ring = MeteredRing::new(100);
@@ -487,14 +488,26 @@ impl MeteredNodes {
         at: usize,
         call: impl FnOnce(&mut TotemNode, u64, &mut Vec<NodeOutput>),
     ) -> u64 {
+        let (call, encoding) = self.metered_apart(at, call);
+        call + encoding
+    }
+
+    /// [`MeteredNodes::metered`], with the call's allocations and the
+    /// encoding's apart: (call, encoding).
+    fn metered_apart(
+        &mut self,
+        at: usize,
+        call: impl FnOnce(&mut TotemNode, u64, &mut Vec<NodeOutput>),
+    ) -> (u64, u64) {
         let (a0, _) = snapshot();
         call(&mut self.nodes[at], self.now, &mut self.out);
+        let (a1, _) = snapshot();
         for o in &self.out {
             if let NodeOutput::Send { pkt, .. } = o {
                 pkt.encoded();
             }
         }
-        let (a1, _) = snapshot();
+        let (a2, _) = snapshot();
         for o in self.out.drain(..) {
             if let NodeOutput::Send { net, dst, pkt } = o {
                 let peers = 0..self.nodes.len();
@@ -503,7 +516,38 @@ impl MeteredNodes {
                 }
             }
         }
-        a1 - a0
+        (a1 - a0, a2 - a1)
+    }
+
+    /// One step of the world: the oldest datagram in flight into its
+    /// node — through `wrap`, which may repackage it — or, only when
+    /// nothing is in flight, the earliest timer. Returns the node and
+    /// what the call and its encodings cost, apart.
+    fn step(&mut self, wrap: impl FnOnce(bytes::Bytes) -> bytes::Bytes) -> (usize, (u64, u64)) {
+        match self.wire.pop_front() {
+            Some((to, net, datagram)) => {
+                self.now += 1_000;
+                let datagram = wrap(datagram);
+                let call = |n: &mut TotemNode, now, out: &mut Vec<NodeOutput>| {
+                    n.on_datagram_into(now, net, datagram, out);
+                };
+                (to, self.metered_apart(to, call))
+            }
+            None => {
+                let at = (0..self.nodes.len())
+                    .min_by_key(|&i| self.nodes[i].next_deadline())
+                    .expect("a node");
+                (at, self.fire_apart(at))
+            }
+        }
+    }
+
+    /// Queues `msgs` messages of `size` bytes at node `at`.
+    fn submit(&mut self, at: usize, msgs: usize, size: usize) {
+        for _ in 0..msgs {
+            let data = bytes::Bytes::from(vec![0x5A; size]);
+            self.metered(at, |n, now, out| n.submit_into(now, data, out).expect("queue has room"));
+        }
     }
 
     /// Feeds node `at` every datagram in flight to it; returns what
@@ -520,9 +564,15 @@ impl MeteredNodes {
 
     /// Fires node `at`'s earliest timer; returns what it cost.
     fn fire(&mut self, at: usize) -> u64 {
+        let (call, encoding) = self.fire_apart(at);
+        call + encoding
+    }
+
+    /// [`MeteredNodes::fire`], the call's cost and the encoding's apart.
+    fn fire_apart(&mut self, at: usize) -> (u64, u64) {
         let deadline = self.nodes[at].next_deadline().expect("a timer is armed");
         self.now = self.now.max(deadline);
-        self.metered(at, |n, now, out| n.on_timer_into(now, out))
+        self.metered_apart(at, |n, now, out| n.on_timer_into(now, out))
     }
 
     /// One idle token visit at node `at`: every copy of the token in,
@@ -540,15 +590,16 @@ impl MeteredNodes {
     }
 }
 
-/// A token that changes three integers per hop costs what it carries:
-/// across a whole idle visit — N datagrams in, the gate, the SRP's
-/// update, the hold, the timer release, the routes, the encoding — a
-/// node allocates the handle the first copy is decoded into and the
-/// bytes of the token it sends on, and nothing else. The other copies
-/// are never decoded; the update happens in the handle that arrived;
-/// that handle is what is forwarded.
+/// A token that changes three integers per hop costs nothing: across a
+/// whole idle visit — N datagrams in, the gate, the SRP's update, the
+/// hold, the timer release, the routes, the encoding — a node
+/// allocates nothing. The first copy is decoded into the token cell
+/// the node retired a visit ago, whose `rtr` keeps its capacity; the
+/// other copies are never decoded; the update happens in that cell;
+/// and the token it forwards is encoded into the buffer that cell was
+/// last sent in.
 #[test]
-fn idle_token_visit_allocates_at_most_twice() {
+fn idle_token_visit_allocates_nothing() {
     for (style, networks) in [
         (ReplicationStyle::Active, 2),
         (ReplicationStyle::Passive, 2),
@@ -556,7 +607,8 @@ fn idle_token_visit_allocates_at_most_twice() {
     ] {
         let mut pair = MeteredNodes::new(2, style, networks);
         pair.fire(0);
-        // Warm up: event buffers, route buffers, the output buffer.
+        // Warm up: event buffers, route buffers, the output buffer,
+        // and the token cells each node recycles.
         for _ in 0..8 {
             pair.idle_visit(1);
             pair.idle_visit(0);
@@ -565,8 +617,8 @@ fn idle_token_visit_allocates_at_most_twice() {
             for at in [1, 0] {
                 let (copies, release) = pair.idle_visit(at);
                 let visit = copies.iter().sum::<u64>() + release;
-                assert!(
-                    visit <= 2,
+                assert_eq!(
+                    visit, 0,
                     "{style}: an idle token visit allocated {visit} times \
                      (copies {copies:?}, release {release})"
                 );
@@ -592,24 +644,16 @@ fn silent_members_hold_the_token_only_when_the_ring_is_idle() {
     let held = |ring: &MeteredNodes| stat(ring, |s| s.tokens_held);
     // One step of the world: the oldest datagram in flight, or — only
     // when nothing is in flight — the earliest timer.
-    let step = |ring: &mut MeteredNodes, timers_fired: &mut u64| match ring.wire.pop_front() {
-        Some((to, net, datagram)) => {
-            ring.now += 1_000;
-            ring.metered(to, |n, now, out| n.on_datagram_into(now, net, datagram, out));
-        }
-        None => {
-            let at = (0..3).min_by_key(|&i| ring.nodes[i].next_deadline()).expect("three nodes");
-            ring.fire(at);
-            *timers_fired += 1;
-        }
+    let step = |ring: &mut MeteredNodes, timers_fired: &mut u64| {
+        *timers_fired += u64::from(ring.wire.is_empty());
+        ring.step(|d| d);
     };
 
     // Loaded: node 0 always has more than a visit's worth (20 packets
     // of one 1,000-byte message each) queued.
     let top_up = |ring: &mut MeteredNodes| {
         while ring.nodes[0].srp().send_queue_len() < 64 {
-            let data = bytes::Bytes::from(vec![0x5A; 1000]);
-            ring.metered(0, |n, now, out| out.extend(n.submit(now, data).expect("queue has room")));
+            ring.submit(0, 1, 1000);
         }
     };
     // The first submission releases the bootstrap token parked at node
@@ -699,4 +743,106 @@ fn redundant_copy_allocates_nothing() {
     assert_eq!(feed(&mut pair, 0, &one), 0, "a copy of a frame below the watermark");
     assert_eq!(received(&pair), vec![before[0] + 3, before[1] + 2]);
     assert_eq!(pair.nodes[1].srp().stats().delivered_msgs, 2);
+}
+
+/// A loaded ring of 400-byte messages, three to a frame: every call
+/// into a node — a frame decoded, its redundant copy dropped, a token
+/// visit that delivers, discards and packs frames of its own — allocates
+/// nothing. Received frames are decoded into, and new ones packed
+/// into, the cells the node's window discarded, whose chunk lists
+/// already hold three. What a node still allocates is the encoding of
+/// each frame it originates: one buffer per frame.
+#[test]
+fn a_loaded_visit_allocates_nothing_but_its_own_frames_encodings() {
+    let mut ring = MeteredNodes::new(2, ReplicationStyle::Active, 2);
+    let handled = |ring: &MeteredNodes| -> u64 {
+        ring.nodes.iter().map(|n| n.srp().stats().tokens_handled).sum()
+    };
+    let run = |ring: &mut MeteredNodes, visits: u64, check: bool| {
+        let until = handled(ring) + visits;
+        let mut frames = 0;
+        while handled(ring) < until {
+            for at in 0..2 {
+                let queued = ring.nodes[at].srp().send_queue_len();
+                ring.submit(at, 12usize.saturating_sub(queued), 400);
+            }
+            let sent: Vec<u64> = ring.nodes.iter().map(|n| n.srp().stats().packets_sent).collect();
+            let delivered: u64 = ring.nodes.iter().map(|n| n.srp().stats().delivered_msgs).sum();
+            let (at, (call, encoding)) = ring.step(|d| d);
+            let originated = ring.nodes[at].srp().stats().packets_sent - sent[at];
+            frames += originated;
+            if check {
+                assert_eq!(call, 0, "node {at}: a call allocated (it packed {originated} frames)");
+                assert_eq!(encoding, originated, "node {at}: encodings beyond one per own frame");
+                let now: u64 = ring.nodes.iter().map(|n| n.srp().stats().delivered_msgs).sum();
+                assert_eq!((now - delivered) % 3, 0, "frames carry three messages each");
+            }
+        }
+        frames
+    };
+    // Warm up: windows, queues, event buffers, and the cells each
+    // window discards.
+    run(&mut ring, 40, false);
+    let frames = run(&mut ring, 40, true);
+    assert!(frames >= 40, "only {frames} frames were originated");
+    assert!(ring.nodes.iter().all(|n| n.srp().cells().reused() > 0));
+    assert_eq!(ring.nodes.iter().map(|n| n.srp().stats().gathers).sum::<u64>(), 0);
+}
+
+/// A frame that arrived as a view of a batch of datagrams — the way the
+/// transport hands them over — pins nothing once the node is done
+/// with it: delivered and discarded, its cell recycled, the batch is
+/// unique again.
+#[test]
+fn a_recycled_cell_pins_no_datagram() {
+    let mut ring = MeteredNodes::new(2, ReplicationStyle::Active, 2);
+    ring.fire(0);
+    ring.submit(0, 3, 400);
+    let mut batches = Vec::new();
+    for _ in 0..400 {
+        ring.step(|datagram| {
+            if WireHeader::parse(&datagram).is_ok_and(|h| matches!(h, WireHeader::Data { .. })) {
+                // The frame behind another datagram in one buffer.
+                let batch = bytes::Bytes::from([&b"lead"[..], &datagram].concat());
+                batches.push(batch.clone());
+                return batch.slice(4..);
+            }
+            datagram
+        });
+    }
+    assert!(batches.len() >= 2, "the frame reached node 1 on both networks");
+    assert_eq!(ring.nodes[1].srp().stats().delivered_msgs, 3);
+    let recycled = ring.nodes[1].srp().cells();
+    assert!(!recycled.is_empty(), "node 1 recycled the frame's cell");
+    for batch in &batches {
+        assert!(batch.is_unique(), "a recycled cell still views its datagram");
+    }
+}
+
+/// However many frames a visit discards, the recycled cells a node
+/// keeps never outnumber its bound — a flow-control window of frames
+/// and one token — and the bound is what stops them: three members
+/// with a window's worth of frames each queued fill every rotation
+/// with a window of frames.
+#[test]
+fn the_free_list_stays_within_its_bound_after_a_window_burst() {
+    let mut ring = MeteredNodes::new(3, ReplicationStyle::Active, 2);
+    let window = SrpConfig::default().window_size as usize;
+    ring.fire(0);
+    for at in 0..3 {
+        ring.submit(at, window * 3, 400);
+    }
+    let mut most = 0;
+    for _ in 0..5_000 {
+        ring.step(|d| d);
+        for n in &ring.nodes {
+            assert_eq!(n.srp().cells().bound(), window + 1);
+            assert!(n.srp().cells().len() <= n.srp().cells().bound());
+            most = most.max(n.srp().cells().len());
+        }
+    }
+    for n in &ring.nodes {
+        assert_eq!(n.srp().stats().delivered_msgs, window as u64 * 9);
+    }
+    assert_eq!(most, window + 1, "the burst filled a free list to its bound");
 }

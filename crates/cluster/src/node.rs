@@ -219,7 +219,7 @@ impl TotemNode {
         pkt: SharedPacket,
         out: &mut Vec<NodeOutput>,
     ) {
-        self.receive(now, out, |rrp, missing, events| {
+        self.receive(now, out, |rrp, _srp, missing, events| {
             rrp.on_packet_into(now, net, pkt, missing, events);
         });
     }
@@ -243,7 +243,10 @@ impl TotemNode {
     ///   [`TotemNode::on_packet_into`].
     ///
     /// Which of the three applies depends only on what the node holds
-    /// (ring, window, gate), not on how it is configured.
+    /// (ring, window, gate), not on how it is configured. A copy that
+    /// is decoded is decoded into a packet cell the SRP recycled
+    /// ([`SrpNode::decode`]), so a token hop, and a data frame whose
+    /// chunk list fits a recycled one, allocate nothing.
     pub fn on_datagram_into(
         &mut self,
         now: Nanos,
@@ -254,13 +257,13 @@ impl TotemNode {
         let Ok(header) = WireHeader::parse(&datagram) else { return };
         match header {
             WireHeader::Token { ring, rotation, seq } => {
-                self.receive(now, out, |rrp, missing, events| {
-                    let body = || SharedPacket::from_datagram(datagram).ok();
+                self.receive(now, out, |rrp, srp, missing, events| {
+                    let body = || srp.decode(datagram).ok();
                     rrp.on_token_into(now, net, ring, rotation, seq, missing, body, events);
                 });
             }
             WireHeader::Data { ring, seq, sender } if self.srp.suppress_duplicate(ring, seq) => {
-                self.receive(now, out, |rrp, _missing, events| {
+                self.receive(now, out, |rrp, _srp, _missing, events| {
                     rrp.on_redundant_message_into(now, net, sender, events);
                 });
             }
@@ -268,26 +271,26 @@ impl TotemNode {
             | WireHeader::Join { .. }
             | WireHeader::Commit { .. }
             | WireHeader::RingPaxos => {
-                if let Ok(pkt) = SharedPacket::from_datagram(datagram) {
+                if let Ok(pkt) = self.srp.decode(datagram) {
                     self.on_packet_into(now, net, pkt, out);
                 }
             }
         }
     }
 
-    /// One reception: `feed` hands it to the RRP (with the SRP's
-    /// `any_messages_missing()` from before it), whatever the RRP
-    /// passes up goes to the SRP, and tokens the SRP's progress
-    /// unblocks are released.
+    /// One reception: `feed` hands it to the RRP (with the SRP, to
+    /// decode into, and its `any_messages_missing()` from before it),
+    /// whatever the RRP passes up goes to the SRP, and tokens the SRP's
+    /// progress unblocks are released.
     fn receive(
         &mut self,
         now: Nanos,
         out: &mut Vec<NodeOutput>,
-        feed: impl FnOnce(&mut RrpLayer, bool, &mut Vec<RrpEvent>),
+        feed: impl FnOnce(&mut RrpLayer, &mut SrpNode, bool, &mut Vec<RrpEvent>),
     ) {
         let missing = self.srp.any_messages_missing();
         let mut events = std::mem::take(&mut self.rrp_events);
-        feed(&mut self.rrp, missing, &mut events);
+        feed(&mut self.rrp, &mut self.srp, missing, &mut events);
         self.process_rrp(now, &mut events, out);
         self.rrp_events = events;
         self.drain_releases(now, out);

@@ -584,7 +584,7 @@ impl SrpNode {
                 return Vec::new();
             }
             if rec.token.sent_token_precedes(seq) {
-                rec.token.retire_sent_token();
+                rec.token.retire_sent_token(&mut self.cells);
             }
             let Some(d) = held.data() else { return Vec::new() };
             for chunk in &d.chunks {
@@ -634,8 +634,8 @@ impl SrpNode {
             self.note_transition("srp-membership", "Recovery", "TokenLoss", "Gather");
             return self.enter_gather(now, Vec::new());
         }
-        rec.token.retire_sent_token();
-        let Some(t) = pkt.token_mut(rec.token.retired_token.take()) else { return events };
+        rec.token.retire_sent_token(&mut self.cells);
+        let Some(t) = pkt.token_mut(&mut self.cells) else { return events };
         rec.token.last_key = Some((t.rotation, t.seq));
         rec.token.loss_deadline = Some(now + self.cfg.token_loss_timeout);
         self.stats.tokens_handled += 1;

@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use totem_wire::token::MAX_RTR;
 use totem_wire::{
-    Chunk, ChunkKind, DataPacket, JoinMessage, NodeId, Packet, RingId, Rotation, Seq, SharedPacket,
-    Token, Transition, TRANSITION_BUFFER_CAP,
+    CellPool, Chunk, ChunkKind, CodecError, DataPacket, JoinMessage, NodeId, Packet, RingId,
+    Rotation, Seq, SharedPacket, Token, Transition, TRANSITION_BUFFER_CAP,
 };
 
 use crate::config::{DeliveryGuarantee, SrpConfig};
@@ -160,13 +160,8 @@ pub(crate) struct TokenCtx {
     pub my_last_backlog: u32,
     /// The last token sent — the forwarded handle itself, so a
     /// retransmission re-sends its cached encoding — kept until
-    /// evidence of receipt (paper §2).
+    /// evidence of receipt (paper §2), then recycled.
     pub sent_token: Option<SharedPacket>,
-    /// The sent token once it is known to have been received: no
-    /// longer retransmitted, kept so the next visit can rewrite its
-    /// cell in place of cloning the token that arrives
-    /// ([`SharedPacket::token_mut`]).
-    pub retired_token: Option<SharedPacket>,
     pub retx_deadline: Option<Nanos>,
     pub loss_deadline: Option<Nanos>,
     /// Token held back on an idle ring (pacing), in the handle it will
@@ -198,11 +193,12 @@ impl TokenCtx {
             .is_some_and(|p| matches!(p.packet(), Packet::Token(t) if seq > t.seq))
     }
 
-    /// The sent token was received: stop retransmitting it and keep
-    /// its handle as the next visit's spare.
-    pub(crate) fn retire_sent_token(&mut self) {
+    /// The sent token was received: stop retransmitting it and hand
+    /// its cell to `cells`, for a later visit's token to be decoded or
+    /// rewritten into.
+    pub(crate) fn retire_sent_token(&mut self, cells: &mut CellPool) {
         if let Some(sent) = self.sent_token.take() {
-            self.retired_token = Some(sent);
+            cells.recycle(sent);
         }
         self.retx_deadline = None;
     }
@@ -265,6 +261,18 @@ pub struct SrpNode {
     /// callers hand it back via [`SrpNode::recycle_events`], making
     /// the per-packet fast path allocation-free in steady state.
     pub(crate) events_pool: Vec<SrpEvent>,
+    /// Packet cells this node has finished with — frames its window
+    /// discarded, tokens it no longer retransmits — for decodes, new
+    /// packets and token rewrites to refill (see [`CellPool`]). Not
+    /// protocol state: it stays out of [`SrpNode::fingerprint`].
+    pub(crate) cells: CellPool,
+}
+
+/// How many recycled cells a node keeps: a flow-control window of
+/// frames — what flow control lets a rotation broadcast, and so about
+/// what one visit discards — and the token it retires.
+fn cell_bound(cfg: &SrpConfig) -> usize {
+    cfg.window_size as usize + 1
 }
 
 impl SrpNode {
@@ -300,6 +308,7 @@ impl SrpNode {
         };
         Ok(SrpNode {
             me,
+            cells: CellPool::new(cell_bound(&cfg)),
             cfg,
             state: StateImpl::Operational(token),
             ring: Some(ring_ctx),
@@ -329,6 +338,7 @@ impl SrpNode {
         cfg.validate().map_err(NodeInitError::InvalidConfig)?;
         Ok(SrpNode {
             me,
+            cells: CellPool::new(cell_bound(&cfg)),
             cfg,
             state: StateImpl::Gather(GatherCtx::empty()),
             ring: None,
@@ -534,7 +544,7 @@ impl SrpNode {
         mut held: SharedPacket,
         events: &mut Vec<SrpEvent>,
     ) {
-        let Some(t) = held.token_mut(None) else { return };
+        let Some(t) = held.token_mut(&mut self.cells) else { return };
         self.send_phase(t, 0, events);
         let Some((tok, ring)) = operational_parts(&mut self.state, &mut self.ring) else {
             return;
@@ -576,10 +586,19 @@ impl SrpNode {
             .saturating_sub(served);
         let mut sent = served;
         for _ in 0..allow {
-            let Some(chunks) = self.packer.pack_next(&mut self.send_queue) else { break };
-            t.seq = t.seq.next();
-            let pkt: SharedPacket =
-                DataPacket { ring: ring.ring, seq: t.seq, sender: self.me, chunks }.into();
+            // Checked first, so no recycled cell's list is handed to
+            // a packer with nothing to pack.
+            if !self.packer.has_next(&self.send_queue) {
+                break;
+            }
+            let (packer, queue, seq) = (&mut self.packer, &mut self.send_queue, t.seq.next());
+            let Some(pkt) = self.cells.data(|spare| {
+                let chunks = packer.pack_next_into(queue, spare)?;
+                Some(DataPacket { ring: ring.ring, seq, sender: self.me, chunks })
+            }) else {
+                break;
+            };
+            t.seq = seq;
             ring.window.insert(pkt.clone());
             events.push(SrpEvent::Broadcast(pkt));
             self.stats.packets_sent += 1;
@@ -669,6 +688,24 @@ impl SrpNode {
             return false;
         }
         self.ring.as_mut().is_some_and(|r| r.ring == ring && r.window.suppress_duplicate(seq))
+    }
+
+    /// Decodes a datagram off the wire into one of the packet cells
+    /// this node has recycled, when it holds one of the datagram's
+    /// class ([`CellPool::decode`]): what [`SharedPacket::from_datagram`]
+    /// yields, without allocating the cell or, when the recycled one
+    /// has room, its list.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decoder's [`CodecError`] for a malformed datagram.
+    pub fn decode(&mut self, datagram: Bytes) -> Result<SharedPacket, CodecError> {
+        self.cells.decode(datagram)
+    }
+
+    /// The packet cells this node has recycled (see [`CellPool`]).
+    pub fn cells(&self) -> &CellPool {
+        &self.cells
     }
 
     /// The earliest instant at which [`SrpNode::on_timer`] must be
@@ -808,7 +845,7 @@ impl SrpNode {
                 }
                 // Evidence our forwarded token was received.
                 if tok.sent_token_precedes(seq) {
-                    tok.retire_sent_token();
+                    tok.retire_sent_token(&mut self.cells);
                 }
                 if self.cfg.guarantee == DeliveryGuarantee::Agreed {
                     let (ring_id, up_to) = (ring.ring, ring.window.my_aru());
@@ -889,11 +926,11 @@ impl SrpNode {
             return events;
         }
         // Receiving a fresh token proves the previous one circulated.
-        tok.retire_sent_token();
+        tok.retire_sent_token(&mut self.cells);
         // The visit rewrites the token where it is: free when this node
-        // has the only handle on it (it came off the wire), and in the
-        // retired token's cell when the arriving handle is shared.
-        let Some(t) = pkt.token_mut(tok.retired_token.take()) else { return events };
+        // has the only handle on it (it came off the wire), and in a
+        // recycled token cell when the arriving handle is shared.
+        let Some(t) = pkt.token_mut(&mut self.cells) else { return events };
         tok.last_key = Some((t.rotation, t.seq));
         tok.hold = None;
         tok.hold_deadline = None;
@@ -948,7 +985,7 @@ impl SrpNode {
             });
         }
         if let Some(low_water) = low_water {
-            ring.window.discard_up_to(low_water);
+            ring.window.discard_up_to(low_water, |pkt| self.cells.recycle(pkt));
         }
 
         // 6. The representative counts rotations (paper §2 footnote 1).
@@ -990,13 +1027,15 @@ pub(crate) fn operational_parts<'a>(
 }
 
 /// Forwards the token `sent` to the successor, arming the
-/// retransmission timer.
+/// retransmission timer. The token is encoded here when its recycled
+/// cell carries a buffer to encode into
+/// ([`SharedPacket::encode_into_spare`]).
 pub(crate) fn forward_token(
     me: NodeId,
     cfg: &SrpConfig,
     tok: &mut TokenCtx,
     ring: &RingCtx,
-    sent: SharedPacket,
+    mut sent: SharedPacket,
     now: Nanos,
     events: &mut Vec<SrpEvent>,
 ) {
@@ -1004,6 +1043,7 @@ pub(crate) fn forward_token(
     // straight back as a self-addressed send, so hosts with loopback
     // semantics work.
     let succ = ring.successor(me);
+    sent.encode_into_spare();
     events.push(SrpEvent::ToSuccessor(succ, sent.clone()));
     tok.sent_token = Some(sent);
     tok.retx_deadline = Some(now + cfg.token_retransmit_interval);

@@ -64,6 +64,23 @@ impl Packer {
     /// into fragments that span several packets (and so several
     /// calls).
     pub fn pack_next(&mut self, queue: &mut VecDeque<Bytes>) -> Option<Chunks> {
+        self.pack_next_into(queue, Vec::new())
+    }
+
+    /// Whether [`Packer::pack_next`] has anything to pack: a message
+    /// mid-fragmentation or one queued.
+    pub fn has_next(&self, queue: &VecDeque<Bytes>) -> bool {
+        self.in_progress.is_some() || !queue.is_empty()
+    }
+
+    /// [`Packer::pack_next`], building the list in `spare` (see
+    /// [`Chunks::refill`]): a recycled list with room for the packet's
+    /// chunks allocates nothing.
+    pub fn pack_next_into(
+        &mut self,
+        queue: &mut VecDeque<Bytes>,
+        spare: Vec<Chunk>,
+    ) -> Option<Chunks> {
         let mut remaining = MAX_PAYLOAD;
 
         // Resume an in-progress fragmentation first: its next
@@ -83,7 +100,7 @@ impl Packer {
             if take < left {
                 self.in_progress = Some((msg_id, payload, offset + take));
                 // A continuation fragment fills the whole packet.
-                return Some(chunk.into());
+                return Some(Chunks::refill(spare, [chunk]));
             }
             remaining -= totem_wire::CHUNK_HEADER_LEN + take;
             resumed = Some(chunk);
@@ -117,7 +134,7 @@ impl Packer {
                     data: payload.slice(0..MAX_UNFRAGMENTED_MSG),
                 };
                 self.in_progress = Some((msg_id, payload, MAX_UNFRAGMENTED_MSG));
-                return Some(chunk.into());
+                return Some(Chunks::refill(spare, [chunk]));
             }
             return None; // nothing left to send
         }
@@ -125,7 +142,7 @@ impl Packer {
         // `Drain` knows its length, so a list of several is sized
         // exactly up front.
         let fresh = queue.drain(..whole).map(|payload| Chunk::complete(self.bump_id(), payload));
-        Some(resumed.into_iter().chain(fresh).collect())
+        Some(Chunks::refill(spare, resumed.into_iter().chain(fresh)))
     }
 
     fn bump_id(&mut self) -> u32 {

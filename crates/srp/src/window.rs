@@ -230,16 +230,17 @@ impl ReceiveWindow {
         self.delivered_up_to = delivered_to;
     }
 
-    /// Discards buffered packets at or below `floor`. The
-    /// caller must guarantee no ring member can still request them
+    /// Discards buffered packets at or below `floor`, handing each to
+    /// `discarded` in sequence order (the node recycles their cells).
+    /// The caller must guarantee no ring member can still request them
     /// (the token's rotation-minimum `aru`) and that they have been
     /// delivered locally.
-    pub fn discard_up_to(&mut self, floor: Seq) {
+    pub fn discard_up_to(&mut self, floor: Seq, discarded: impl FnMut(SharedPacket)) {
         let floor = floor.min(self.delivered_up_to);
         let gone = usize::try_from(floor.gap_from(self.floor)).unwrap_or(usize::MAX);
         if gone > 0 {
             // The floor only ever moves forward here.
-            self.slots.drain(..gone.min(self.slots.len()));
+            self.slots.drain(..gone.min(self.slots.len())).flatten().for_each(discarded);
             self.floor = floor;
         }
     }
@@ -395,7 +396,7 @@ mod tests {
         assert!(w.insert(pkt(1)));
         assert!(!w.insert(pkt(1)));
         take(&mut w, 1);
-        w.discard_up_to(Seq::new(1));
+        w.discard_up_to(Seq::new(1), drop);
         // Even after GC, a stale retransmission below the watermark is
         // recognized as duplicate.
         assert!(!w.insert(pkt(1)));
@@ -453,7 +454,7 @@ mod tests {
             w.insert(pkt(s));
         }
         take(&mut w, 2);
-        w.discard_up_to(Seq::new(5)); // clamped to delivered cursor (2)
+        w.discard_up_to(Seq::new(5), drop); // clamped to delivered cursor (2)
         assert!(w.get(Seq::new(2)).is_none());
         assert!(w.get(Seq::new(3)).is_some());
     }
@@ -490,7 +491,7 @@ mod tests {
         // The window still works, and the cap moves with the floor.
         assert!(w.insert(pkt(1)));
         take(&mut w, 1);
-        w.discard_up_to(Seq::new(1));
+        w.discard_up_to(Seq::new(1), drop);
         assert!(w.insert(pkt(far)), "exactly the cap ahead of the new floor");
         assert_eq!(w.slots.len() as u64, SPAN_CAP);
     }
@@ -502,13 +503,13 @@ mod tests {
             w.insert(pkt(s));
         }
         take(&mut w, 3);
-        w.discard_up_to(Seq::new(2));
+        w.discard_up_to(Seq::new(2), drop);
         assert_eq!(w.buffered(), 2);
         assert_eq!(w.get(Seq::new(3)).map(seq_of), Some(3));
         assert_eq!(w.get(Seq::new(5)).map(seq_of), Some(5));
         assert!(w.get(Seq::new(4)).is_none());
         // A floor that does not move forward is a no-op.
-        w.discard_up_to(Seq::new(1));
+        w.discard_up_to(Seq::new(1), drop);
         assert_eq!(w.buffered(), 2);
         assert!(w.insert(pkt(4)));
         assert_eq!(w.my_aru(), Seq::new(5));
@@ -525,7 +526,7 @@ mod tests {
                 w.insert(pkt(s));
             }
             take(&mut w, 200);
-            w.discard_up_to(floor);
+            w.discard_up_to(floor, drop);
             w.corrupt(&mut rand::rngs::SmallRng::seed_from_u64(seed));
             if w.my_aru() < floor || w.delivered_up_to() < floor {
                 dragged += 1;
@@ -544,7 +545,7 @@ mod tests {
                 w.insert(pkt(s));
             }
             take(&mut w, 1000);
-            w.discard_up_to(Seq::new(195));
+            w.discard_up_to(Seq::new(195), drop);
             let _ = (w.missing(8), w.range(Seq::new(100), Seq::new(300)).count());
             let _ = (w.get(Seq::new(150)), w.any_missing(), w.is_consistent());
         }

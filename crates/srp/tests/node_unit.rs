@@ -337,3 +337,44 @@ fn next_deadline_is_always_armed_while_operational() {
     let n = node(1, 3);
     assert!(n.next_deadline().is_some(), "token-loss timer must be armed from birth");
 }
+
+/// The token-loss timeout is 200 ms: a member that has heard nothing
+/// since the token left it enters Gather 200 ms after that visit, and
+/// not a nanosecond before (retransmitting the token meanwhile does not
+/// count as hearing anything).
+#[test]
+fn silence_for_exactly_200_ms_starts_the_membership_protocol() {
+    let mut n = node(1, 3);
+    let visit = 5_000_000;
+    let mut t = token(0, 0, 0);
+    t.backlog = 1; // someone has queued work: forward, do not hold
+    n.handle_packet(visit, Packet::Token(t).into());
+    n.on_timer(visit + 200_000_000 - 1);
+    assert_eq!(n.state(), totem_srp::SrpState::Operational);
+    assert_eq!(n.next_deadline(), Some(visit + 200_000_000));
+    let events = n.on_timer(visit + 200_000_000);
+    assert_eq!(n.state(), totem_srp::SrpState::Gather);
+    assert!(events
+        .iter()
+        .any(|e| matches!(e, SrpEvent::Broadcast(p) if matches!(p.packet(), Packet::Join(_)))));
+}
+
+/// A gathering node re-sends its join every 30 ms: at exactly 30 ms
+/// after the first, and not a nanosecond before.
+#[test]
+fn a_gathering_node_resends_its_join_after_exactly_30_ms() {
+    let joins = |events: &[SrpEvent]| {
+        events
+            .iter()
+            .filter(
+                |e| matches!(e, SrpEvent::Broadcast(p) if matches!(p.packet(), Packet::Join(_))),
+            )
+            .count()
+    };
+    let mut n = SrpNode::new_joining(NodeId::new(3), SrpConfig::default()).unwrap();
+    let start = 7_000_000;
+    assert_eq!(joins(&n.start(start)), 1);
+    assert_eq!(joins(&n.on_timer(start + 30_000_000 - 1)), 0);
+    assert_eq!(n.next_deadline(), Some(start + 30_000_000));
+    assert_eq!(joins(&n.on_timer(start + 30_000_000)), 1);
+}

@@ -96,9 +96,13 @@ impl MapWindow {
         out
     }
 
-    fn discard_up_to(&mut self, floor: Seq) {
+    /// Returns the sequence numbers discarded, in order.
+    fn discard_up_to(&mut self, floor: Seq) -> Vec<u64> {
         let floor = floor.min(self.delivered_up_to);
+        let gone: Vec<u64> =
+            self.packets.keys().copied().filter(|&s| Seq::new(s) <= floor).collect();
         self.packets.retain(|s, _| Seq::new(*s) > floor);
+        gone
     }
 
     fn range(&self, lo: Seq, hi: Seq) -> Vec<u64> {
@@ -219,8 +223,9 @@ proptest! {
                     prop_assert_eq!(take(&mut ring, up_to), model.take_deliverable(up_to));
                 }
                 WindowOp::Discard(d) => {
-                    ring.discard_up_to(ahead(anchor, d));
-                    model.discard_up_to(ahead(anchor, d));
+                    let mut gone = Vec::new();
+                    ring.discard_up_to(ahead(anchor, d), |p| gone.push(seq_of(&p)));
+                    prop_assert_eq!(gone, model.discard_up_to(ahead(anchor, d)));
                 }
                 WindowOp::Range(lo, len) => {
                     let (lo, hi) = (ahead(anchor, lo), ahead(anchor, lo + len));
@@ -319,7 +324,7 @@ proptest! {
         }
         let deliver_to = deliver_to.min(count);
         take(&mut w, Seq::new(deliver_to));
-        w.discard_up_to(Seq::new(floor));
+        w.discard_up_to(Seq::new(floor), drop);
         let effective_floor = floor.min(deliver_to);
         for s in 1..=count {
             let kept = w.get(Seq::new(s)).is_some();

@@ -394,22 +394,28 @@ impl<'a> Reader<'a> {
         self.take_bytes(len)
     }
 
-    /// Reads `n` items with `item` into a list preallocated for
-    /// `n.min(cap)` of them. When only validating, every item is still
-    /// read — and so checked — but none is kept and nothing is
-    /// allocated.
+    /// Reads `n` items with `item` into `out`, emptied first and grown
+    /// to hold `n.min(cap)` of them: a fresh list is allocated at
+    /// exactly that size, and a recycled one (see
+    /// [`crate::CellPool`]) allocates nothing when it already has the
+    /// room. When only validating, every item is still read — and so
+    /// checked — but none is kept and nothing is allocated.
     ///
     /// # Errors
     ///
     /// Returns the first error `item` reports.
     pub(crate) fn list<T>(
         &mut self,
+        mut out: Vec<T>,
         n: usize,
         cap: usize,
         mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
         let keep = self.keeps_payloads();
-        let mut out = if keep { Vec::with_capacity(n.min(cap)) } else { Vec::new() };
+        out.clear();
+        if keep {
+            out.reserve_exact(n.min(cap));
+        }
         for _ in 0..n {
             let it = item(self)?;
             if keep {

@@ -80,6 +80,6 @@ pub use ids::{
 pub use membership::{CommitToken, JoinMessage, MembEntry};
 pub use packet::{Chunk, ChunkKind, Chunks, DataPacket, Packet};
 pub use ring_paxos::{Proposal, RingPaxosMsg};
-pub use shared::{NetFrame, SharedPacket};
+pub use shared::{CellPool, NetFrame, SharedPacket};
 pub use token::Token;
 pub use transition::{Transition, TRANSITION_BUFFER_CAP};

@@ -53,12 +53,12 @@ impl JoinMessage {
         if np > MAX_MEMBERS {
             return Err(CodecError::BadLength { what: "proc set", len: np });
         }
-        let proc_set = r.list(np, MAX_MEMBERS, |r| r.u16().map(NodeId::new))?;
+        let proc_set = r.list(Vec::new(), np, MAX_MEMBERS, |r| r.u16().map(NodeId::new))?;
         let nf = r.seq_len("fail set")?;
         if nf > MAX_MEMBERS {
             return Err(CodecError::BadLength { what: "fail set", len: nf });
         }
-        let fail_set = r.list(nf, MAX_MEMBERS, |r| r.u16().map(NodeId::new))?;
+        let fail_set = r.list(Vec::new(), nf, MAX_MEMBERS, |r| r.u16().map(NodeId::new))?;
         Ok(JoinMessage { sender, ring_seq, proc_set, fail_set })
     }
 
@@ -147,7 +147,7 @@ impl CommitToken {
         if n > MAX_MEMBERS {
             return Err(CodecError::BadLength { what: "commit entries", len: n });
         }
-        let entries = r.list(n, MAX_MEMBERS, MembEntry::decode)?;
+        let entries = r.list(Vec::new(), n, MAX_MEMBERS, MembEntry::decode)?;
         Ok(CommitToken { ring, round, entries })
     }
 

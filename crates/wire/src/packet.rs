@@ -146,6 +146,38 @@ impl Chunks {
             Repr::Many(v) => v.capacity(),
         }
     }
+
+    /// Builds a list from `iter` in `spare`, emptied first: a lone
+    /// chunk is held inline unless `spare` already has room for it, and
+    /// a longer list grows `spare` to exactly what the iterator's lower
+    /// bound promises, so a recycled list with room allocates nothing.
+    /// `Chunks::from_iter(iter)` is `Chunks::refill(Vec::new(), iter)`.
+    pub fn refill<I: IntoIterator<Item = Chunk>>(mut spare: Vec<Chunk>, iter: I) -> Self {
+        spare.clear();
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else { return spare.into() };
+        let second = iter.next();
+        if second.is_none() && spare.capacity() == 0 {
+            return first.into();
+        }
+        spare.reserve_exact(iter.size_hint().0.saturating_add(1 + usize::from(second.is_some())));
+        spare.push(first);
+        spare.extend(second);
+        spare.extend(iter);
+        spare.into()
+    }
+
+    /// Empties the list and hands it out, capacity kept (an empty
+    /// `Vec` when nothing was allocated): no payload stays behind.
+    pub(crate) fn take_list(&mut self) -> Vec<Chunk> {
+        match std::mem::take(self).0 {
+            Repr::One(_) => Vec::new(),
+            Repr::Many(mut v) => {
+                v.clear();
+                v
+            }
+        }
+    }
 }
 
 impl Default for Chunks {
@@ -190,13 +222,7 @@ impl FromIterator<Chunk> for Chunks {
     /// A lone chunk is kept inline; a longer list is allocated once,
     /// at its final length when the iterator's lower bound is exact.
     fn from_iter<I: IntoIterator<Item = Chunk>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let Some(first) = iter.next() else { return Chunks::default() };
-        let Some(second) = iter.next() else { return first.into() };
-        let mut v = Vec::with_capacity(iter.size_hint().0.saturating_add(2));
-        v.extend([first, second]);
-        v.extend(iter);
-        v.into()
+        Chunks::refill(Vec::new(), iter)
     }
 }
 
@@ -264,6 +290,16 @@ pub enum Packet {
     RingPaxos(RingPaxosMsg),
 }
 
+/// The lists a decode fills instead of allocating: a recycled data
+/// packet's chunk list and a recycled token's `rtr`, emptied with their
+/// capacity kept (see [`crate::CellPool`]). The default holds none, and
+/// a decode through it allocates what it needs.
+#[derive(Debug, Default)]
+pub(crate) struct Lists {
+    pub(crate) chunks: Vec<Chunk>,
+    pub(crate) rtr: Vec<Seq>,
+}
+
 impl Packet {
     /// Returns `true` for token-class packets (regular and commit
     /// tokens), which the redundant-ring layer gates, and `false` for
@@ -271,6 +307,31 @@ impl Packet {
     /// "identical copies of messages are destroyed by the Totem SRP").
     pub fn is_token_class(&self) -> bool {
         matches!(self, Packet::Token(_) | Packet::Commit(_))
+    }
+
+    /// The class of cell [`crate::CellPool`] recycles for the packet
+    /// encoded in `wire`, by its leading tag: `Some(true)` for a token,
+    /// `Some(false)` for a data frame, `None` for any other packet.
+    pub(crate) fn recycled_class(wire: &[u8]) -> Option<bool> {
+        match wire.first() {
+            Some(&TAG_TOKEN) => Some(true),
+            Some(&TAG_DATA) => Some(false),
+            _ => None,
+        }
+    }
+
+    /// Empties the packet's lists for a decode to refill, so that it
+    /// keeps no payload (see [`Lists`]).
+    pub(crate) fn take_lists(&mut self) -> Lists {
+        match self {
+            Packet::Data(d) => Lists { chunks: d.chunks.take_list(), rtr: Vec::new() },
+            Packet::Token(t) => {
+                let mut rtr = std::mem::take(&mut t.rtr);
+                rtr.clear();
+                Lists { chunks: Vec::new(), rtr }
+            }
+            Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => Lists::default(),
+        }
     }
 
     /// Encodes the packet to bytes.
@@ -320,6 +381,13 @@ impl Packet {
     /// staging buffer. This is what [`crate::SharedPacket::encoded`]
     /// caches.
     pub fn encode_shared(&self) -> Bytes {
+        self.with_encoding(Writer::to_shared)
+    }
+
+    /// Encodes the packet into a thread-local pooled [`Writer`] and
+    /// hands `f` the result: the pool's buffer is reused, so only what
+    /// `f` keeps of it can allocate.
+    pub(crate) fn with_encoding<R>(&self, f: impl FnOnce(&Writer) -> R) -> R {
         thread_local! {
             static POOL: core::cell::RefCell<Writer> = core::cell::RefCell::new(Writer::new());
         }
@@ -327,7 +395,7 @@ impl Packet {
             Ok(mut w) => {
                 w.clear();
                 self.encode_into(&mut w);
-                w.to_shared()
+                f(&w)
             }
             // Unreachable re-entrancy guard (encode never calls back
             // into the pool); fall back to a one-shot writer rather
@@ -335,7 +403,7 @@ impl Packet {
             Err(_) => {
                 let mut w = Writer::with_capacity(self.wire_payload_len() + 16);
                 self.encode_into(&mut w);
-                w.to_shared()
+                f(&w)
             }
         })
     }
@@ -367,7 +435,7 @@ impl Packet {
     /// # }
     /// ```
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
-        Self::decode_whole(Reader::new(buf))
+        Self::decode_whole(Reader::new(buf), Lists::default())
     }
 
     /// Decodes a packet from an owning buffer without copying payload
@@ -382,12 +450,17 @@ impl Packet {
     /// implausible lengths, counters at or above
     /// [`MAX_COUNTER`](crate::MAX_COUNTER), or trailing bytes.
     pub fn decode_shared(buf: &Bytes) -> Result<Self, CodecError> {
-        Self::decode_whole(Reader::over(buf))
+        Self::decode_shared_reusing(buf, Lists::default())
+    }
+
+    /// [`Packet::decode_shared`], refilling `lists` (see [`Lists`]).
+    pub(crate) fn decode_shared_reusing(buf: &Bytes, lists: Lists) -> Result<Self, CodecError> {
+        Self::decode_whole(Reader::over(buf), lists)
     }
 
     /// Exactly one packet, nothing after it.
-    fn decode_whole(mut r: Reader<'_>) -> Result<Self, CodecError> {
-        let pkt = Self::decode_from(&mut r)?;
+    fn decode_whole(mut r: Reader<'_>, lists: Lists) -> Result<Self, CodecError> {
+        let pkt = Self::decode_reusing(&mut r, lists)?;
         r.finish()?;
         Ok(pkt)
     }
@@ -401,22 +474,30 @@ impl Packet {
     /// implausible lengths or counters at or above
     /// [`MAX_COUNTER`](crate::MAX_COUNTER).
     pub fn decode_from(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Self::decode_reusing(r, Lists::default())
+    }
+
+    /// The one decoder: [`Packet::decode_from`], with the list a data
+    /// frame's chunks or a token's `rtr` are read into taken from
+    /// `lists` rather than allocated.
+    fn decode_reusing(r: &mut Reader<'_>, lists: Lists) -> Result<Self, CodecError> {
         match r.u8()? {
             TAG_DATA => {
                 let ring = RingId::new(NodeId::new(r.u16()?), r.u64()?);
                 let seq = r.counter("data seq")?;
                 let sender = NodeId::new(r.u16()?);
                 let n = r.u16()? as usize;
-                // A lone chunk is held inline; a validating reader
-                // keeps no chunks, so its list stays empty.
-                let chunks = if n == 1 && r.keeps_payloads() {
+                // A lone chunk is held inline unless a recycled list
+                // has room for it; a validating reader keeps no
+                // chunks, so its list stays empty.
+                let chunks = if n == 1 && r.keeps_payloads() && lists.chunks.capacity() == 0 {
                     Chunk::decode(r)?.into()
                 } else {
-                    r.list(n, 64, Chunk::decode)?.into()
+                    r.list(lists.chunks, n, 64, Chunk::decode)?.into()
                 };
                 Ok(Packet::Data(DataPacket { ring, seq, sender, chunks }))
             }
-            TAG_TOKEN => Ok(Packet::Token(Token::decode(r)?)),
+            TAG_TOKEN => Ok(Packet::Token(Token::decode(r, lists.rtr)?)),
             TAG_JOIN => Ok(Packet::Join(JoinMessage::decode(r)?)),
             TAG_COMMIT => Ok(Packet::Commit(CommitToken::decode(r)?)),
             TAG_RING_PAXOS => Ok(Packet::RingPaxos(RingPaxosMsg::decode(r)?)),

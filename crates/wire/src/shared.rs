@@ -1,4 +1,5 @@
-//! A cheaply cloneable, encode-once packet handle.
+//! A cheaply cloneable, encode-once packet handle, and the free list
+//! its cells are recycled through.
 //!
 //! The data plane's hot path fans one frame out to many receivers
 //! (every receiver on every redundant network) and keeps further
@@ -27,24 +28,87 @@
 //! actually shared — or, for the one packet that is rewritten at every
 //! hop, [`SharedPacket::token_mut`], which updates a unique handle in
 //! place. A shared token handle (the simulator hands one to every
-//! holder) is not cloned either: the visit rewrites the node's own
-//! retired token cell, and only a node with no unique spare (a
-//! singleton ring, whose spare is the arriving handle) allocates.
+//! holder) is not cloned either: the visit rewrites a token cell the
+//! node recycled.
+//!
+//! **Recycled cells.** A node hands the cells it has finished with —
+//! the frames its window discards, the token it no longer
+//! retransmits — to its [`CellPool`], a free list bounded by the
+//! caller. A cell goes in only when no other handle holds it, and
+//! keeps no payload there: its chunk views and cached encoding are
+//! dropped, so it pins no datagram, while its lists keep their
+//! capacity. Decoding a datagram ([`CellPool::decode`]), sealing a
+//! data packet ([`CellPool::data`]) and rewriting a shared token
+//! ([`SharedPacket::token_mut`]) fill a recycled cell before they
+//! allocate one. A token keeps one more thing: the buffer it was last
+//! sent in, which its next encoding overwrites when nobody else still
+//! holds it ([`SharedPacket::encode_into_spare`]). The pool is not
+//! protocol state; which cell a packet lives in never shows.
 
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
+use crate::codec::CodecError;
 use crate::ids::NetworkId;
-use crate::packet::{DataPacket, Packet};
+use crate::packet::{Chunk, DataPacket, Lists, Packet};
 use crate::token::Token;
 
 /// The shared interior: the decoded packet plus its lazily computed
 /// wire encoding.
-#[derive(Debug)]
 struct PacketCell {
     pkt: Packet,
     encoded: OnceLock<Bytes>,
+    /// The buffer a recycled token was last sent in, kept for its next
+    /// encoding to overwrite ([`SharedPacket::encode_into_spare`]).
+    spare_wire: Option<Bytes>,
+}
+
+/// The packet and its encoding only: the spare buffer is recycling
+/// state, so a packet prints the same whichever cell it lives in.
+impl std::fmt::Debug for PacketCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PacketCell")
+            .field("pkt", &self.pkt)
+            .field("encoded", &self.encoded)
+            .finish()
+    }
+}
+
+impl PacketCell {
+    fn new(pkt: Packet, encoded: OnceLock<Bytes>) -> Arc<Self> {
+        Arc::new(PacketCell { pkt, encoded, spare_wire: None })
+    }
+}
+
+/// Puts `pkt` into `spare` — a recycled cell, which keeps its spare
+/// wire buffer — or, without one, into a fresh cell.
+fn seal_in(spare: Option<Arc<PacketCell>>, pkt: Packet, encoded: OnceLock<Bytes>) -> SharedPacket {
+    if let Some(mut arc) = spare {
+        if let Some(cell) = Arc::get_mut(&mut arc) {
+            cell.pkt = pkt;
+            cell.encoded = encoded;
+            return SharedPacket { cell: arc };
+        }
+    }
+    SharedPacket { cell: PacketCell::new(pkt, encoded) }
+}
+
+/// Decodes `wire` into `spare` (its lists refilled) or a fresh cell,
+/// seeding the encoding cache with `wire`. On a malformed datagram the
+/// spare comes back with the error, emptied.
+fn decode_in(
+    mut spare: Option<Arc<PacketCell>>,
+    wire: Bytes,
+) -> Result<SharedPacket, (CodecError, Option<Arc<PacketCell>>)> {
+    let lists = spare
+        .as_mut()
+        .and_then(Arc::get_mut)
+        .map_or_else(Lists::default, |cell| cell.pkt.take_lists());
+    match Packet::decode_shared_reusing(&wire, lists) {
+        Ok(pkt) => Ok(seal_in(spare, pkt, OnceLock::from(wire))),
+        Err(e) => Err((e, spare)),
+    }
 }
 
 /// A reference-counted [`Packet`] with a cached wire encoding.
@@ -70,7 +134,7 @@ pub struct SharedPacket {
 impl SharedPacket {
     /// Seals `pkt` into a shared handle (no encoding happens yet).
     pub fn new(pkt: Packet) -> Self {
-        SharedPacket { cell: Arc::new(PacketCell { pkt, encoded: OnceLock::new() }) }
+        SharedPacket { cell: PacketCell::new(pkt, OnceLock::new()) }
     }
 
     /// Seals a packet that was just decoded from `wire`, seeding the
@@ -78,12 +142,7 @@ impl SharedPacket {
     /// (retransmission, recovery encapsulation) never runs the
     /// encoder.
     pub fn from_wire(pkt: Packet, wire: Bytes) -> Self {
-        let encoded = OnceLock::new();
-        // A freshly created lock with no other handles: set cannot
-        // race, and an Err would only mean a value is already cached,
-        // which is harmless.
-        let _ = encoded.set(wire);
-        SharedPacket { cell: Arc::new(PacketCell { pkt, encoded }) }
+        SharedPacket { cell: PacketCell::new(pkt, OnceLock::from(wire)) }
     }
 
     /// Decodes a raw datagram and seals it with its own bytes seeding
@@ -91,15 +150,14 @@ impl SharedPacket {
     /// that hand out [`Bytes`] frames (re-encoding a relayed frame is
     /// then free). Decoding is zero-copy ([`Packet::decode_shared`]):
     /// the packet's payloads, its cached encoding and `wire` are all
-    /// views of one allocation.
+    /// views of one allocation. [`CellPool::decode`] is the same
+    /// decode into a recycled cell.
     ///
     /// # Errors
     ///
-    /// Returns the decoder's [`CodecError`](crate::CodecError) for a
-    /// malformed datagram.
-    pub fn from_datagram(wire: Bytes) -> Result<Self, crate::CodecError> {
-        let pkt = Packet::decode_shared(&wire)?;
-        Ok(SharedPacket::from_wire(pkt, wire))
+    /// Returns the decoder's [`CodecError`] for a malformed datagram.
+    pub fn from_datagram(wire: Bytes) -> Result<Self, CodecError> {
+        decode_in(None, wire).map_err(|(e, _)| e)
     }
 
     /// The decoded packet.
@@ -111,6 +169,23 @@ impl SharedPacket {
     /// and shared by every clone of this handle.
     pub fn encoded(&self) -> &Bytes {
         self.cell.encoded.get_or_init(|| self.cell.pkt.encode_shared())
+    }
+
+    /// Encodes the packet now, into the buffer its recycled cell was
+    /// last sent in, when this is the only handle on the cell, nothing
+    /// is cached yet, and no other handle still reads that buffer (the
+    /// transport is done with it) — so a token forwarded in a recycled
+    /// cell allocates nothing for its wire bytes. Otherwise nothing
+    /// changes but that the spare buffer is let go, and
+    /// [`SharedPacket::encoded`] encodes on first use as ever.
+    pub fn encode_into_spare(&mut self) {
+        let Some(cell) = Arc::get_mut(&mut self.cell) else { return };
+        let Some(mut wire) = cell.spare_wire.take() else { return };
+        if cell.encoded.get().is_none()
+            && cell.pkt.with_encoding(|w| wire.try_overwrite(w.as_slice()))
+        {
+            cell.encoded = OnceLock::from(wire);
+        }
     }
 
     /// Extracts the packet, cloning only if the handle is shared.
@@ -155,30 +230,187 @@ impl SharedPacket {
     /// the datagram it was decoded from to the frame it is forwarded
     /// in. When it is shared (the simulator, where the sender's
     /// retransmission copy and every network's copy are the same
-    /// handle), the token is copied into `spare` — the node's own
-    /// retired token — if this is the only handle on that one
-    /// ([`Token::clone_from`] keeps its `rtr` capacity), and into a
-    /// fresh handle otherwise. Either way the cached encoding describes
-    /// another token, so it is dropped.
-    pub fn token_mut(&mut self, spare: Option<SharedPacket>) -> Option<&mut Token> {
+    /// handle), the token is copied into a token cell recycled in
+    /// `cells` ([`Token::clone_from`] keeps its `rtr` capacity), and
+    /// into a fresh cell when there is none. Either way the cached
+    /// encoding describes another token, so it is dropped.
+    pub fn token_mut(&mut self, cells: &mut CellPool) -> Option<&mut Token> {
         self.token()?;
         if Arc::get_mut(&mut self.cell).is_none() {
-            let rewritten = spare.and_then(|mut spare| {
-                let cell = Arc::get_mut(&mut spare.cell)?;
-                let (Packet::Token(dst), Packet::Token(src)) = (&mut cell.pkt, &self.cell.pkt)
+            let copy = cells.take(true).and_then(|mut spare| {
+                let (Some(PacketCell { pkt: Packet::Token(dst), .. }), Packet::Token(src)) =
+                    (Arc::get_mut(&mut spare), &self.cell.pkt)
                 else {
                     return None;
                 };
                 dst.clone_from(src);
                 Some(spare)
             });
-            *self = rewritten.unwrap_or_else(|| SharedPacket::new(self.cell.pkt.clone()));
+            *self = match copy {
+                Some(cell) => SharedPacket { cell },
+                None => SharedPacket::new(self.cell.pkt.clone()),
+            };
         }
         let cell = Arc::get_mut(&mut self.cell)?;
         cell.encoded = OnceLock::new();
         match &mut cell.pkt {
             Packet::Token(t) => Some(t),
             Packet::Data(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => None,
+        }
+    }
+}
+
+/// A bounded free list of the packet cells one node has finished with
+/// (see the [module docs](self)): data cells, and one token cell — a
+/// node decodes or rewrites one token per visit and retires one, so a
+/// second would only wait. Every cell in it is one no other handle
+/// shares; there are at most `bound` of them, and what does not fit is
+/// dropped.
+///
+/// # Example
+///
+/// ```
+/// # use totem_wire::*;
+/// # use bytes::Bytes;
+/// let frame = |seq| {
+///     Packet::Data(DataPacket {
+///         ring: RingId::new(NodeId::new(0), 1),
+///         seq: Seq::new(seq),
+///         sender: NodeId::new(1),
+///         chunks: vec![Chunk::complete(1, Bytes::from_static(b"ab")); 3].into(),
+///     })
+///     .encode_shared()
+/// };
+/// let mut cells = CellPool::new(4);
+/// let first = cells.decode(frame(1))?;
+/// cells.recycle(first); // nobody else holds it: kept, payload dropped
+/// assert_eq!(cells.len(), 1);
+/// let second = cells.decode(frame(2))?; // refills that cell
+/// assert_eq!((cells.len(), cells.reused()), (0, 1));
+/// assert_eq!(second.data().map(|d| d.seq), Some(Seq::new(2)));
+/// # Ok::<(), CodecError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct CellPool {
+    /// Recycled data cells, the most recent last.
+    data: Vec<Arc<PacketCell>>,
+    token: Option<Arc<PacketCell>>,
+    bound: usize,
+    reused: u64,
+}
+
+impl CellPool {
+    /// An empty pool that keeps at most `bound` cells.
+    pub fn new(bound: usize) -> Self {
+        CellPool { bound, ..CellPool::default() }
+    }
+
+    /// Cells held now.
+    pub fn len(&self) -> usize {
+        self.data.len() + usize::from(self.token.is_some())
+    }
+
+    /// Whether no cell is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The most cells the pool keeps.
+    pub fn bound(&self) -> usize {
+        self.bound
+    }
+
+    /// How many times a cell was handed out again.
+    pub fn reused(&self) -> u64 {
+        self.reused
+    }
+
+    /// Keeps `pkt`'s cell for reuse if it is a data frame or a token,
+    /// no other handle holds it, and the pool has room (for a token:
+    /// holds no token cell yet); drops the handle otherwise. A kept
+    /// data cell gives up its chunk views and its cached encoding; a
+    /// token keeps its encoding as the buffer the next one is written
+    /// into — unless another handle still reads it.
+    pub fn recycle(&mut self, pkt: SharedPacket) {
+        let mut arc = pkt.cell;
+        if self.len() >= self.bound {
+            return;
+        }
+        let Some(cell) = Arc::get_mut(&mut arc) else { return };
+        match &mut cell.pkt {
+            Packet::Data(d) => {
+                d.chunks = d.chunks.take_list().into();
+                cell.encoded = OnceLock::new();
+                self.data.push(arc);
+            }
+            Packet::Token(_) if self.token.is_none() => {
+                if let Some(wire) = cell.encoded.take().filter(Bytes::is_unique) {
+                    cell.spare_wire = Some(wire);
+                }
+                self.token = Some(arc);
+            }
+            Packet::Token(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => {}
+        }
+    }
+
+    /// Takes the recycled token cell (`token`) or the most recently
+    /// recycled data cell (otherwise).
+    fn take(&mut self, token: bool) -> Option<Arc<PacketCell>> {
+        let cell = if token { self.token.take() } else { self.data.pop() };
+        self.reused += u64::from(cell.is_some());
+        cell
+    }
+
+    /// Puts back a cell [`CellPool::take`] handed out.
+    fn put_back(&mut self, cell: Arc<PacketCell>) {
+        match cell.pkt {
+            Packet::Token(_) => self.token = Some(cell),
+            Packet::Data(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => {
+                self.data.push(cell);
+            }
+        }
+    }
+
+    /// [`SharedPacket::from_datagram`], into a recycled cell of the
+    /// datagram's class when there is one: its lists are refilled, so
+    /// a token or a data frame whose list fits decodes without
+    /// allocating. A malformed datagram leaves the cell in the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns the decoder's [`CodecError`] for a malformed datagram.
+    pub fn decode(&mut self, wire: Bytes) -> Result<SharedPacket, CodecError> {
+        let spare = Packet::recycled_class(&wire).and_then(|token| self.take(token));
+        decode_in(spare, wire).map_err(|(e, spare)| {
+            if let Some(cell) = spare {
+                self.put_back(cell);
+            }
+            e
+        })
+    }
+
+    /// Seals the data packet `build` makes into a recycled data cell
+    /// when there is one. `build` gets that cell's chunk list, empty
+    /// with its capacity kept (an empty `Vec` without one), to fill —
+    /// see [`crate::Chunks::refill`]. When `build` declines, the cell
+    /// goes back to the pool.
+    pub fn data(
+        &mut self,
+        build: impl FnOnce(Vec<Chunk>) -> Option<DataPacket>,
+    ) -> Option<SharedPacket> {
+        let mut spare = self.take(false);
+        let list = spare
+            .as_mut()
+            .and_then(Arc::get_mut)
+            .map_or_else(Vec::new, |cell| cell.pkt.take_lists().chunks);
+        match build(list) {
+            Some(d) => Some(seal_in(spare, Packet::Data(d), OnceLock::new())),
+            None => {
+                if let Some(cell) = spare {
+                    self.put_back(cell);
+                }
+                None
+            }
         }
     }
 }
@@ -223,17 +455,26 @@ pub type NetFrame = (NetworkId, SharedPacket);
 mod tests {
     use super::*;
     use crate::ids::{InstanceId, NodeId, RingId, Seq};
-    use crate::packet::{Chunk, ChunkKind};
+    use crate::membership::JoinMessage;
+    use crate::packet::ChunkKind;
     use crate::ring_paxos::{Proposal, RingPaxosMsg};
     use crate::token::MAX_RTR;
 
-    fn data(seq: u64) -> Packet {
-        Packet::Data(DataPacket {
+    fn data_chunk() -> Chunk {
+        Chunk::complete(1, Bytes::from_static(b"payload"))
+    }
+
+    fn data_packet(seq: u64) -> DataPacket {
+        DataPacket {
             ring: RingId::new(NodeId::new(0), 1),
             seq: Seq::new(seq),
             sender: NodeId::new(2),
-            chunks: Chunk::complete(1, Bytes::from_static(b"payload")).into(),
-        })
+            chunks: data_chunk().into(),
+        }
+    }
+
+    fn data(seq: u64) -> Packet {
+        Packet::Data(data_packet(seq))
     }
 
     #[test]
@@ -345,7 +586,7 @@ mod tests {
         let wire = Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))).encode_shared();
         let mut shared = SharedPacket::from_datagram(wire.clone()).unwrap();
         let cell = Arc::as_ptr(&shared.cell);
-        shared.token_mut(None).unwrap().seq = Seq::new(9);
+        shared.token_mut(&mut CellPool::new(4)).unwrap().seq = Seq::new(9);
         assert_eq!(Arc::as_ptr(&shared.cell), cell, "a unique handle is reused");
         assert_eq!(shared.token().unwrap().seq, Seq::new(9));
         // The encoding is recomputed from the updated token.
@@ -359,11 +600,11 @@ mod tests {
             SharedPacket::new(Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))));
         let sent = original.encoded().clone();
         let mut mine = original.clone();
-        mine.token_mut(None).unwrap().seq = Seq::new(9);
+        mine.token_mut(&mut CellPool::default()).unwrap().seq = Seq::new(9);
         assert_eq!(original.token().unwrap().seq, Seq::ZERO);
         assert_eq!(*original.encoded(), sent);
         assert_eq!(mine.token().unwrap().seq, Seq::new(9));
-        assert!(SharedPacket::new(data(1)).token_mut(None).is_none());
+        assert!(SharedPacket::new(data(1)).token_mut(&mut CellPool::default()).is_none());
     }
 
     #[test]
@@ -379,13 +620,17 @@ mod tests {
         let mut old = Token::initial(ring);
         old.rtr.reserve(MAX_RTR);
         let rtr_buf = old.rtr.as_ptr();
-        let spare = SharedPacket::new(Packet::Token(old));
-        spare.encoded();
-        let spare_cell = Arc::as_ptr(&spare.cell);
+        let retired = SharedPacket::new(Packet::Token(old));
+        retired.encoded();
+        let retired_cell = Arc::as_ptr(&retired.cell);
+        let mut cells = CellPool::new(4);
+        cells.recycle(SharedPacket::new(data(1)));
+        cells.recycle(retired);
 
         let mut mine = original.clone();
-        mine.token_mut(Some(spare)).unwrap().aru = Seq::new(39);
-        assert_eq!(Arc::as_ptr(&mine.cell), spare_cell, "the spare cell is reused");
+        mine.token_mut(&mut cells).unwrap().aru = Seq::new(39);
+        assert_eq!(Arc::as_ptr(&mine.cell), retired_cell, "the token cell is reused");
+        assert_eq!((cells.len(), cells.reused()), (1, 1), "the data cell stays");
         assert_eq!(mine.token().unwrap().rtr.as_ptr(), rtr_buf, "rtr keeps its buffer");
         assert_eq!(mine.token().unwrap().seq, Seq::new(40));
         assert_eq!(mine.token().unwrap().rtr, [Seq::new(38)]);
@@ -394,20 +639,125 @@ mod tests {
         assert_eq!(*original.token().unwrap(), arrived);
         assert_eq!(*original.encoded(), sent);
 
-        // A spare someone else still holds is not written to, and
-        // neither is one that is no token: the fallback is a fresh
+        // Without a token cell to rewrite, the fallback is a fresh
         // handle around a clone.
-        let held = SharedPacket::new(Packet::Token(Token::initial(ring)));
-        for spare in [held.clone(), SharedPacket::new(data(1))] {
-            let mut mine = original.clone();
-            mine.token_mut(Some(spare)).unwrap().aru = Seq::new(39);
-            assert!(!Arc::ptr_eq(&mine.cell, &held.cell));
-            assert!(!Arc::ptr_eq(&mine.cell, &original.cell));
-            assert_eq!(mine.token().unwrap().seq, Seq::new(40));
-            assert_eq!(mine.token().unwrap().aru, Seq::new(39));
-        }
-        assert_eq!(*held.token().unwrap(), Token::initial(ring));
+        let mut mine = original.clone();
+        mine.token_mut(&mut cells).unwrap().aru = Seq::new(39);
+        assert!(!Arc::ptr_eq(&mine.cell, &original.cell));
+        assert_eq!(mine.token().unwrap().aru, Seq::new(39));
         assert_eq!(*original.token().unwrap(), arrived);
+    }
+
+    #[test]
+    fn a_recycled_cell_keeps_no_payload_and_pins_no_datagram() {
+        let wire = Packet::Data(DataPacket {
+            chunks: vec![Chunk::complete(1, Bytes::from_static(b"ab")); 3].into(),
+            ..data_packet(1)
+        })
+        .encode_shared();
+        let mut cells = CellPool::new(2);
+        let pkt = cells.decode(wire.clone()).unwrap();
+        let held = pkt.clone();
+        cells.recycle(pkt);
+        assert!(cells.is_empty(), "a cell another handle holds is not kept");
+        assert!(!wire.is_unique());
+        drop(held);
+
+        let pkt = cells.decode(wire.clone()).unwrap();
+        let list = pkt.data().unwrap().chunks.as_ptr();
+        cells.recycle(pkt);
+        assert_eq!(cells.len(), 1);
+        assert!(wire.is_unique(), "neither its chunks nor its encoding view the datagram");
+        let again = cells.decode(wire.clone()).unwrap();
+        assert_eq!(again.data().unwrap().chunks.as_ptr(), list, "the list is refilled");
+        assert_eq!(again, SharedPacket::from_datagram(wire.clone()).unwrap());
+        assert_eq!(again.encoded().as_ptr(), wire.as_ptr());
+    }
+
+    #[test]
+    fn a_malformed_datagram_leaves_the_cell_in_the_pool() {
+        let mut cells = CellPool::new(2);
+        cells.recycle(SharedPacket::new(data(1)));
+        let wire = Packet::Data(DataPacket { seq: Seq::new(2), ..data_packet(1) }).encode_shared();
+        let cut = wire.slice(..wire.len() - 1);
+        assert_eq!(cells.decode(cut.clone()), Err(SharedPacket::from_datagram(cut).unwrap_err()));
+        assert_eq!((cells.len(), cells.reused()), (1, 1));
+        assert_eq!(cells.decode(wire.clone()).unwrap(), Packet::decode(&wire).unwrap());
+        assert!(cells.is_empty());
+    }
+
+    #[test]
+    fn the_pool_keeps_at_most_its_bound_and_only_data_and_tokens() {
+        let mut cells = CellPool::new(2);
+        for seq in 1..5 {
+            cells.recycle(SharedPacket::new(data(seq)));
+        }
+        assert_eq!(cells.len(), 2);
+        let mut cells = CellPool::new(2);
+        let join = JoinMessage {
+            sender: NodeId::new(0),
+            ring_seq: 1,
+            proc_set: vec![NodeId::new(0)],
+            fail_set: vec![],
+        };
+        cells.recycle(SharedPacket::new(Packet::Join(join)));
+        assert!(cells.is_empty());
+        // One token cell is all a node needs.
+        let token =
+            || SharedPacket::new(Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))));
+        cells.recycle(token());
+        cells.recycle(token());
+        assert_eq!(cells.len(), 1);
+    }
+
+    #[test]
+    fn data_fills_a_recycled_list() {
+        let mut cells = CellPool::new(2);
+        let three = SharedPacket::new(Packet::Data(DataPacket {
+            chunks: vec![Chunk::complete(1, Bytes::from_static(b"ab")); 3].into(),
+            ..data_packet(1)
+        }));
+        let list = three.data().unwrap().chunks.as_ptr();
+        cells.recycle(three);
+        let two = cells
+            .data(|spare| {
+                assert!(spare.is_empty() && spare.capacity() >= 3);
+                let chunks = crate::Chunks::refill(spare, vec![data_chunk(); 2]);
+                Some(DataPacket { chunks, ..data_packet(2) })
+            })
+            .unwrap();
+        assert_eq!(two.data().unwrap().chunks.as_ptr(), list);
+        assert_eq!(two.data().unwrap().chunks.len(), 2);
+        // A builder that declines hands the cell back.
+        cells.recycle(two);
+        assert!(cells.data(|_| None).is_none());
+        assert_eq!(cells.len(), 1);
+    }
+
+    #[test]
+    fn a_recycled_token_is_encoded_into_the_buffer_it_was_sent_in() {
+        let ring = RingId::new(NodeId::new(0), 1);
+        let sent = SharedPacket::new(Packet::Token(Token::initial(ring)));
+        let wire = sent.encoded().as_ptr();
+        let mut cells = CellPool::new(2);
+        cells.recycle(sent);
+        let arriving = SharedPacket::new(Packet::Token(Token::initial(ring)));
+        let mut next = arriving.clone();
+        next.token_mut(&mut cells).unwrap().seq = Seq::new(3);
+        next.encode_into_spare();
+        assert_eq!(next.encoded().as_ptr(), wire, "the old buffer, rewritten");
+        assert_eq!(next.encoded().as_ref(), next.packet().encode().as_slice());
+
+        // A buffer some other handle still reads is left alone.
+        let sent = SharedPacket::new(Packet::Token(Token::initial(ring)));
+        let in_flight = sent.encoded().clone();
+        cells.recycle(sent);
+        let mut next = arriving.clone();
+        next.token_mut(&mut cells).unwrap().seq = Seq::new(4);
+        next.encode_into_spare();
+        assert_ne!(next.encoded().as_ptr(), in_flight.as_ptr());
+        assert_eq!(next.encoded().as_ref(), next.packet().encode().as_slice());
+        assert_eq!(in_flight, Packet::Token(Token::initial(ring)).encode_shared());
     }
 
     #[test]

@@ -107,7 +107,9 @@ impl Token {
         }
     }
 
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+    /// Decodes a token whose `rtr` is read into `rtr` (a recycled list,
+    /// or an empty `Vec`).
+    pub(crate) fn decode(r: &mut Reader<'_>, rtr: Vec<Seq>) -> Result<Self, CodecError> {
         let ring = RingId::new(NodeId::new(r.u16()?), r.u64()?);
         let rotation = r.counter("token rotation")?;
         let seq = r.counter("token seq")?;
@@ -119,7 +121,7 @@ impl Token {
         if n > MAX_RTR {
             return Err(CodecError::BadLength { what: "rtr list", len: n });
         }
-        let rtr = r.list(n, MAX_RTR, |r| r.counter("token rtr"))?;
+        let rtr = r.list(rtr, n, MAX_RTR, |r| r.counter("token rtr"))?;
         Ok(Token { ring, rotation, seq, aru, aru_id, fcc, backlog, rtr })
     }
 

@@ -12,6 +12,12 @@
 //! from each protocol state and under each replication style, and
 //! after every step their outputs, state fingerprints, counters,
 //! monitors, deadlines and conformance transitions are equal.
+//!
+//! The datagram entry also decodes into the packet cells the node
+//! recycled (frames its window discarded, tokens it retired), so an
+//! Operational script opens with a fixed prefix that makes it do so —
+//! and then meets a malformed datagram with a spare cell at hand —
+//! and each case checks that it did.
 
 use std::collections::VecDeque;
 use std::hash::{DefaultHasher, Hasher};
@@ -52,6 +58,9 @@ struct Twins {
     rotation: u64,
     /// The ring the last commit token named.
     forming: Option<RingId>,
+    /// Malformed datagrams fed while the datagram twin held a recycled
+    /// cell to decode into.
+    malformed_with_spare: u64,
 }
 
 /// The frames among `out` that reach node `to`.
@@ -87,6 +96,7 @@ impl Twins {
             high_seq: 0,
             rotation: 0,
             forming: None,
+            malformed_with_spare: 0,
         }
     }
 
@@ -137,11 +147,18 @@ impl Twins {
     fn feed(&mut self, net: NetworkId, datagram: Bytes) -> Vec<NodeOutput> {
         self.now += 10_000;
         self.history.push(datagram.clone());
+        let cells = |n: &TotemNode| (n.srp().cells().len(), n.srp().cells().reused());
+        let before = cells(&self.fast);
         let mut fast = Vec::new();
         self.fast.on_datagram_into(self.now, net, datagram.clone(), &mut fast);
         let mut plain = Vec::new();
-        if let Ok(pkt) = SharedPacket::from_datagram(datagram) {
-            self.plain.on_packet_into(self.now, net, pkt, &mut plain);
+        match SharedPacket::from_datagram(datagram) {
+            Ok(pkt) => self.plain.on_packet_into(self.now, net, pkt, &mut plain),
+            Err(_) => {
+                // Refused before any cell is touched.
+                assert_eq!(cells(&self.fast), before, "a malformed datagram took a cell");
+                self.malformed_with_spare += u64::from(before.0 > 0);
+            }
         }
         self.agree(fast, plain)
     }
@@ -364,10 +381,40 @@ fn styles() -> [(ReplicationStyle, usize); 4] {
     ]
 }
 
+/// Opens an Operational script: four rounds of a fresh frame and the
+/// token that covers it (its `aru` up to its `seq`), the token on every
+/// network, then a truncated copy of the first datagram. By the third
+/// token the datagram twin decodes into the token cell it retired, the
+/// frames its window discarded are refilled by the next ones, and the
+/// malformed datagram finds a recycled cell waiting.
+fn recycle(twins: &mut Twins) {
+    /// Whether the datagram twin handed out a recycled cell for `step`.
+    fn step(twins: &mut Twins, step: Step) -> bool {
+        let before = twins.fast.srp().cells().reused();
+        twins.interpret(step);
+        twins.fast.srp().cells().reused() > before
+    }
+    // Frames, tokens decoded into recycled cells.
+    let mut reused = (0, 0);
+    for _ in 0..4 {
+        reused.0 += u32::from(step(twins, (0, 0, 0, 0)));
+        reused.1 += u32::from(step(twins, (5, 1, 0, 0)));
+        for net in 1..twins.networks as u8 {
+            step(twins, (3, twins.history.len() as u16 - 1, 0, net));
+        }
+    }
+    assert!(reused.0 > 0 && reused.1 > 0, "(frames, tokens) in recycled cells: {reused:?}");
+    twins.interpret((9, 0, 0, 0));
+    assert!(twins.malformed_with_spare > 0, "no malformed datagram met a spare cell");
+}
+
 fn run(target: SrpState, script: &[Step]) {
     for (style, networks) in styles() {
         let mut twins = Twins::new(style, networks);
         twins.bring_up(target);
+        if target == SrpState::Operational {
+            recycle(&mut twins);
+        }
         for &step in script {
             twins.interpret(step);
         }
@@ -375,7 +422,7 @@ fn run(target: SrpState, script: &[Step]) {
 }
 
 fn script() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()), 40..120)
+    proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()), 80..240)
 }
 
 proptest! {
