@@ -747,13 +747,14 @@ fn redundant_copy_allocates_nothing() {
 
 /// A loaded ring of 400-byte messages, three to a frame: every call
 /// into a node — a frame decoded, its redundant copy dropped, a token
-/// visit that delivers, discards and packs frames of its own — allocates
-/// nothing. Received frames are decoded into, and new ones packed
-/// into, the cells the node's window discarded, whose chunk lists
-/// already hold three. What a node still allocates is the encoding of
-/// each frame it originates: one buffer per frame.
+/// visit that delivers, discards and packs frames of its own — and the
+/// encoding of every frame it sends allocates nothing. Received frames
+/// are decoded into, and new ones packed into, the cells the node's
+/// window discarded, whose chunk lists already hold three; a frame the
+/// node originates is encoded into the buffer its cell was last sent
+/// in.
 #[test]
-fn a_loaded_visit_allocates_nothing_but_its_own_frames_encodings() {
+fn a_loaded_visit_allocates_nothing() {
     let mut ring = MeteredNodes::new(2, ReplicationStyle::Active, 2);
     let handled = |ring: &MeteredNodes| -> u64 {
         ring.nodes.iter().map(|n| n.srp().stats().tokens_handled).sum()
@@ -773,7 +774,7 @@ fn a_loaded_visit_allocates_nothing_but_its_own_frames_encodings() {
             frames += originated;
             if check {
                 assert_eq!(call, 0, "node {at}: a call allocated (it packed {originated} frames)");
-                assert_eq!(encoding, originated, "node {at}: encodings beyond one per own frame");
+                assert_eq!(encoding, 0, "node {at}: encoding its {originated} frames allocated");
                 let now: u64 = ring.nodes.iter().map(|n| n.srp().stats().delivered_msgs).sum();
                 assert_eq!((now - delivered) % 3, 0, "frames carry three messages each");
             }
@@ -817,6 +818,44 @@ fn a_recycled_cell_pins_no_datagram() {
     for batch in &batches {
         assert!(batch.is_unique(), "a recycled cell still views its datagram");
     }
+}
+
+/// The same, with nothing but the node holding the batches: once its
+/// cells are recycled the batches are unique, and still no cell keeps
+/// one as the buffer its next frame is encoded into — a received buffer
+/// is the transport's to reuse. So the first frame node 1 originates,
+/// in a cell that last held a received frame, is encoded afresh.
+#[test]
+fn a_recycled_cell_keeps_no_received_buffer_as_its_spare() {
+    let mut ring = MeteredNodes::new(2, ReplicationStyle::Active, 2);
+    ring.fire(0);
+    ring.submit(0, 3, 400);
+    for _ in 0..400 {
+        ring.step(|datagram| {
+            if WireHeader::parse(&datagram).is_ok_and(|h| matches!(h, WireHeader::Data { .. })) {
+                return bytes::Bytes::from([&b"lead"[..], &datagram].concat()).slice(4..);
+            }
+            datagram
+        });
+    }
+    assert_eq!(ring.nodes[1].srp().stats().delivered_msgs, 3);
+    assert!(!ring.nodes[1].srp().cells().is_empty(), "node 1 recycled the frame's cell");
+
+    // A message far smaller than the frame node 1 received, so its
+    // frame would fit that frame's buffer.
+    ring.submit(1, 1, 100);
+    let mut visit = None;
+    for _ in 0..400 {
+        let sent = ring.nodes[1].srp().stats().packets_sent;
+        let (at, cost) = ring.step(|d| d);
+        if at == 1 && ring.nodes[1].srp().stats().packets_sent > sent {
+            visit = Some(cost);
+            break;
+        }
+    }
+    // Packed into a recycled cell, the visit allocates nothing; the
+    // frame's encoding is a buffer of its own.
+    assert_eq!(visit, Some((0, 1)), "(visit, encoding) allocations of node 1's first frame");
 }
 
 /// However many frames a visit discards, the recycled cells a node

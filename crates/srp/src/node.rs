@@ -592,12 +592,15 @@ impl SrpNode {
                 break;
             }
             let (packer, queue, seq) = (&mut self.packer, &mut self.send_queue, t.seq.next());
-            let Some(pkt) = self.cells.data(|spare| {
+            let Some(mut pkt) = self.cells.data(|spare| {
                 let chunks = packer.pack_next_into(queue, spare)?;
                 Some(DataPacket { ring: ring.ring, seq, sender: self.me, chunks })
             }) else {
                 break;
             };
+            // Encoded now into the buffer the recycled cell was last
+            // sent in, when it has one; otherwise on first use.
+            pkt.encode_into_spare();
             t.seq = seq;
             ring.window.insert(pkt.clone());
             events.push(SrpEvent::Broadcast(pkt));

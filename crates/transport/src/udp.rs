@@ -11,9 +11,10 @@
 //! non-blocking from construction on. [`Transport::recv_batch`] drains
 //! every socket, on the calling thread, into that network's
 //! [`InboxArena`] and carves the sealed batches into the caller's
-//! batch — frames are zero-copy `Bytes` slices of the batch's
-//! exact-size allocation: no per-datagram allocation, no queue, no
-//! second thread. Only when every socket is dry does it wait, in one
+//! batch — frames are zero-copy `Bytes` slices of the batch's buffer,
+//! which the arena reuses once every frame is dropped: no allocation
+//! in steady state, none ever per datagram, no queue, no second
+//! thread. Only when every socket is dry does it wait, in one
 //! `ppoll(2)` over all of them, for the caller's timeout at nanosecond
 //! precision (the 200 µs idle-token hold depends on it). So the thread
 //! the kernel wakes for a datagram is the thread that runs the

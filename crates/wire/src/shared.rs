@@ -40,10 +40,13 @@
 //! capacity. Decoding a datagram ([`CellPool::decode`]), sealing a
 //! data packet ([`CellPool::data`]) and rewriting a shared token
 //! ([`SharedPacket::token_mut`]) fill a recycled cell before they
-//! allocate one. A token keeps one more thing: the buffer it was last
-//! sent in, which its next encoding overwrites when nobody else still
-//! holds it ([`SharedPacket::encode_into_spare`]). The pool is not
-//! protocol state; which cell a packet lives in never shows.
+//! allocate one. A cell keeps one more thing: the buffer it was last
+//! sent in, when its own node encoded it, which the next packet the
+//! node originates or forwards in that cell is encoded into when
+//! nobody else still holds it ([`SharedPacket::encode_into_spare`]).
+//! Bytes that arrived off the wire are never kept: they belong to the
+//! transport's receive batch. The pool is not protocol state; which
+//! cell a packet lives in never shows.
 
 use std::sync::{Arc, OnceLock};
 
@@ -59,7 +62,11 @@ use crate::token::Token;
 struct PacketCell {
     pkt: Packet,
     encoded: OnceLock<Bytes>,
-    /// The buffer a recycled token was last sent in, kept for its next
+    /// Whether `encoded` holds the bytes the packet was decoded from
+    /// rather than an encoding this node made: a buffer the transport
+    /// lent, which a recycled cell must not keep.
+    received: bool,
+    /// The buffer a recycled cell was last sent in, kept for its next
     /// encoding to overwrite ([`SharedPacket::encode_into_spare`]).
     spare_wire: Option<Bytes>,
 }
@@ -76,8 +83,11 @@ impl std::fmt::Debug for PacketCell {
 }
 
 impl PacketCell {
+    /// A cell for `pkt`; an `encoded` filled already holds the bytes
+    /// it was decoded from.
     fn new(pkt: Packet, encoded: OnceLock<Bytes>) -> Arc<Self> {
-        Arc::new(PacketCell { pkt, encoded, spare_wire: None })
+        let received = encoded.get().is_some();
+        Arc::new(PacketCell { pkt, encoded, received, spare_wire: None })
     }
 }
 
@@ -87,6 +97,7 @@ fn seal_in(spare: Option<Arc<PacketCell>>, pkt: Packet, encoded: OnceLock<Bytes>
     if let Some(mut arc) = spare {
         if let Some(cell) = Arc::get_mut(&mut arc) {
             cell.pkt = pkt;
+            cell.received = encoded.get().is_some();
             cell.encoded = encoded;
             return SharedPacket { cell: arc };
         }
@@ -173,10 +184,11 @@ impl SharedPacket {
 
     /// Encodes the packet now, into the buffer its recycled cell was
     /// last sent in, when this is the only handle on the cell, nothing
-    /// is cached yet, and no other handle still reads that buffer (the
-    /// transport is done with it) — so a token forwarded in a recycled
-    /// cell allocates nothing for its wire bytes. Otherwise nothing
-    /// changes but that the spare buffer is let go, and
+    /// is cached yet, no other handle still reads that buffer (the
+    /// transport is done with it) and it has room — so a token
+    /// forwarded, or a data frame originated, in a recycled cell
+    /// allocates nothing for its wire bytes. Otherwise nothing changes
+    /// but that the spare buffer is let go, and
     /// [`SharedPacket::encoded`] encodes on first use as ever.
     pub fn encode_into_spare(&mut self) {
         let Some(cell) = Arc::get_mut(&mut self.cell) else { return };
@@ -253,6 +265,7 @@ impl SharedPacket {
         }
         let cell = Arc::get_mut(&mut self.cell)?;
         cell.encoded = OnceLock::new();
+        cell.received = false;
         match &mut cell.pkt {
             Packet::Token(t) => Some(t),
             Packet::Data(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => None,
@@ -328,28 +341,32 @@ impl CellPool {
     /// Keeps `pkt`'s cell for reuse if it is a data frame or a token,
     /// no other handle holds it, and the pool has room (for a token:
     /// holds no token cell yet); drops the handle otherwise. A kept
-    /// data cell gives up its chunk views and its cached encoding; a
-    /// token keeps its encoding as the buffer the next one is written
-    /// into — unless another handle still reads it.
+    /// cell gives up its chunk views and its cached encoding — which it
+    /// keeps as the buffer its next packet is written into when this
+    /// node encoded it and no other handle still reads it. Bytes that
+    /// arrived off the wire are the transport's, and are let go.
     pub fn recycle(&mut self, pkt: SharedPacket) {
         let mut arc = pkt.cell;
         if self.len() >= self.bound {
             return;
         }
         let Some(cell) = Arc::get_mut(&mut arc) else { return };
-        match &mut cell.pkt {
+        let token = match &mut cell.pkt {
             Packet::Data(d) => {
                 d.chunks = d.chunks.take_list().into();
-                cell.encoded = OnceLock::new();
-                self.data.push(arc);
+                false
             }
-            Packet::Token(_) if self.token.is_none() => {
-                if let Some(wire) = cell.encoded.take().filter(Bytes::is_unique) {
-                    cell.spare_wire = Some(wire);
-                }
-                self.token = Some(arc);
-            }
-            Packet::Token(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => {}
+            Packet::Token(_) if self.token.is_none() => true,
+            Packet::Token(_) | Packet::Join(_) | Packet::Commit(_) | Packet::RingPaxos(_) => return,
+        };
+        let own = !cell.received;
+        if let Some(wire) = cell.encoded.take().filter(|w| own && w.is_unique()) {
+            cell.spare_wire = Some(wire);
+        }
+        if token {
+            self.token = Some(arc);
+        } else {
+            self.data.push(arc);
         }
     }
 
@@ -758,6 +775,59 @@ mod tests {
         assert_ne!(next.encoded().as_ptr(), in_flight.as_ptr());
         assert_eq!(next.encoded().as_ref(), next.packet().encode().as_slice());
         assert_eq!(in_flight, Packet::Token(Token::initial(ring)).encode_shared());
+    }
+
+    #[test]
+    fn a_recycled_data_cell_is_encoded_into_the_buffer_it_was_sent_in() {
+        let mut cells = CellPool::new(2);
+        let build = |seq: u64, chunks: usize| {
+            move |spare: Vec<Chunk>| {
+                let chunks = crate::Chunks::refill(spare, vec![data_chunk(); chunks]);
+                Some(DataPacket { chunks, ..data_packet(seq) })
+            }
+        };
+        let mut sent = cells.data(build(1, 3)).unwrap();
+        sent.encode_into_spare();
+        let wire = sent.encoded().as_ptr();
+        cells.recycle(sent);
+
+        // Smaller: it fits the old buffer.
+        let mut next = cells.data(build(2, 2)).unwrap();
+        next.encode_into_spare();
+        assert_eq!(next.encoded().as_ptr(), wire, "the old buffer, rewritten");
+        assert_eq!(next.encoded().as_ref(), next.packet().encode().as_slice());
+        cells.recycle(next);
+
+        // Larger than the buffer: let go, and encoded afresh.
+        let mut big = cells.data(build(3, 5)).unwrap();
+        big.encode_into_spare();
+        assert_ne!(big.encoded().as_ptr(), wire);
+        assert_eq!(big.encoded().as_ref(), big.packet().encode().as_slice());
+    }
+
+    #[test]
+    fn a_recycled_cell_keeps_no_received_buffer() {
+        let mut cells = CellPool::new(4);
+        let data = Packet::Data(data_packet(1)).encode_shared();
+        let token = Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))).encode_shared();
+        for wire in [data, token] {
+            // The decoded packet holds the only handles on each buffer,
+            // so it is unique once the cell drops its chunk views.
+            let pkt = cells.decode(wire).unwrap();
+            cells.recycle(pkt);
+        }
+        assert_eq!(cells.len(), 2);
+        let spares = cells.data.iter().chain(&cells.token).filter(|c| c.spare_wire.is_some());
+        assert_eq!(spares.count(), 0, "a received buffer became a spare");
+
+        // Rewritten, a token is this node's again: its encoding is kept.
+        let arriving =
+            SharedPacket::new(Packet::Token(Token::initial(RingId::new(NodeId::new(0), 1))));
+        let mut token = arriving.clone();
+        token.token_mut(&mut cells).unwrap().seq = Seq::new(5);
+        token.encoded();
+        cells.recycle(token);
+        assert!(cells.token.as_ref().is_some_and(|c| c.spare_wire.is_some()));
     }
 
     #[test]
